@@ -17,8 +17,7 @@ sharp-bag optimum with surface tension a = 2 int sqrt(W).
 __version__ = "0.1.0"
 
 from .bag import (BagConfig, BagReport, MITLimitResult, MITReport, bag_energy,
-                  cavity_energy, curvature_residual, minimize_bag, mit_ground,
-                  mit_limit)
+                  cavity_energy, minimize_bag, mit_ground, mit_limit)
 from .dirac import (DegenerateEigenvalueError, RadialDiracOperator,
                     RadialField, RadialSpinor, SpectralResult,
                     assemble_hamiltonian, density, eigen_solve,
@@ -39,7 +38,7 @@ __all__ = [
     "PotentialSpec", "RadialDiracOperator", "RadialField", "RadialGrid",
     "RadialSpinor", "SolitonConfig", "SolitonReport", "SpectralResult",
     "TwoZoneProblem", "TwoZoneState", "assemble_hamiltonian", "bag_energy",
-    "cavity_energy", "check_hypotheses", "curvature_residual", "density",
+    "cavity_energy", "check_hypotheses", "density",
     "dirichlet_ball_eigenvalue", "eigen_solve", "eigenvalues", "el_residual",
     "energy", "eps_energy", "gradient", "hellmann_feynman", "initial_guess",
     "integrate", "interface_width", "make_grid", "matching_function",

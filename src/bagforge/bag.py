@@ -54,6 +54,10 @@ class BagConfig:
     def __post_init__(self):
         if self.n_quarks < 1:
             raise ValueError("need at least one quark")
+        if not all(map(math.isfinite, (self.g, self.m, self.a, self.b))):
+            raise ValueError(
+                f"g, m, a and b must be finite (got g={self.g}, m={self.m}, "
+                f"a={self.a}, b={self.b})")
         if not (0.0 < self.g < self.m):
             raise ValueError(
                 f"bag model requires 0 < g < m (got g={self.g}, m={self.m}); "
@@ -215,11 +219,6 @@ def minimize_bag(cfg: BagConfig) -> BagReport:
     a flagged report means the minimum sat on the search boundary."""
     return _minimize_cavity(cfg.n_quarks, cfg.m - cfg.g, cfg.m, cfg.a, cfg.b,
                             cfg.k, cfg.r_interval, cfg, cfg.g)
-
-
-def curvature_residual(report: BagReport) -> float:
-    """Wall balance |2a/R + b - N g (v^2 - u^2)(R)| of a finished report."""
-    return report.curvature_residual
 
 
 @dataclass

@@ -8,7 +8,8 @@ parameters, grid, version and wall time.  Identical configuration and seed
 produce byte-identical result files (the manifest holds the only
 timestamp-like field).
 
-Exit codes: 0 success, 1 usage error, 2 flagged non-convergence, 3 I/O.
+Exit codes: 0 success, 1 usage error, 2 flagged non-convergence or solver
+failure, 3 I/O.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +125,14 @@ _KEY_TYPES = {
     "model.m": float, "model.g": float, "model.N": int, "model.k": str,
     "potential.kappa": float, "potential.b": float,
     "grid.r_max": float, "grid.n": int,
-    "solver.tol": float, "solver.max_iter": int, "solver.mode": str,
-    "solver.mixing": float,
+    "solver.tol": float, "solver.max_iter": int,
     "bag.a": float, "bag.b": float, "bag.k": int,
     "bag.r_lo": float, "bag.r_hi": float,
     "mit.R": float, "mit.k": int,
     "limit.masses": str, "limit.doublings": int,
     "gamma.eps": str,
     "output.path": str, "output.format": str,
-    "run.seed": int, "run.jobs": int,
+    "run.seed": int,
 }
 
 
@@ -178,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result table format (default csv)")
         sp.add_argument("--seed", dest="run.seed", type=int,
                         help="seed for randomized checks (default 0)")
-        sp.add_argument("--jobs", dest="run.jobs", type=int,
-                        help="parallel workers for sweeps "
-                             "(default $BAGFORGE_JOBS or 1)")
         sp.add_argument("--r-max", dest="grid.r_max", type=float,
                         help="domain truncation radius")
         sp.add_argument("--n", dest="grid.n", type=int, help="grid cells")
@@ -201,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gradient tolerance (default 1e-6)")
     sp.add_argument("--max-iter", dest="solver.max_iter", type=int,
                     help="iteration budget (default 4000)")
-    sp.add_argument("--mode", dest="solver.mode", choices=["descent", "scf"],
-                    help="solver mode (default descent)")
-    sp.add_argument("--mixing", dest="solver.mixing", type=float,
-                    help="scf mixing in (0,1] (default 0.5)")
 
     sp = sub.add_parser("bag", help="optimal sharp-bag radius")
     common(sp)
@@ -268,8 +259,7 @@ _DEFAULTS = {
     "soliton": {"model.m": 1.0, "model.g": "10", "model.N": 1, "model.k": "",
                 "potential.kappa": 1.0, "potential.b": 0.01,
                 "grid.r_max": 20.0, "grid.n": 800, "solver.tol": 1e-6,
-                "solver.max_iter": 4000, "solver.mode": "descent",
-                "solver.mixing": 0.5},
+                "solver.max_iter": 4000},
     "bag": {"model.m": 1.0, "model.g": "0.8", "model.N": 1, "bag.a": 1e-3,
             "bag.b": 1e-3, "bag.k": 1, "bag.r_lo": 0.0, "bag.r_hi": 0.0},
     "mit": {"model.m": 1.0, "mit.R": 1.0, "mit.k": 1},
@@ -283,7 +273,7 @@ _DEFAULTS = {
 }
 
 _COMMON_DEFAULTS = {"output.path": "bagforge_run", "output.format": "csv",
-                    "run.seed": 0, "run.jobs": 0}
+                    "run.seed": 0}
 
 
 def parse(argv) -> dict:
@@ -304,10 +294,6 @@ def parse(argv) -> dict:
         if key in ("subcommand", "config") or val is None:
             continue
         params[key] = val
-    if params["run.jobs"] == 0:
-        params["run.jobs"] = int(os.environ.get("BAGFORGE_JOBS", "1"))
-    if params["run.jobs"] < 1:
-        raise UsageError("--jobs must be >= 1")
     params["subcommand"] = sub
     return params
 
@@ -334,39 +320,31 @@ def _run_soliton(params) -> int:
     pot = PotentialSpec(kappa=float(params["potential.kappa"]),
                         b=float(params["potential.b"]))
 
-    def solve(g):
+    results = []
+    for g in gs:
         cfg = SolitonConfig(
             model=ModelParams(n_quarks=N, g=g, m=m, k_indices=tuple(ks)),
             potential=pot, r_max=float(params["grid.r_max"]),
             n=int(params["grid.n"]), tol=float(params["solver.tol"]),
-            max_iter=int(params["solver.max_iter"]),
-            mixing=float(params["solver.mixing"]),
-            mode=params["solver.mode"])
-        return cfg, minimize(cfg)
-
-    jobs = min(params["run.jobs"], len(gs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve, gs))
-    else:
-        results = [solve(g) for g in gs]
+            max_iter=int(params["solver.max_iter"]))
+        results.append(minimize(cfg))
 
     header = ["g", "m", "N", "k_list", "energy", "lambdas", "el_residual",
               "eigen_residual", "iterations", "converged"]
     rows = []
-    for g, (cfg, rep) in zip(gs, results):
+    for g, rep in zip(gs, results):
         rows.append([g, m, N, ";".join(str(k) for k in ks), rep.energy,
                      ";".join(_fmt(x) for x in rep.lambdas), rep.el.field,
                      rep.el.eigen, rep.iterations, rep.converged])
     table, stem = _out_paths(params)
     write_table(table, header, rows, params["output.format"])
     _write_soliton_profiles(stem, results)
-    return 0 if all(rep.converged for _, rep in results) else 2
+    return 0 if all(rep.converged for rep in results) else 2
 
 
 def _write_soliton_profiles(stem: Path, results):
     lines = ["series,r,value"]
-    for cfg, rep in results:
+    for rep in results:
         tag = _fmt(rep.config.model.g)
         grid = rep.phi.grid
         for r, v in zip(grid.r_primal, rep.phi.values):
@@ -488,8 +466,12 @@ def run(params: dict) -> int:
     start = time.perf_counter()
     sub = params["subcommand"]
     try:
-        code = _RUNNERS[sub](params)
-    except (ValueError,) as exc:
+        # degenerate inputs overflow inside the root scans; the solvers turn
+        # the resulting non-finite values into errors, so numpy's warnings
+        # would only put a second message on stderr
+        with np.errstate(all="ignore"):
+            code = _RUNNERS[sub](params)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     outdir = Path(params["output.path"]).parent
     manifest_params = {k: v for k, v in params.items() if k != "subcommand"}
@@ -505,6 +487,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # a solver gave up: no bracket, a degenerate level, a residual check
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -28,8 +28,10 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .dirac import (DegenerateEigenvalueError, RadialField, SIMPLE_GAP_RTOL,
-                    WINDOW_SHAVE, assemble_hamiltonian, eigen_solve)
-from .grid import FOUR_PI, RadialGrid
+                    WINDOW_SHAVE, assemble_hamiltonian, density_partials,
+                    eigen_solve)
+from .grid import (FOUR_PI, RadialGrid, forward_diff, midpoints, scatter_diff,
+                   scatter_mid)
 
 #: Armijo sufficient-decrease constant
 ARMIJO_C1 = 1e-4
@@ -112,12 +114,11 @@ class FieldFunctional:
 
     def field_energy(self, phi_vals: np.ndarray) -> float:
         gr = self.grid
-        dph = (np.append(phi_vals[1:], 0.0)[: gr.n - 1] - phi_vals[: gr.n - 1]) / gr.h
+        dph = forward_diff(gr, phi_vals)
         vol_s = gr.vol_staggered[1:]
         e = float(np.dot(vol_s, self.c_grad * dph**2))
         if self.v_stag is not None:
-            mid = 0.5 * (phi_vals[:-1] + phi_vals[1:])
-            e += float(np.dot(vol_s, self.v_stag(mid)))
+            e += float(np.dot(vol_s, self.v_stag(midpoints(phi_vals))))
         if self.v_prim is not None:
             e += float(np.dot(gr.vol_primal, self.v_prim(phi_vals)))
         return FOUR_PI * e
@@ -144,24 +145,14 @@ class FieldFunctional:
             self.check_simple(solve)
         dE = np.zeros(nd)
         for y in solve.vectors:
-            if y is None:
-                continue
-            ysq = y**2 / float(np.dot(y, y))
-            yv, yu = ysq[0::2], ysq[1::2]
-            d = self.g * yv
-            d -= self.g * 0.5 * yu
-            d[1:] -= self.g * 0.5 * yu[:-1]
-            dE += d
+            if y is not None:
+                dE += density_partials(y, self.g)
         vol_s = gr.vol_staggered[1:]
-        dph = (np.append(phi_vals[1:], 0.0)[:nd] - phi_vals[:nd]) / gr.h
-        t = vol_s * self.c_grad * 2.0 * dph / gr.h
-        dE += FOUR_PI * (-t)
-        dE[1:] += FOUR_PI * t[:-1]
+        t = vol_s * self.c_grad * 2.0 * forward_diff(gr, phi_vals) / gr.h
+        scatter_diff(dE, FOUR_PI * t)
         if self.v_stag_d is not None:
-            mid = 0.5 * (phi_vals[:-1] + phi_vals[1:])
-            half = 0.5 * vol_s * self.v_stag_d(mid)
-            dE += FOUR_PI * half
-            dE[1:] += FOUR_PI * half[:-1]
+            half = 0.5 * vol_s * self.v_stag_d(midpoints(phi_vals))
+            scatter_mid(dE, FOUR_PI * half)
         if self.v_prim_d is not None:
             dE += FOUR_PI * gr.vol_primal[:nd] * self.v_prim_d(phi_vals[:nd])
         return dE
@@ -169,7 +160,11 @@ class FieldFunctional:
     def gradient_field(self, phi_vals: np.ndarray, **kw) -> np.ndarray:
         """L^2(r^2 dr) representation of the gradient, padded with the pinned
         boundary zero so it is a RadialField-shaped array."""
-        dE = self.gradient_partials(phi_vals, **kw)
+        return self.as_field(self.gradient_partials(phi_vals, **kw))
+
+    def as_field(self, dE: np.ndarray) -> np.ndarray:
+        """Field representation of the free-node partials dE (see
+        `gradient_field`)."""
         out = np.zeros(self.grid.n)
         out[:-1] = dE / (FOUR_PI * self.grid.vol_primal[:-1])
         return out
@@ -226,9 +221,7 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
     it = 0
     for it in range(1, max_iter + 1):
         dE = fn.gradient_partials(phi, solve=solve)
-        gfield = np.zeros(fn.grid.n)
-        gfield[:-1] = dE / (FOUR_PI * fn.grid.vol_primal[:-1])
-        gnorm = fn.grad_norm(gfield)
+        gnorm = fn.grad_norm(fn.as_field(dE))
         if monitor is not None:
             monitor(it, phi, E, gnorm)
         if gnorm <= tol:

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import FOUR_PI, RadialGrid, integrate
+from .grid import FOUR_PI, RadialGrid, integrate, midpoints, scatter_mid
 
 #: spectral window default stops this fraction short of the band edge at m
 WINDOW_SHAVE = 1e-6
@@ -91,8 +91,7 @@ class RadialField:
     def staggered_values(self) -> np.ndarray:
         """Second-order interpolation to the inner staggered nodes
         r_{3/2}..r_{n-1/2}; this is the mass sampling the assembly uses."""
-        v = self.values
-        return 0.5 * (v[:-1] + v[1:])
+        return midpoints(self.values)
 
 
 @dataclass(frozen=True)
@@ -302,6 +301,21 @@ def density(psi: RadialSpinor) -> RadialField:
     return RadialField(grid=grid, values=_zero_tail(psi.v**2 - avg))
 
 
+def density_partials(y: np.ndarray, g: float) -> np.ndarray:
+    """d lam / d phi_a at the free primal nodes for a tridiagonal-basis
+    eigenvector y of the ansatz sector (any normalization).
+
+    The v-rows carry the mass m + g phi directly, the u-rows its midpoint
+    average with the opposite sign, so the midpoint scatter returns their
+    share to the primal nodes.  This is g times the `density` of the
+    normalized state, weighted by 4 pi and the primal volume weights.
+    """
+    ysq = y**2 / float(np.dot(y, y))
+    d = g * ysq[0::2]
+    scatter_mid(d, -(g * 0.5 * ysq[1::2]))
+    return d
+
+
 def _zero_tail(vals: np.ndarray) -> np.ndarray:
     # densities inherit v(r_max) = 0 only approximately; pin the last node
     out = np.array(vals, dtype=float)
@@ -344,23 +358,15 @@ def supercharge_singular_values(phi: RadialField, g: float, m: float) -> np.ndar
     operator identity behind the inf-sup characterization of the positive
     bound-state ladder.  Dense SVD: use on verification-sized grids.
     """
-    grid = phi.grid
-    nd = grid.n - 1
-    rp = grid.r_primal[:nd]
-    rs = grid.r_staggered[1:]
-    h = grid.h
-    mu_p = m + g * phi.values[:nd]
-    mu_s = m + g * phi.staggered_values()
-    c_same = rs / (h * rp)
-    c_next = -rs[:-1] / (h * rp[1:])
+    op = assemble_hamiltonian(phi, g=g, m=m)
     # weight-conjugated supercharge [[M_v, -A], [A^dag, M_u]]: positive mass
-    # diagonal plus an antisymmetric first-order part.
-    R = np.zeros((2 * nd, 2 * nd))
-    idx = np.arange(nd)
-    R[2 * idx, 2 * idx] = mu_p
-    R[2 * idx + 1, 2 * idx + 1] = mu_s
-    R[2 * idx, 2 * idx + 1] = -c_same
-    R[2 * idx + 1, 2 * idx] = c_same
-    R[2 * idx[:-1] + 1, 2 * idx[:-1] + 2] = c_next
-    R[2 * idx[:-1] + 2, 2 * idx[:-1] + 1] = -c_next
+    # diagonal plus an antisymmetric first-order part, i.e. the ansatz matrix
+    # with its u-columns negated.
+    signs = np.ones(op.size)
+    signs[1::2] = -1.0
+    idx = np.arange(op.size)
+    R = np.zeros((op.size, op.size))
+    R[idx, idx] = op.diag * signs
+    R[idx[:-1], idx[1:]] = op.offdiag * signs[1:]
+    R[idx[1:], idx[:-1]] = op.offdiag * signs[:-1]
     return np.sort(np.linalg.svd(R, compute_uv=False))

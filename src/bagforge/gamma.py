@@ -33,7 +33,8 @@ import numpy as np
 from .bag import BagConfig, BagReport, minimize_bag
 from .descent import FieldFunctional, minimize_field
 from .dirac import RadialField
-from .grid import FOUR_PI, RadialGrid, make_grid
+from .grid import (FOUR_PI, RadialGrid, forward_diff, make_grid, midpoints,
+                   tanh_step)
 from .potentials import PotentialSpec, surface_constant
 
 #: interfaces thinner than this many cells refuse to run
@@ -56,6 +57,10 @@ class GammaSweep:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
+        if not all(map(math.isfinite, eps + (self.g, self.m, self.r_max))):
+            raise ValueError(
+                f"eps, g, m and r_max must be finite (got eps={list(eps)}, "
+                f"g={self.g}, m={self.m}, r_max={self.r_max})")
         if not eps or any(e <= 0 for e in eps):
             raise ValueError("eps schedule must be positive")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
@@ -100,11 +105,9 @@ def field_terms(sweep: GammaSweep, eps: float, phi_vals: np.ndarray,
     grid = grid or sweep.grid()
     pot = sweep.potential
     vol_s = grid.vol_staggered[1:]
-    dph = (np.append(phi_vals[1:], 0.0)[: grid.n - 1]
-           - phi_vals[: grid.n - 1]) / grid.h
-    mid = 0.5 * (phi_vals[:-1] + phi_vals[1:])
+    dph = forward_diff(grid, phi_vals)
     e_grad = FOUR_PI * float(np.dot(vol_s, eps * dph**2))
-    e_well = FOUR_PI * float(np.dot(vol_s, pot.w(mid) / eps))
+    e_well = FOUR_PI * float(np.dot(vol_s, pot.w(midpoints(phi_vals)) / eps))
     e_mass = FOUR_PI * float(np.dot(grid.vol_primal, pot.b * phi_vals**2))
     return e_grad, e_well, e_mass
 
@@ -114,13 +117,10 @@ def tv_well_coordinate(sweep: GammaSweep, phi_vals: np.ndarray,
     """Weighted total variation 4 pi int 2 |phi'| sqrt(W(phi)) r^2 dr,
     evaluated with the same staggered sampling as the field energy."""
     grid = grid or sweep.grid()
-    pot = sweep.potential
-    vol_s = grid.vol_staggered[1:]
-    dph = (np.append(phi_vals[1:], 0.0)[: grid.n - 1]
-           - phi_vals[: grid.n - 1]) / grid.h
-    mid = 0.5 * (phi_vals[:-1] + phi_vals[1:])
-    return FOUR_PI * float(np.dot(vol_s,
-                                  2.0 * np.abs(dph) * np.sqrt(pot.w(mid))))
+    dph = forward_diff(grid, phi_vals)
+    well = sweep.potential.w(midpoints(phi_vals))
+    return FOUR_PI * float(np.dot(grid.vol_staggered[1:],
+                                  2.0 * np.abs(dph) * np.sqrt(well)))
 
 
 def interface_width(grid: RadialGrid, phi_vals: np.ndarray,
@@ -203,9 +203,13 @@ def reference_bag(sweep: GammaSweep) -> tuple:
 def initial_profile(sweep: GammaSweep, R: float, eps: float,
                     grid: Optional[RadialGrid] = None) -> np.ndarray:
     """Equipartition tanh ansatz around radius R at width eps."""
-    grid = grid or sweep.grid()
-    s = math.sqrt(sweep.potential.kappa) / 2.0
-    vals = -(1.0 - np.tanh((grid.r_primal - R) * s / eps)) / 2.0
+    return _tanh_profile(grid or sweep.grid(), R, eps, sweep.potential)
+
+
+def _tanh_profile(grid: RadialGrid, R: float, eps: float,
+                  spec: PotentialSpec) -> np.ndarray:
+    s = math.sqrt(spec.kappa) / 2.0
+    vals = tanh_step((grid.r_primal - R) * s / eps)
     vals[-1] = 0.0
     return vals
 
@@ -219,13 +223,10 @@ def recovery_energy(grid: RadialGrid, R: float, eps: float,
     """
     if not (R > 0.0 and eps > 0.0):
         raise ValueError("R and eps must be positive")
-    s = math.sqrt(spec.kappa) / 2.0
-    vals = -(1.0 - np.tanh((grid.r_primal - R) * s / eps)) / 2.0
-    vals[-1] = 0.0
-    vol_s = grid.vol_staggered[1:]
-    dph = (np.append(vals[1:], 0.0)[: grid.n - 1] - vals[: grid.n - 1]) / grid.h
-    mid = 0.5 * (vals[:-1] + vals[1:])
-    e = float(np.dot(vol_s, eps * dph**2 + spec.w(mid) / eps))
+    vals = _tanh_profile(grid, R, eps, spec)
+    dph = forward_diff(grid, vals)
+    e = float(np.dot(grid.vol_staggered[1:],
+                     eps * dph**2 + spec.w(midpoints(vals)) / eps))
     e += float(np.dot(grid.vol_primal, spec.b * vals**2))
     return FOUR_PI * e
 
@@ -245,11 +246,6 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
     phi = initial_profile(sweep, ref.R, sweep.eps_schedule[0], grid)
     rows: List[GammaRow] = []
     worst_inline = math.inf
-
-    def w_second(t):
-        k = pot.kappa
-        return 2.0 * k * (1.0 + 6.0 * t + 6.0 * t**2)
-
     for eps in sweep.eps_schedule:
         fn = sweep.functional(eps, grid)
         inline = []
@@ -260,7 +256,7 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
                           - tv_well_coordinate(sweep, phi_it, grid))
 
         res = minimize_field(fn, phi, tol=sweep.tol, max_iter=sweep.max_iter,
-                             curvature=lambda t: np.abs(w_second(t)) / eps
+                             curvature=lambda t: np.abs(pot.w_second(t)) / eps
                              + 2.0 * pot.b,
                              monitor=monitor)
         phi = res.phi

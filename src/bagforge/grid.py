@@ -10,6 +10,11 @@ approximated by the composite trapezoid rule on primal samples and the
 composite midpoint rule on staggered samples.  Both rules are second order;
 all weights are positive.  The r = 0 endpoint never enters because the r^2
 volume factor vanishes there.
+
+The discretization kernels shared by every field solver live here too: the
+staggered difference and midpoint average of a primal field (both land on
+the n-1 inner staggered nodes) and the adjoint scatters of the two, which
+carry staggered-node sensitivities back to the free primal nodes.
 """
 
 from __future__ import annotations
@@ -88,3 +93,33 @@ def integrate(grid: RadialGrid, samples: np.ndarray, family: str = "primal") -> 
     else:
         raise ValueError(f"unknown node family {family!r}")
     return FOUR_PI * float(np.dot(vol, samples))
+
+
+def forward_diff(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Staggered derivative (phi_{j+1} - phi_j)/h of a primal field at the
+    inner staggered nodes r_{3/2}..r_{n-1/2}."""
+    return (values[1:] - values[:-1]) / grid.h
+
+
+def midpoints(values: np.ndarray) -> np.ndarray:
+    """Average of adjacent primal samples at the inner staggered nodes."""
+    return 0.5 * (values[:-1] + values[1:])
+
+
+def scatter_diff(acc: np.ndarray, f: np.ndarray) -> None:
+    """acc += D^T f for the difference (phi_{j+1} - phi_j), restricted to the
+    free primal nodes (the pinned node at r_max drops out); in place."""
+    acc += -f
+    acc[1:] += f[:-1]
+
+
+def scatter_mid(acc: np.ndarray, f: np.ndarray) -> None:
+    """acc += S^T f for the sum (phi_j + phi_{j+1}), restricted to the free
+    primal nodes; in place.  Midpoint sensitivities carry their own 1/2."""
+    acc += f
+    acc[1:] += f[:-1]
+
+
+def tanh_step(z):
+    """Interface profile -(1 - tanh z)/2: -1 deep inside, 0 far outside."""
+    return -(1.0 - np.tanh(z)) / 2.0

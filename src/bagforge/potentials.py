@@ -10,6 +10,7 @@ rescaling field and coupling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ class PotentialSpec:
     b: float = 1e-2
 
     def __post_init__(self):
+        if not (math.isfinite(self.kappa) and math.isfinite(self.b)):
+            raise ValueError(
+                f"kappa and b must be finite, got {self.kappa}, {self.b}")
         if not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.b < 0.0:
@@ -37,6 +41,10 @@ class PotentialSpec:
         t = np.asarray(t, dtype=float)
         return 2.0 * self.kappa * t * (1.0 + t) * (1.0 + 2.0 * t)
 
+    def w_second(self, t):
+        t = np.asarray(t, dtype=float)
+        return 2.0 * self.kappa * (1.0 + 6.0 * t + 6.0 * t**2)
+
     def u(self, t):
         t = np.asarray(t, dtype=float)
         return self.w(t) + self.b * t**2
@@ -44,6 +52,9 @@ class PotentialSpec:
     def u_prime(self, t):
         t = np.asarray(t, dtype=float)
         return self.w_prime(t) + 2.0 * self.b * t
+
+    def u_second(self, t):
+        return self.w_second(t) + 2.0 * self.b
 
 
 def surface_constant(spec: PotentialSpec) -> float:

@@ -9,9 +9,8 @@ with U the double-well-plus-mass self-interaction.  Levels absent from the
 bound-state window (0, m) contribute the band edge m each, so E(0) = N*m and
 a field is worth keeping only when it binds quarks below their free mass.
 
-The default solver is damped gradient descent in an H^1 metric with Armijo
-backtracking (monotone energies by construction); a self-consistent-field
-mode with linear mixing is available as a secondary option.  A converged
+The solver is damped gradient descent in an H^1 metric with Armijo
+backtracking (monotone energies by construction).  A converged
 minimizer is reported together with the residual of the coupled stationarity
 system: the field equation -Delta phi + U'(phi) + sum_i g (v_i^2 - u_i^2) = 0
 and the eigen-residuals of the occupied levels.
@@ -20,15 +19,15 @@ and the eigen-residuals of the occupied levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .descent import FieldFunctional, minimize_field
 from .dirac import RadialField, RadialSpinor, density
-from .grid import FOUR_PI, RadialGrid, make_grid
+from .grid import (FOUR_PI, RadialGrid, forward_diff, make_grid, scatter_diff,
+                   tanh_step)
 from .potentials import PotentialSpec
 
 
@@ -44,6 +43,9 @@ class ModelParams:
     def __post_init__(self):
         if self.n_quarks < 1:
             raise ValueError("need at least one quark")
+        if not (math.isfinite(self.g) and math.isfinite(self.m)):
+            raise ValueError(
+                f"coupling and mass must be finite (got g={self.g}, m={self.m})")
         if not self.g > 0.0:
             raise ValueError("coupling g must be positive")
         if not self.m > 0.0:
@@ -64,14 +66,12 @@ class SolitonConfig:
     n: int
     tol: float = 1e-6
     max_iter: int = 4000
-    mixing: float = 0.5          # SCF damping, in (0, 1]
-    mode: str = "descent"        # "descent" | "scf"
 
     def __post_init__(self):
-        if not 0.0 < self.mixing <= 1.0:
-            raise ValueError("mixing must lie in (0, 1]")
-        if self.mode not in ("descent", "scf"):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
+        if not (math.isfinite(self.tol) and math.isfinite(self.r_max)):
+            raise ValueError(
+                f"tolerance and r_max must be finite "
+                f"(got tol={self.tol}, r_max={self.r_max})")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
 
@@ -114,7 +114,7 @@ def initial_guess(cfg: SolitonConfig, grid: Optional[RadialGrid] = None) -> np.n
     grid = grid or cfg.grid()
     m, g = cfg.model.m, cfg.model.g
     r0, w = 2.0 / m, 0.5 / m
-    vals = -(m / g) * (1.0 - np.tanh((grid.r_primal - r0) / w)) / 2.0
+    vals = (m / g) * tanh_step((grid.r_primal - r0) / w)
     vals[-1] = 0.0
     return vals
 
@@ -132,23 +132,6 @@ def gradient(cfg: SolitonConfig, phi: RadialField) -> RadialField:
     return RadialField(grid=phi.grid, values=vals)
 
 
-def _report_from_state(cfg: SolitonConfig, fn: FieldFunctional,
-                       phi_vals: np.ndarray, history: List[float],
-                       grad_norm: float, iterations: int,
-                       converged: bool) -> SolitonReport:
-    grid = fn.grid
-    phi = RadialField(grid=grid, values=phi_vals)
-    E, solve = fn.energy_and_ladder(phi_vals)
-    spinors = solve.spectral.ladder_spinors(cfg.model.k_indices)
-    el = el_residual_from(cfg, phi, solve, spinors)
-    m = cfg.model.m
-    lam = solve.values
-    return SolitonReport(config=cfg, phi=phi, lambdas=lam, spinors=spinors,
-                         energy=E, history=history, grad_norm=grad_norm,
-                         iterations=iterations, converged=converged, el=el,
-                         all_bound=bool(np.all((lam > 0.0) & (lam < m))))
-
-
 def minimize(cfg: SolitonConfig,
              phi0: Optional[np.ndarray] = None) -> SolitonReport:
     """Minimize the soliton energy from the standard (or given) initial well.
@@ -159,89 +142,20 @@ def minimize(cfg: SolitonConfig,
     grid = cfg.grid()
     fn = cfg.functional(grid)
     start = initial_guess(cfg, grid) if phi0 is None else np.asarray(phi0, float)
-    if cfg.mode == "scf":
-        return _minimize_scf(cfg, fn, start)
     pot = cfg.potential
     res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter,
-                         curvature=lambda t: np.abs(_u_second(pot, t)))
-    return _report_from_state(cfg, fn, res.phi, res.history, res.grad_norm,
-                              res.iterations, res.converged)
-
-
-def _minimize_scf(cfg: SolitonConfig, fn: FieldFunctional,
-                  start: np.ndarray) -> SolitonReport:
-    """Self-consistent field iteration with linear mixing.
-
-    Alternates the eigenproblem at frozen phi with a Newton solve of the
-    field equation at frozen quark density.  No monotonicity guarantee; kept
-    as the physicists' classic scheme for cross-checks.
-    """
-    grid = fn.grid
-    pot = cfg.potential
-    g = cfg.model.g
-    nd = grid.n - 1
-    phi = np.array(start, dtype=float)
-    phi[-1] = 0.0
-    history = [fn.energy(phi)]
-    gnorm = math.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        solve = fn.ladder(phi)
-        gfield = fn.gradient_field(phi, solve=solve, check_gap=True)
-        gnorm = fn.grad_norm(gfield)
-        if gnorm <= cfg.tol:
-            converged = True
-            break
-        source = np.zeros(nd)
-        for y in solve.vectors:
-            if y is None:
-                continue
-            ysq = y**2 / float(np.dot(y, y))
-            d = g * ysq[0::2]
-            d -= g * 0.5 * ysq[1::2]
-            d[1:] -= g * 0.5 * ysq[1::2][:-1]
-            source += d
-        # modified Newton on K phi + vol U'(phi) + source = 0, frozen source;
-        # |U''| keeps the tridiagonal Jacobian positive definite
-        target = phi[:nd].copy()
-        stiff = FOUR_PI * grid.vol_staggered[1:] / grid.h**2
-        for _ in range(50):
-            resid = _field_equation(fn, target, pot, source)
-            if float(np.max(np.abs(resid))) < 1e-12 * max(1.0, cfg.model.m):
-                break
-            jac_diag = stiff.copy()
-            jac_diag[1:] += stiff[:-1]
-            jac_diag += FOUR_PI * grid.vol_primal[:nd] * np.maximum(
-                np.abs(_u_second(pot, target)), 1e-6)
-            ab = np.zeros((2, nd))
-            ab[0, 1:] = -stiff[:-1]
-            ab[1] = jac_diag
-            target -= solveh_banded(ab, resid, lower=False)
-        new = (1.0 - cfg.mixing) * phi[:nd] + cfg.mixing * target
-        phi = np.append(new, 0.0)
-        history.append(fn.energy(phi))
-    return _report_from_state(cfg, fn, phi, history, gnorm, it, converged)
-
-
-def _u_second(pot: PotentialSpec, t: np.ndarray) -> np.ndarray:
-    k = pot.kappa
-    return 2.0 * k * (1.0 + 6.0 * t + 6.0 * t**2) + 2.0 * pot.b
-
-
-def _field_equation(fn: FieldFunctional, target: np.ndarray,
-                    pot: PotentialSpec, source: np.ndarray) -> np.ndarray:
-    grid = fn.grid
-    nd = grid.n - 1
-    full = np.append(target, 0.0)
-    vol_s = grid.vol_staggered[1:]
-    dph = (full[1:] - full[:-1]) / grid.h
-    t = vol_s * dph / grid.h
-    lap = -t.copy()
-    lap[1:] += t[:-1]
-    return (FOUR_PI * lap
-            + FOUR_PI * grid.vol_primal[:nd] * pot.u_prime(target)
-            + source)
+                         curvature=lambda t: np.abs(pot.u_second(t)))
+    phi = RadialField(grid=grid, values=res.phi)
+    solve = res.ladder
+    spinors = solve.spectral.ladder_spinors(cfg.model.k_indices)
+    el = el_residual_from(cfg, phi, solve, spinors)
+    m = cfg.model.m
+    lam = solve.values
+    return SolitonReport(config=cfg, phi=phi, lambdas=lam, spinors=spinors,
+                         energy=res.energy, history=res.history,
+                         grad_norm=res.grad_norm, iterations=res.iterations,
+                         converged=res.converged, el=el,
+                         all_bound=bool(np.all((lam > 0.0) & (lam < m))))
 
 
 def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,
@@ -256,11 +170,9 @@ def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,
     nd = grid.n - 1
     pot = cfg.potential
     vals = phi.values
-    vol_s = grid.vol_staggered[1:]
-    dph = (np.append(vals[1:], 0.0)[:nd] - vals[:nd]) / grid.h
-    t = vol_s * dph / grid.h
-    lap = -t.copy()
-    lap[1:] += t[:-1]
+    t = grid.vol_staggered[1:] * forward_diff(grid, vals) / grid.h
+    lap = np.zeros(nd)
+    scatter_diff(lap, t)
     resid = lap / grid.vol_primal[:nd] + pot.u_prime(vals[:nd])
     for psi in spinors:
         if psi is None:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bagforge import (BagConfig, bag_energy, cavity_energy,
-                      curvature_residual, dirichlet_ball_eigenvalue,
-                      minimize_bag, mit_eigenvalue, mit_ground, mit_limit)
+                      dirichlet_ball_eigenvalue, minimize_bag, mit_eigenvalue,
+                      mit_ground, mit_limit)
 from bagforge.bag import cavity_energy_derivative
 
 
@@ -174,12 +174,6 @@ def test_mit_limit_input_validation():
         mit_limit(cfg, [0.5, 2.0])
     with pytest.raises(ValueError):
         mit_limit(cfg, [4.0, 2.0])
-
-
-def test_curvature_residual_accessor():
-    cfg = BagConfig(n_quarks=1, g=0.8, m=1.0, a=1e-3, b=1e-3)
-    rep = minimize_bag(cfg)
-    assert curvature_residual(rep) == rep.curvature_residual
 
 
 def test_mit_ground_radius_scales_with_quark_count():

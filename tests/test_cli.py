@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bagforge
 from bagforge.cli import main, parse, read_table
 
 
@@ -99,7 +103,7 @@ def test_determinism_and_roundtrip(tmp_path):
         out = tmp_path / tag / "sol"
         args = ["soliton", "--g", "9,11", "--kappa", "0.05", "--n", "300",
                 "--r-max", "18", "--tol", "1e-5", "--seed", "7",
-                "--jobs", "2" if tag == "two" else "1", "--out", str(out)]
+                "--out", str(out)]
         assert run_cli(args) == 0
         texts.append(out.with_suffix(".csv").read_bytes())
     assert texts[0] == texts[1]
@@ -119,14 +123,47 @@ def test_mit_limit_run(tmp_path):
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
-def test_parse_defaults_and_env_jobs(monkeypatch):
-    monkeypatch.setenv("BAGFORGE_JOBS", "3")
+def test_parse_defaults():
     params = parse(["mit"])
-    assert params["run.jobs"] == 3
     assert params["mit.R"] == 1.0
-    monkeypatch.delenv("BAGFORGE_JOBS")
-    params = parse(["mit", "--jobs", "2"])
-    assert params["run.jobs"] == 2
+
+
+@pytest.mark.parametrize("flags, cfg_text", [
+    (["--mode", "scf"], ""), (["--mixing", "0.5"], ""), (["--jobs", "2"], ""),
+    ([], "run.jobs = 2\n")])
+def test_removed_options_rejected(tmp_path, capsys, flags, cfg_text):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfg_text)
+    args = ["soliton", "--config", str(cfgfile), *flags,
+            "--out", str(tmp_path / "s")]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [["bag", "--a", "nan"],
+                                  ["soliton", "--b", "nan"],
+                                  ["gamma-sweep", "--eps", "nan"]])
+def test_nonfinite_input_rejected(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "finite" in err[0]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_solver_failure_is_one_line(tmp_path):
+    # the cavity root scan overflows at a vanishing radius; run the real
+    # entry point so warnings and tracebacks would show on stderr
+    src = str(Path(bagforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bagforge.cli", "mit", "--R", "1e-300",
+         "--out", str(tmp_path / "m")], capture_output=True, text=True,
+        env=env, timeout=120)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_io_error_exit_code(tmp_path):

@@ -43,9 +43,11 @@ def test_derivative_consistency():
     spec = PotentialSpec(kappa=1.7, b=0.25)
     t = np.linspace(-3, 3, 301)
     h = 1e-6
-    fd = (spec.u(t + h) - spec.u(t - h)) / (2 * h)
-    assert np.max(np.abs(fd - spec.u_prime(t))) < 1e-8 * max(
-        1.0, float(np.max(np.abs(fd))))
+    for f, df in ((spec.u, spec.u_prime), (spec.w_prime, spec.w_second),
+                  (spec.u_prime, spec.u_second)):
+        fd = (f(t + h) - f(t - h)) / (2 * h)
+        assert np.max(np.abs(fd - df(t))) < 1e-8 * max(
+            1.0, float(np.max(np.abs(fd))))
 
 
 def test_hypotheses_report_mass_term():

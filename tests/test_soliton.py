@@ -9,13 +9,12 @@ from bagforge import (ModelParams, PotentialSpec, RadialField, SolitonConfig,
 
 
 def cfg_for(g=10.0, kappa=0.05, b=0.01, N=1, ks=None, n=600, r_max=20.0,
-            tol=1e-6, mode="descent", max_iter=4000):
+            tol=1e-6, max_iter=4000):
     ks = tuple(ks or (1,) * N)
     return SolitonConfig(model=ModelParams(n_quarks=N, g=g, m=1.0,
                                            k_indices=ks),
                          potential=PotentialSpec(kappa=kappa, b=b),
-                         r_max=r_max, n=n, tol=tol, max_iter=max_iter,
-                         mode=mode)
+                         r_max=r_max, n=n, tol=tol, max_iter=max_iter)
 
 
 def test_config_validation():
@@ -23,9 +22,6 @@ def test_config_validation():
         cfg_for(N=2, ks=(2, 1))
     with pytest.raises(ValueError):
         cfg_for(g=-1.0)
-    with pytest.raises(ValueError):
-        SolitonConfig(model=ModelParams(n_quarks=1, g=1, m=1),
-                      potential=PotentialSpec(), r_max=20, n=100, mixing=0.0)
 
 
 def test_energy_of_vacuum_is_free_mass():
@@ -148,16 +144,6 @@ def test_energy_stable_under_refinement():
         cfg = cfg_for(g=10.0, kappa=0.05, b=0.01, n=n)
         e[n] = minimize(cfg).energy
     assert abs(e[500] - e[1000]) <= 5e-3
-
-
-def test_scf_mode_agrees_with_descent():
-    cfg_d = cfg_for(g=10.0, kappa=0.05, b=0.01, n=400, tol=1e-5)
-    cfg_s = cfg_for(g=10.0, kappa=0.05, b=0.01, n=400, tol=1e-5, mode="scf",
-                    max_iter=3000)
-    rep_d = minimize(cfg_d)
-    rep_s = minimize(cfg_s)
-    assert rep_s.converged
-    assert rep_s.energy == pytest.approx(rep_d.energy, abs=1e-4)
 
 
 def test_binding_threshold_moves_with_well_strength():
