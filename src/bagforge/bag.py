@@ -29,8 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dispersion import (Ladder, TwoZoneProblem, TwoZoneState, eigenvalues,
-                         mit_eigenvalue, two_zone_state)
+from .dispersion import (Ladder, TwoZoneProblem, TwoZoneState, _bisect,
+                         eigenvalues, mit_eigenvalue, two_zone_state)
 
 #: relative radius tolerance of the derivative bisection
 RADIUS_RTOL = 1e-10
@@ -99,14 +99,19 @@ def _level(mu_in: float, mu_out: float, R: float, k: int):
     return mu_out, None, lad.values
 
 
+def _total(n_quarks: int, lam: float, a: float, b: float, R: float) -> float:
+    """N lam + a * 4 pi R^2 + b * (4/3) pi R^3."""
+    return (n_quarks * lam + a * 4.0 * math.pi * R**2
+            + b * (4.0 / 3.0) * math.pi * R**3)
+
+
 def cavity_energy(n_quarks: int, mu_in: float, mu_out: float, a: float,
                   b: float, k: int, R: float) -> float:
     """Sharp-cavity energy at radius R for a general two-zone mass pair."""
     if not R > 0.0:
         raise ValueError("R must be positive")
     lam, _, _ = _level(mu_in, mu_out, R, k)
-    return (n_quarks * lam + a * 4.0 * math.pi * R**2
-            + b * (4.0 / 3.0) * math.pi * R**3)
+    return _total(n_quarks, lam, a, b, R)
 
 
 def cavity_energy_derivative(n_quarks: int, mu_in: float, mu_out: float,
@@ -132,7 +137,7 @@ def bag_energy(cfg: BagConfig, R: float) -> float:
                          cfg.k, R)
 
 
-def _golden(f, lo: float, hi: float, iters: int = 60) -> float:
+def _golden(f, lo: float, hi: float, iters: int) -> float:
     """Golden-section minimum of f on [lo, hi] in the log coordinate."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
@@ -151,25 +156,14 @@ def _golden(f, lo: float, hi: float, iters: int = 60) -> float:
     return math.exp(0.5 * (a + b))
 
 
-def _refine_by_derivative(df, lo: float, hi: float) -> float:
-    """Bisect the sign change of the radial derivative inside [lo, hi]."""
-    dlo, dhi = df(lo), df(hi)
-    if dlo == 0.0:
-        return lo
-    if dhi == 0.0:
-        return hi
-    if dlo * dhi > 0.0:
-        return math.nan
-    while (hi - lo) > RADIUS_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        dm = df(mid)
-        if dm == 0.0:
-            return mid
-        if dlo * dm < 0.0:
-            hi, dhi = mid, dm
-        else:
-            lo, dlo = mid, dm
-    return 0.5 * (lo + hi)
+def _optimize_radius(f, df, lo: float, hi: float, iters: int):
+    """Golden search of f on [lo, hi], refined by bisecting df within 20% of
+    the golden point: (R, refined).  Where df keeps one sign there, refined
+    is False and R is the golden point."""
+    R0 = _golden(f, lo, hi, iters)
+    R = _bisect(df, max(lo, 0.8 * R0), min(hi, 1.2 * R0), RADIUS_RTOL,
+                floor=0.0)
+    return (R0, False) if math.isnan(R) else (R, True)
 
 
 def _minimize_cavity(n_quarks: int, mu_in: float, mu_out: float, a: float,
@@ -179,24 +173,14 @@ def _minimize_cavity(n_quarks: int, mu_in: float, mu_out: float, a: float,
     lo, hi = interval
     f = lambda R: cavity_energy(n_quarks, mu_in, mu_out, a, b, k, R)
     df = lambda R: cavity_energy_derivative(n_quarks, mu_in, mu_out, a, b, k, R)
-    R0 = _golden(f, lo, hi)
-    span = 0.2
-    blo = max(lo, R0 * (1.0 - span))
-    bhi = min(hi, R0 * (1.0 + span))
-    R = _refine_by_derivative(df, blo, bhi)
-    flagged = False
-    if math.isnan(R):
-        R = R0
-        # derivative never changes sign near the golden point: running into
-        # an interval end (collapse or escape)
-        flagged = True
+    R, refined = _optimize_radius(f, df, lo, hi, iters=60)
+    # an unrefined golden point runs into an interval end (collapse or
+    # escape); so does an optimum hugging one
     rel_lo = (R - lo) / (hi - lo)
     rel_hi = (hi - R) / (hi - lo)
-    if min(rel_lo, rel_hi) < BOUNDARY_GUARD:
-        flagged = True
+    flagged = not refined or min(rel_lo, rel_hi) < BOUNDARY_GUARD
     lam, state, lower = _level(mu_in, mu_out, R, k)
-    energy = (n_quarks * lam + a * 4.0 * math.pi * R**2
-              + b * (4.0 / 3.0) * math.pi * R**3)
+    energy = _total(n_quarks, lam, a, b, R)
     if state is not None:
         ratio = state.boundary_ratio()
         gw = g_for_balance if g_for_balance is not None else (mu_out - mu_in)
@@ -238,17 +222,13 @@ def mit_ground(cfg: BagConfig) -> MITReport:
     interval and reported alongside the optimum.
     """
     N, m, a, b = cfg.n_quarks, cfg.m, cfg.a, cfg.b
-    f = lambda R: (N * mit_eigenvalue(R, m, 1) + a * 4.0 * math.pi * R**2
-                   + b * (4.0 / 3.0) * math.pi * R**3)
+    f = lambda R: _total(N, mit_eigenvalue(R, m, 1), a, b, R)
     lo, hi = cfg.r_interval
-    R0 = _golden(f, lo, hi, iters=80)
 
     def df(R, step=1e-6):
         return (f(R * (1 + step)) - f(R * (1 - step))) / (2 * R * step)
 
-    R = _refine_by_derivative(df, max(lo, R0 * 0.8), min(hi, R0 * 1.2))
-    if math.isnan(R):
-        R = R0
+    R, _ = _optimize_radius(f, df, lo, hi, iters=80)
     Rs = np.geomspace(lo, hi, 33)
     vals = np.array([f(x) for x in Rs])
     # midpoint convexity in the log coordinate spacing

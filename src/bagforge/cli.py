@@ -122,7 +122,7 @@ def parse_config_file(path: str) -> dict:
 
 
 _KEY_TYPES = {
-    "model.m": float, "model.g": float, "model.N": int, "model.k": str,
+    "model.m": float, "model.g": str, "model.N": int, "model.k": str,
     "potential.kappa": float, "potential.b": float,
     "grid.r_max": float, "grid.n": int,
     "solver.tol": float, "solver.max_iter": int,
@@ -176,12 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result table format (default csv)")
         sp.add_argument("--seed", dest="run.seed", type=int,
                         help="seed for randomized checks (default 0)")
+
+    def grid(sp):
         sp.add_argument("--r-max", dest="grid.r_max", type=float,
                         help="domain truncation radius")
         sp.add_argument("--n", dest="grid.n", type=int, help="grid cells")
 
     sp = sub.add_parser("soliton", help="minimize the soliton field energy")
     common(sp)
+    grid(sp)
     sp.add_argument("--m", dest="model.m", type=float, help="quark mass (default 1)")
     sp.add_argument("--g", dest="model.g",
                     help="coupling, comma list sweeps (default 10)")
@@ -235,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gamma-sweep",
                         help="diffuse-interface sweep toward the sharp bag")
     common(sp)
+    grid(sp)
     sp.add_argument("--m", dest="model.m", type=float, help="quark mass (default 8)")
     sp.add_argument("--g", dest="model.g", help="coupling in (0, m) (default 6.8)")
     sp.add_argument("--N", dest="model.N", type=int, help="quark count (default 1)")
@@ -311,7 +315,7 @@ def _out_paths(params) -> tuple:
 
 
 def _run_soliton(params) -> int:
-    gs = _floats(str(params["model.g"]), "coupling")
+    gs = _floats(params["model.g"], "coupling")
     if not gs:
         raise UsageError("need at least one coupling value")
     m = float(params["model.m"])
@@ -361,7 +365,7 @@ def _write_soliton_profiles(stem: Path, results):
 
 
 def _run_bag(params) -> int:
-    g = float(str(params["model.g"]))
+    g = float(params["model.g"])
     interval = (float(params["bag.r_lo"]), float(params["bag.r_hi"]))
     cfg = BagConfig(n_quarks=int(params["model.N"]), g=g,
                     m=float(params["model.m"]), a=float(params["bag.a"]),
@@ -415,7 +419,7 @@ def _run_gamma(params) -> int:
                            kappa=float(params["potential.kappa"]),
                            b=float(params["potential.b"])),
                        n_quarks=int(params["model.N"]),
-                       g=float(str(params["model.g"])),
+                       g=float(params["model.g"]),
                        m=float(params["model.m"]),
                        r_max=float(params["grid.r_max"]),
                        n=int(params["grid.n"]),

@@ -17,9 +17,11 @@ for the finite-difference eigensolver and the engine of the cavity solvers;
 the hard-wall (mu_out -> inf) limit reduces the matching to the confined
 boundary condition u = v at R.
 
-Roots are isolated by bracketing between consecutive zeros of j0(kR) (the
-poles of the interior ratio) and resolved by plain bisection, which cannot
-be defeated by the poles the way a Newton iteration can.
+One scanner finds the roots of both the two-zone ladder and the confined
+cavity: it samples pole-free brackets between consecutive zeros of j0(kR)
+(the poles of the interior ratio) and resolves every sign change by plain
+bisection, which cannot be defeated by the poles the way a Newton iteration
+can.  The same bisection refines the cavity radii in `bag`.
 """
 
 from __future__ import annotations
@@ -55,15 +57,17 @@ def spherical_j1(x):
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float,
-            rtol: float = ROOT_RTOL) -> float:
+            rtol: float = ROOT_RTOL, floor: float = 1.0) -> float:
+    """Root of f in [a, b] to a bracket of rtol * max(|a|, |b|, floor);
+    NaN when f does not change sign on [a, b]."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        raise ValueError("bisection bracket does not straddle a root")
-    while (b - a) > rtol * max(abs(a), abs(b), 1.0):
+        return math.nan
+    while (b - a) > rtol * max(abs(a), abs(b), floor):
         c = 0.5 * (a + b)
         fc = f(c)
         if fc == 0.0:
@@ -164,27 +168,19 @@ def _x_to_lam(p: TwoZoneProblem, x: float) -> float:
     return math.sqrt(p.mu_in * p.mu_in + (x / p.R) ** 2)
 
 
-def eigenvalues(p: TwoZoneProblem, count: int) -> Ladder:
-    """First `count` eigenvalues in (|mu_in|, mu_out), ascending.
+def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
+                x_hi: float, guard: float) -> list:
+    """First `count` roots of f in [x_lo, x_hi], ascending.
 
-    Scans pole-free brackets (j pi, (j+1) pi) in x = kR, bisects every sign
-    change to ROOT_RTOL, and rejects roots hugging a window endpoint.
+    Samples each pole-free bracket (j pi + guard, (j+1) pi - guard) at
+    BRACKET_SAMPLES points, skips non-finite samples, takes an exact-zero
+    sample as a root and bisects every sign change to ROOT_RTOL.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    lo, hi = p.window
-    guard = ENDPOINT_GUARD * max(1.0, hi)
-    lam_lo, lam_hi = lo + guard, hi - guard
-    if lam_lo >= lam_hi:
-        return Ladder(values=[], complete=False)
-    x_lo = p.R * math.sqrt(lam_lo**2 - p.mu_in**2)
-    x_hi = p.R * math.sqrt(lam_hi**2 - p.mu_in**2)
-    f = lambda x: matching_function(p, _x_to_lam(p, x))
     roots = []
     branch = 0
     while branch * math.pi < x_hi and len(roots) < count:
-        a = max(branch * math.pi + ENDPOINT_GUARD, x_lo)
-        b = min((branch + 1) * math.pi - ENDPOINT_GUARD, x_hi)
+        a = max(branch * math.pi + guard, x_lo)
+        b = min((branch + 1) * math.pi - guard, x_hi)
         branch += 1
         if b <= a:
             continue
@@ -195,15 +191,34 @@ def eigenvalues(p: TwoZoneProblem, count: int) -> Ladder:
             if not (finite[i] and finite[i + 1]):
                 continue
             if vals[i] == 0.0:
-                roots.append(_x_to_lam(p, xs[i]))
+                roots.append(xs[i])
             elif vals[i] * vals[i + 1] < 0.0:
-                x0 = _bisect(f, xs[i], xs[i + 1])
-                roots.append(_x_to_lam(p, x0))
+                roots.append(_bisect(f, xs[i], xs[i + 1]))
             if len(roots) == count:
                 break
-    roots = [lam for lam in roots
-             if lam - lo > ENDPOINT_GUARD * max(1.0, hi) and
-             hi - lam > ENDPOINT_GUARD * max(1.0, hi)]
+    return roots
+
+
+def eigenvalues(p: TwoZoneProblem, count: int) -> Ladder:
+    """First `count` eigenvalues in (|mu_in|, mu_out), ascending.
+
+    Scans x = kR for roots of the matching function and rejects roots
+    hugging a window endpoint.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    lo, hi = p.window
+    guard = ENDPOINT_GUARD * max(1.0, hi)
+    lam_lo, lam_hi = lo + guard, hi - guard
+    if lam_lo >= lam_hi:
+        return Ladder(values=[], complete=False)
+    x_lo = p.R * math.sqrt(lam_lo**2 - p.mu_in**2)
+    x_hi = p.R * math.sqrt(lam_hi**2 - p.mu_in**2)
+    # looked up at call time, so a wrapped matching_function sees every call
+    xs = _scan_roots(lambda x: matching_function(p, _x_to_lam(p, x)), count,
+                     x_lo, x_hi, ENDPOINT_GUARD)
+    roots = [lam for lam in (_x_to_lam(p, x) for x in xs)
+             if lam - lo > guard and hi - lam > guard]
     return Ladder(values=roots[:count], complete=len(roots) >= count)
 
 
@@ -218,30 +233,32 @@ def mit_matching(R: float, m: float, x: float) -> float:
 def mit_eigenvalue(R: float, m: float, k: int = 1) -> float:
     """k-th eigenvalue (> m) of the confined spherical cavity of radius R.
 
-    The exact mu_out -> inf limit of the two-zone matching.
+    The exact mu_out -> inf limit of the two-zone matching; m = 0 is the
+    massless cavity.
     """
-    if not R > 0.0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"R must be finite and positive, got {R}")
+    if not (math.isfinite(m) and m >= 0.0):
+        raise ValueError(f"m must be finite and nonnegative, got {m}")
     if k < 1:
         raise ValueError("eigenvalue index starts at 1")
-    roots = []
-    branch = 0
-    f = lambda x: mit_matching(R, m, x)
-    while len(roots) < k:
-        a = branch * math.pi + 1e-12
-        b = (branch + 1) * math.pi - 1e-12
-        branch += 1
-        xs = np.linspace(a, b, BRACKET_SAMPLES)
-        vals = np.array([f(x) for x in xs])
-        for i in range(len(xs) - 1):
-            if vals[i] * vals[i + 1] < 0.0:
-                roots.append(_bisect(f, xs[i], xs[i + 1]))
-                if len(roots) == k:
-                    break
-        if branch > k + 64:
-            raise RuntimeError("cavity root search failed to bracket")
+    # a budget of k + 65 pole-free brackets in x = kR
+    roots = _scan_roots(lambda x: mit_matching(R, m, x), k, 0.0,
+                        (k + 65) * math.pi, 1e-12)
+    if len(roots) < k:
+        raise RuntimeError("cavity root search failed to bracket")
     x0 = roots[k - 1]
     return math.sqrt(m * m + (x0 / R) ** 2)
+
+
+def _wavenumbers(p: TwoZoneProblem, lam: float) -> tuple:
+    """(k, kap, s_in, s_out): interior and exterior wavenumbers and the
+    amplitude ratios u/v of the two zones at eigenvalue lam."""
+    k = math.sqrt(lam**2 - p.mu_in**2)
+    kap = math.sqrt(p.mu_out**2 - lam**2)
+    s_in = math.sqrt((lam - p.mu_in) / (lam + p.mu_in))
+    s_out = math.sqrt((p.mu_out - lam) / (p.mu_out + lam))
+    return k, kap, s_in, s_out
 
 
 @dataclass(frozen=True)
@@ -262,12 +279,7 @@ class TwoZoneState:
 
     @property
     def _params(self):
-        p, lam = self.problem, self.lam
-        k = math.sqrt(lam**2 - p.mu_in**2)
-        kap = math.sqrt(p.mu_out**2 - lam**2)
-        s_in = math.sqrt((lam - p.mu_in) / (lam + p.mu_in))
-        s_out = math.sqrt((p.mu_out - lam) / (p.mu_out + lam))
-        return k, kap, s_in, s_out
+        return _wavenumbers(self.problem, self.lam)
 
     def profiles(self, r):
         """(v, u) at radii r (scalar or array)."""
@@ -332,10 +344,7 @@ def two_zone_state(p: TwoZoneProblem, lam: float) -> TwoZoneState:
     whole profile normalized, which is what the wall-balance evaluation and
     the hard-wall limit diagnostics require.
     """
-    k = math.sqrt(lam**2 - p.mu_in**2)
-    kap = math.sqrt(p.mu_out**2 - lam**2)
-    s_in = math.sqrt((lam - p.mu_in) / (lam + p.mu_in))
-    s_out = math.sqrt((p.mu_out - lam) / (p.mu_out + lam))
+    k, kap, s_in, s_out = _wavenumbers(p, lam)
     yR = kap * p.R
     v_wall = float(spherical_j0(k * p.R))
 

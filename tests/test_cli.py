@@ -128,6 +128,23 @@ def test_parse_defaults():
     assert params["mit.R"] == 1.0
 
 
+def test_config_coupling_list(tmp_path):
+    # model.g is a comma list, in a config file as on the command line
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model.g = 9,11\n")
+    params = parse(["soliton", "--config", str(cfgfile)])
+    assert params["model.g"] == "9,11"
+    assert parse(["soliton", "--g", "9,11"])["model.g"] == "9,11"
+
+
+@pytest.mark.parametrize("args", [["bag", "--n", "5"], ["mit", "--r-max", "3"],
+                                  ["verify", "--n", "10"]])
+def test_grid_flags_only_on_field_solvers(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("flags, cfg_text", [
     (["--mode", "scf"], ""), (["--mixing", "0.5"], ""), (["--jobs", "2"], ""),
     ([], "run.jobs = 2\n")])
@@ -142,13 +159,22 @@ def test_removed_options_rejected(tmp_path, capsys, flags, cfg_text):
 
 @pytest.mark.parametrize("args", [["bag", "--a", "nan"],
                                   ["soliton", "--b", "nan"],
-                                  ["gamma-sweep", "--eps", "nan"]])
+                                  ["gamma-sweep", "--eps", "nan"],
+                                  ["mit", "--m", "nan"],
+                                  ["mit", "--R", "inf"]])
 def test_nonfinite_input_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "finite" in err[0]
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_negative_cavity_mass_rejected(tmp_path, capsys):
+    assert run_cli(["mit", "--m", "-1", "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_solver_failure_is_one_line(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 from bagforge import (TwoZoneProblem, dirichlet_ball_eigenvalue, eigenvalues,
                       matching_function, mit_eigenvalue, two_zone_state)
-from bagforge.dispersion import spherical_j0, spherical_j1
+from bagforge.dispersion import (_bisect, _scan_roots, mit_matching,
+                                 spherical_j0, spherical_j1)
 
 
 def bisect(f, lo, hi, iters=200):
@@ -146,3 +147,49 @@ def test_boundary_ratio_tends_to_one():
         ratios.append(two_zone_state(p, lad.values[0]).boundary_ratio())
     assert all(abs(r - 1) > abs(r2 - 1) for r, r2 in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=2e-3)
+
+
+def test_bisect_nan_without_sign_change_and_floor():
+    assert math.isnan(_bisect(lambda x: x * x + 1.0, -1.0, 2.0))
+    # near zero the floor sets the bracket width: 1e-3 * 1 stops after a
+    # few halvings, a zero floor resolves the root to 1e-3 relative
+    f = lambda x: x - 1e-6
+    coarse = _bisect(f, 0.0, 1e-3, rtol=1e-3)
+    fine = _bisect(f, 0.0, 1e-3, rtol=1e-3, floor=0.0)
+    assert abs(coarse - 1e-6) > 1e-6
+    assert fine == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_scan_roots_takes_exact_zero_sample():
+    # f vanishes only at the sample xs[25] and never changes sign, so only
+    # the exact-zero rule finds the root
+    xs = np.linspace(0.5, 3.0, 128)
+    root = xs[25]
+    roots = _scan_roots(lambda x: 0.0 if x == root else 1.0, 1, 0.5, 3.0,
+                        1e-12)
+    assert roots == [root]
+
+
+def test_mit_eigenvalue_validation():
+    assert mit_eigenvalue(1.0, 0.0, 1) == pytest.approx(X_MASSLESS, abs=1e-6)
+    for R, m in ((0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                 (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            mit_eigenvalue(R, m, 1)
+
+
+def test_mit_levels_ascend_across_sign_changes():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(derandomize=True, max_examples=40, deadline=None)
+    @hyp.given(R=st.floats(1e-2, 50.0), m=st.floats(0.0, 20.0))
+    def check(R, m):
+        lams = [mit_eigenvalue(R, m, k) for k in (1, 2, 3)]
+        assert m < lams[0] < lams[1] < lams[2]
+        for lam in lams:
+            x = R * math.sqrt(lam * lam - m * m)
+            d = 1e-7 * x
+            assert mit_matching(R, m, x - d) * mit_matching(R, m, x + d) < 0
+
+    check()
