@@ -264,6 +264,8 @@ def mit_limit(cfg: BagConfig, masses: Sequence[float]) -> MITLimitResult:
     the confined boundary condition u = v.
     """
     masses = list(masses)
+    if not all(map(math.isfinite, masses)):
+        raise ValueError(f"exterior masses must be finite, got {masses}")
     if any(mn <= cfg.m for mn in masses):
         raise ValueError("exterior masses must exceed the interior mass")
     if any(b <= a for a, b in zip(masses, masses[1:])):

@@ -22,6 +22,9 @@ cavity: it samples pole-free brackets between consecutive zeros of j0(kR)
 (the poles of the interior ratio) and resolves every sign change by plain
 bisection, which cannot be defeated by the poles the way a Newton iteration
 can.  The same bisection refines the cavity radii in `bag`.
+
+Scalar Bessel values come from the `math` kernels `_j0`/`_j1`; arrays use
+their vectorized forms `spherical_j0`/`spherical_j1`.
 """
 
 from __future__ import annotations
@@ -43,17 +46,31 @@ ENDPOINT_GUARD = 1e-9
 BRACKET_SAMPLES = 128
 
 
-def spherical_j0(x):
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+def _j0(x: float) -> float:
+    """j0(x) = sin x / x, evaluated as np.sinc(x / pi) does."""
+    y = math.pi * (x / math.pi)
+    if y == 0.0:
+        return 1.0
+    return math.sin(y) / y
 
 
-def spherical_j1(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    exact = np.sin(xs) / xs**2 - np.cos(xs) / xs
-    series = x / 3.0 - x**3 / 30.0
-    return np.where(small, series, exact)
+def _j1(x: float) -> float:
+    """j1(x) = sin x / x^2 - cos x / x, by its series below |x| = 1e-3."""
+    if abs(x) < 1e-3:
+        return x / 3.0 - x**3 / 30.0
+    # x * x, as numpy squares arrays; the scalar x**2 goes through libm pow,
+    # which rounds differently for about one argument in a thousand
+    return math.sin(x) / (x * x) - math.cos(x) / x
+
+
+def _array_form(kernel):
+    # math.sin raises at +-inf, where numpy returns NaN
+    return np.vectorize(lambda x: kernel(x) if math.isfinite(x) else math.nan,
+                        otypes=[float])
+
+
+spherical_j0 = _array_form(_j0)
+spherical_j1 = _array_form(_j1)
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float,
@@ -86,8 +103,7 @@ def j0_zero(k: int) -> float:
 
 def j1_zero(k: int) -> float:
     """k-th positive zero of j1, bracketed between consecutive j0 zeros."""
-    return _bisect(lambda x: float(spherical_j1(x)), k * math.pi + 1e-12,
-                   (k + 1) * math.pi - 1e-12)
+    return _bisect(_j1, k * math.pi + 1e-12, (k + 1) * math.pi - 1e-12)
 
 
 def dirichlet_ball_eigenvalue(k: int) -> float:
@@ -113,6 +129,10 @@ class TwoZoneProblem:
     R: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu_in, self.mu_out, self.R))):
+            raise ValueError(
+                f"mu_in, mu_out and R must be finite (got mu_in={self.mu_in}, "
+                f"mu_out={self.mu_out}, R={self.R})")
         if not self.R > 0.0:
             raise ValueError(f"R must be positive, got {self.R}")
         if not self.mu_out > abs(self.mu_in):
@@ -128,11 +148,11 @@ class TwoZoneProblem:
 def _rho_in(p: TwoZoneProblem, lam: float) -> float:
     k = math.sqrt(lam * lam - p.mu_in * p.mu_in)
     x = k * p.R
-    j0 = float(spherical_j0(x))
+    j0 = _j0(x)
     if j0 == 0.0:
         return math.inf
     s = math.sqrt((lam - p.mu_in) / (lam + p.mu_in))
-    return s * float(spherical_j1(x)) / j0
+    return s * _j1(x) / j0
 
 
 def _rho_out(p: TwoZoneProblem, lam: float) -> float:
@@ -227,7 +247,7 @@ def mit_matching(R: float, m: float, x: float) -> float:
     with x = R sqrt(lam^2 - m^2); vanishes where u = v on the boundary."""
     lam = math.sqrt(m * m + (x / R) ** 2)
     s = math.sqrt((lam - m) / (lam + m)) if lam > m else 0.0
-    return s * float(spherical_j1(x)) - float(spherical_j0(x))
+    return s * _j1(x) - _j0(x)
 
 
 def mit_eigenvalue(R: float, m: float, k: int = 1) -> float:
@@ -302,8 +322,7 @@ class TwoZoneState:
         """(v(R), u(R)) from the interior side (continuous at eigenvalues)."""
         k, _, s_in, _ = self._params
         x = k * self.problem.R
-        return (self.c_in * float(spherical_j0(x)),
-                self.c_in * s_in * float(spherical_j1(x)))
+        return self.c_in * _j0(x), self.c_in * s_in * _j1(x)
 
     def boundary_ratio(self) -> float:
         """u(R)/v(R); tends to 1 as the exterior mass grows without bound."""
@@ -346,11 +365,11 @@ def two_zone_state(p: TwoZoneProblem, lam: float) -> TwoZoneState:
     """
     k, kap, s_in, s_out = _wavenumbers(p, lam)
     yR = kap * p.R
-    v_wall = float(spherical_j0(k * p.R))
+    v_wall = _j0(k * p.R)
 
     def dens_in(r):
         x = k * r
-        return (spherical_j0(x) ** 2 + (s_in * spherical_j1(x)) ** 2) * r * r
+        return (_j0(x) ** 2 + (s_in * _j1(x)) ** 2) * r * r
 
     def dens_out(r):
         y = kap * r

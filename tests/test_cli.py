@@ -161,7 +161,8 @@ def test_removed_options_rejected(tmp_path, capsys, flags, cfg_text):
                                   ["soliton", "--b", "nan"],
                                   ["gamma-sweep", "--eps", "nan"],
                                   ["mit", "--m", "nan"],
-                                  ["mit", "--R", "inf"]])
+                                  ["mit", "--R", "inf"],
+                                  ["mit-limit", "--masses", "2,inf"]])
 def test_nonfinite_input_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -5,8 +5,8 @@ import pytest
 
 from bagforge import (TwoZoneProblem, dirichlet_ball_eigenvalue, eigenvalues,
                       matching_function, mit_eigenvalue, two_zone_state)
-from bagforge.dispersion import (_bisect, _scan_roots, mit_matching,
-                                 spherical_j0, spherical_j1)
+from bagforge.dispersion import (_bisect, _j0, _j1, _scan_roots, j1_zero,
+                                 mit_matching, spherical_j0, spherical_j1)
 
 
 def bisect(f, lo, hi, iters=200):
@@ -30,6 +30,31 @@ def test_bessel_small_argument():
     assert np.allclose(spherical_j0(x), 1.0, atol=1e-9)
 
 
+def test_bessel_array_forms_equal_scalar_kernels():
+    # both sides of the series switch at |x| = 1e-3, zero, a tiny and a
+    # large argument
+    edge = [math.nextafter(1e-3, 0.0), 1e-3, math.nextafter(1e-3, 1.0)]
+    x = np.array([0.0, 1e-300, 1e4, 2.5, -2.5, *edge, *(-e for e in edge)])
+    assert list(spherical_j0(x)) == [_j0(v) for v in x]
+    assert list(spherical_j1(x)) == [_j1(v) for v in x]
+    assert _j0(0.0) == 1.0 and _j1(0.0) == 0.0
+    # numpy's NaN at infinity, where math.sin raises
+    assert np.isnan(spherical_j0([math.inf, -math.inf])).all()
+    assert np.isnan(spherical_j1([math.inf, -math.inf])).all()
+
+
+def test_bessel_kernels_match_closed_forms():
+    for x in np.concatenate([[1e-3], np.geomspace(1e-3, 1e3, 200),
+                             np.linspace(0.5, 60.0, 200)]):
+        x = float(x)
+        assert abs(_j0(x) - math.sin(x) / x) <= 1e-15
+        assert abs(_j1(x) - (math.sin(x) / x**2 - math.cos(x) / x)) <= 1e-15
+
+
+def test_first_j1_zero():
+    assert j1_zero(1) == pytest.approx(4.493409457909064, rel=1e-12)
+
+
 def test_dirichlet_ladder():
     assert dirichlet_ball_eigenvalue(1) == pytest.approx(np.pi**2, rel=1e-12)
     # second level in the two-profile sector: first zero of j1 at 4.4934...
@@ -46,6 +71,14 @@ def test_problem_validation():
         TwoZoneProblem(mu_in=1.0, mu_out=1.0, R=2.0)
     with pytest.raises(ValueError):
         TwoZoneProblem(mu_in=-2.0, mu_out=1.0, R=2.0)
+
+
+def test_problem_rejects_nonfinite_inputs():
+    # R = inf used to empty every bracket of the scan without ending it
+    for mu_in, mu_out, R in ((0.5, 2.0, math.inf), (0.5, math.inf, 1.0),
+                             (math.nan, 2.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R)
 
 
 def test_matching_window_enforced():
