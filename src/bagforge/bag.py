@@ -70,8 +70,9 @@ class BagConfig:
             object.__setattr__(self, "r_interval",
                                (1e-2 / self.m, 1e2 / self.m))
         lo, hi = self.r_interval
-        if not (0.0 < lo < hi):
-            raise ValueError(f"invalid radius interval {self.r_interval}")
+        if not (0.0 < lo < hi < math.inf):
+            raise ValueError("radius interval must be finite with "
+                             f"0 < lo < hi, got {self.r_interval}")
 
 
 @dataclass

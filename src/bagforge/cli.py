@@ -398,7 +398,10 @@ def _run_mit_limit(params) -> int:
     if params["limit.masses"]:
         masses = _floats(params["limit.masses"], "mass")
     else:
-        masses = [m * 2.0**j for j in range(1, int(params["limit.doublings"]) + 1)]
+        doublings = int(params["limit.doublings"])
+        if doublings < 1:
+            raise ValueError(f"--doublings must be >= 1, got {doublings}")
+        masses = [m * 2.0**j for j in range(1, doublings + 1)]
     # the limit sweep replaces the coupling well by the exterior wall, so g
     # only has to satisfy the config's validity window
     cfg = BagConfig(n_quarks=int(params["model.N"]), g=0.5 * m, m=m,

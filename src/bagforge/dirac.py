@@ -80,11 +80,6 @@ class RadialField:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, grid: RadialGrid, fn) -> "RadialField":
-        vals = np.asarray(fn(grid.r_primal), dtype=float)
-        return cls(grid=grid, values=vals)
-
-    @classmethod
     def zero(cls, grid: RadialGrid) -> "RadialField":
         return cls(grid=grid, values=np.zeros(grid.n))
 
@@ -208,19 +203,6 @@ class SpectralResult:
     def ladder(self) -> np.ndarray:
         lam = self.eigenvalues
         return lam[(lam > 0.0) & (lam < self.operator.m)]
-
-    @property
-    def gap(self) -> float:
-        if self.eigenvalues.size == 0:
-            return math.inf
-        return float(np.min(np.abs(self.eigenvalues)))
-
-    def ladder_padded(self, indices: Sequence[int]) -> np.ndarray:
-        """lam^{k} for each requested 1-based index; missing levels saturate
-        at the band edge m (the inf-sup value at the essential spectrum)."""
-        lad = self.ladder
-        m = self.operator.m
-        return np.array([lad[k - 1] if k <= lad.size else m for k in indices])
 
     def spinor(self, i: int) -> RadialSpinor:
         """Eigenvector i as a RadialSpinor (ansatz sector only)."""

@@ -197,7 +197,8 @@ def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
     sample as a root and bisects every sign change to ROOT_RTOL.
     """
     roots = []
-    branch = 0
+    # brackets below x_lo are empty (b <= a); one spare absorbs rounding
+    branch = max(0, math.floor(x_lo / math.pi) - 1)
     while branch * math.pi < x_hi and len(roots) < count:
         a = max(branch * math.pi + guard, x_lo)
         b = min((branch + 1) * math.pi - guard, x_hi)
@@ -314,6 +315,9 @@ class TwoZoneState:
         y = kap * rs
         yR = kap * R
         decay = np.exp(-np.maximum(y - yR, 0.0))
+        # the exterior form is discarded inside R and is 0 where decay
+        # underflows (r = inf included); y = 1 there avoids inf/inf
+        y = np.where(inside | (decay == 0.0), 1.0, y)
         v_out = self.v_wall * (yR / y) * decay
         u_out = self.v_wall * s_out * (1.0 + y) * yR / y**2 * decay
         return np.where(inside, v_in, v_out), np.where(inside, u_in, u_out)

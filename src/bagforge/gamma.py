@@ -57,10 +57,14 @@ class GammaSweep:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
-        if not all(map(math.isfinite, eps + (self.g, self.m, self.r_max))):
+        finite = eps + (self.g, self.m, self.r_max, self.tol)
+        if not all(map(math.isfinite, finite)):
             raise ValueError(
-                f"eps, g, m and r_max must be finite (got eps={list(eps)}, "
-                f"g={self.g}, m={self.m}, r_max={self.r_max})")
+                f"eps, g, m, r_max and tol must be finite (got "
+                f"eps={list(eps)}, g={self.g}, m={self.m}, "
+                f"r_max={self.r_max}, tol={self.tol})")
+        if not self.tol > 0.0:
+            raise ValueError("tolerance must be positive")
         if not eps or any(e <= 0 for e in eps):
             raise ValueError("eps schedule must be positive")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
@@ -69,7 +73,7 @@ class GammaSweep:
             raise ValueError(
                 f"diffuse-interface model requires 0 < g < m "
                 f"(got g={self.g}, m={self.m})")
-        h = self.r_max / self.n
+        h = self.grid().h          # make_grid checks n before r_max / n
         if h > min(eps) / CELLS_PER_WIDTH:
             raise ValueError(
                 f"grid spacing h={h:.4g} under-resolves the smallest "

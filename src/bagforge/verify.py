@@ -1,17 +1,20 @@
 """Invariant battery: structural identities the solvers must satisfy.
 
-Each check returns (name, passed, detail).  The battery is wired to the
-`verify` subcommand and reused by the test suite; it exercises the operator
-identities (mirror spectrum across the two spin-orbit sectors, singular
-values of the supercharge block), the first-order perturbation formula
-against finite differences, agreement between the matrix eigensolver and
-the closed-form two-zone oracle, and the confined-cavity monotonicity.
+Each identity has a measurement, which returns the numbers asserted on, and
+a seeded `check_*` wrapper that draws its inputs, applies the tolerance and
+returns (name, passed, detail).  The wrappers are the `verify` subcommand;
+the measurements are shared by the battery and the test suite.  They cover
+the operator identities (mirror spectrum across the two spin-orbit sectors,
+singular values of the supercharge block), the first-order perturbation
+formula against finite differences, agreement between the matrix
+eigensolver and the closed-form two-zone oracle, and the confined-cavity
+monotonicity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +48,120 @@ def random_bound_field(grid, m: float, g: float, rng: np.random.Generator,
     return RadialField(grid=grid, values=vals)
 
 
+def gaussian_field(grid, center: float, width: float,
+                   height: float = 1.0) -> RadialField:
+    """height * exp(-((r - center)/width)^2), 0 at r_max: a smooth well
+    (height < 0) or a perturbation direction."""
+    vals = height * np.exp(-((grid.r_primal - center) / width) ** 2)
+    vals[-1] = 0.0
+    return RadialField(grid=grid, values=vals)
+
+
+def square_well(grid, depth: float, R: float) -> RadialField:
+    """-depth on r < R, 0 beyond (and at r_max)."""
+    vals = np.where(grid.r_primal < R, -depth, 0.0)
+    vals[-1] = 0.0
+    return RadialField(grid=grid, values=vals)
+
+
+def mirror_pairing(phi: RadialField, g: float,
+                   m: float) -> Tuple[float, float, int]:
+    """(max pair error, min |lambda|, count) over the eigenvalues of both
+    sectors in the window +-0.99 m; min |lambda| is inf when there are none."""
+    w = 0.99 * m
+    both = np.concatenate([
+        eigen_solve(assemble_hamiltonian(phi, g, m, sector=s),
+                    window=(-w, w)).eigenvalues
+        for s in (-1, +1)])
+    pair = max((float(np.min(np.abs(both + lam))) for lam in both),
+               default=0.0)
+    gap = float(np.min(np.abs(both))) if both.size else math.inf
+    return pair, gap, both.size
+
+
+def supercharge_svd_error(phi: RadialField, g: float, m: float) -> float:
+    """max |sv - |eig||, supercharge singular values vs the sorted moduli
+    of the ansatz-sector spectrum (dense solve)."""
+    lam = np.linalg.eigvalsh(assemble_hamiltonian(phi, g, m).dense())
+    sv = supercharge_singular_values(phi, g, m)
+    return float(np.max(np.abs(np.sort(np.abs(lam)) - sv)))
+
+
+def hf_mismatch(phi: RadialField, g: float, m: float,
+                directions: Sequence[RadialField]) -> Optional[float]:
+    """Worst relative |HF - FD| of the ground level over the directions, FD
+    centered at step 1e-4 on the nearest level; None when phi binds none."""
+    res = eigen_solve(assemble_hamiltonian(phi, g, m))
+    if res.ladder.size == 0:
+        return None
+    lam0 = float(res.ladder[0])
+    psi = res.ladder_spinors([1])[0]
+    t = 1e-4
+    worst = 0.0
+    for d in directions:
+        hf = hellmann_feynman(phi, (lam0, psi), d, g, m)
+        lams = []
+        for s in (+t, -t):
+            shifted = RadialField(grid=phi.grid,
+                                  values=phi.values + s * d.values)
+            ev = eigen_solve(assemble_hamiltonian(shifted, g, m)).eigenvalues
+            lams.append(float(ev[np.argmin(np.abs(ev - lam0))]))
+        fd = (lams[0] - lams[1]) / (2.0 * t)
+        worst = max(worst, abs(hf - fd) / max(abs(fd), 1e-12))
+    return worst
+
+
+def oracle_gap(problem: TwoZoneProblem, n: int,
+               r_max: float) -> Optional[float]:
+    """|matrix - matching| ground level of the square well (g = 1,
+    m = mu_out) on an n-cell grid of radius r_max; inf when the matrix
+    misses it, None when the closed-form level is missing or above
+    0.97 mu_out (near-threshold tails exceed any truncation radius)."""
+    lad = eigenvalues(problem, 1)
+    mu_out = problem.mu_out
+    if not lad.complete or lad.values[0] > 0.97 * mu_out:
+        return None
+    phi = square_well(make_grid(r_max, n), mu_out - problem.mu_in, problem.R)
+    res = eigen_solve(assemble_hamiltonian(phi, g=1.0, m=mu_out))
+    if res.ladder.size == 0:
+        return math.inf
+    return abs(float(res.ladder[0]) - lad.values[0])
+
+
+def cavity_reference_root() -> float:
+    """Massless confined ground frequency from an independent bisection of
+    tan(x) = x/(1-x), the massless form of j1(x) = j0(x)."""
+    f = lambda x: math.tan(x) - x / (1.0 - x)
+    lo, hi = 2.0, 2.2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(lo) * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def cavity_shape(Rs) -> Tuple[bool, bool]:
+    """(decreasing, midpoint-convex) for R -> lam_1(R) at m = 1 over Rs."""
+    lam = np.array([mit_eigenvalue(R, 1.0, 1) for R in Rs])
+    decreasing = bool(np.all(np.diff(lam) < 0.0))
+    convex = bool(np.all(lam[:-2] + lam[2:] - 2.0 * lam[1:-1] >= -1e-8))
+    return decreasing, convex
+
+
+def normalization_errors(phi: RadialField, g: float,
+                         m: float) -> Optional[Tuple[float, float, float]]:
+    """(|norm - 1|, Gram deviation, density at r = 0) of the ground state
+    under the grid metric; None when phi binds no state."""
+    res = eigen_solve(assemble_hamiltonian(phi, g, m))
+    if res.ladder.size == 0:
+        return None
+    psi = res.ladder_spinors([1])[0]
+    return (abs(psi.norm_sq() - 1.0), res.gram_deviation(),
+            float(density(psi).values[0]))
+
+
 def check_susy_pairing(seed: int = 0, trials: int = 5, n: int = 900,
                        r_max: float = 25.0, m: float = 1.0,
                        g: float = 0.5) -> Check:
@@ -55,16 +172,8 @@ def check_susy_pairing(seed: int = 0, trials: int = 5, n: int = 900,
     worst_pair, worst_gap = 0.0, math.inf
     for _ in range(trials):
         phi = random_bound_field(grid, m, g, rng)
-        w = 0.99 * m
-        lam_m = eigen_solve(assemble_hamiltonian(phi, g, m, sector=-1),
-                            window=(-w, w)).eigenvalues
-        lam_p = eigen_solve(assemble_hamiltonian(phi, g, m, sector=+1),
-                            window=(-w, w)).eigenvalues
-        both = np.concatenate([lam_m, lam_p])
-        for lam in both:
-            worst_pair = max(worst_pair, float(np.min(np.abs(both + lam))))
-        if both.size:
-            worst_gap = min(worst_gap, float(np.min(np.abs(both))))
+        pair, gap, _ = mirror_pairing(phi, g, m)
+        worst_pair, worst_gap = max(worst_pair, pair), min(worst_gap, gap)
     ok = worst_pair <= 1e-8 and worst_gap >= 1e-2 * m
     return ("susy-pairing", ok,
             f"max pair error {worst_pair:.2e}, min |lambda| {worst_gap:.3f}")
@@ -76,14 +185,9 @@ def check_supercharge_svd(seed: int = 1, n: int = 400,
     ansatz sector: the operator form of the positive-ladder formula."""
     rng = np.random.default_rng(seed)
     m, g = 1.0, 0.5
-    grid = make_grid(r_max, n)
-    phi = random_bound_field(grid, m, g, rng)
-    op = assemble_hamiltonian(phi, g, m)
-    lam = np.linalg.eigvalsh(op.dense())
-    sv = supercharge_singular_values(phi, g, m)
-    err = float(np.max(np.abs(np.sort(np.abs(lam)) - sv)))
-    ok = err <= 1e-8
-    return ("supercharge-svd", ok, f"max |sv - |eig|| = {err:.2e}")
+    phi = random_bound_field(make_grid(r_max, n), m, g, rng)
+    err = supercharge_svd_error(phi, g, m)
+    return ("supercharge-svd", err <= 1e-8, f"max |sv - |eig|| = {err:.2e}")
 
 
 def check_hellmann_feynman(seed: int = 2, n: int = 1200,
@@ -94,36 +198,14 @@ def check_hellmann_feynman(seed: int = 2, n: int = 1200,
     m, g = 1.0, 1.0
     grid = make_grid(r_max, n)
     phi = random_bound_field(grid, m, g, rng, depth=0.9)
-    res = eigen_solve(assemble_hamiltonian(phi, g, m))
-    lad = res.ladder
-    if lad.size == 0:
+    directions = [gaussian_field(grid, rng.uniform(0.2 * r_max, 0.6 * r_max),
+                                 rng.uniform(0.05, 0.15) * r_max)
+                  for _ in range(3)]
+    worst = hf_mismatch(phi, g, m, directions)
+    if worst is None:
         return ("hellmann-feynman", False, "no bound state in test well")
-    pos = int(np.where(res.eigenvalues == lad[0])[0][0])
-    lam0 = float(lad[0])
-    psi = res.spinor(pos)
-    worst = 0.0
-    for _ in range(3):
-        c = rng.uniform(0.2 * r_max, 0.6 * r_max)
-        w = rng.uniform(0.05, 0.15) * r_max
-        dirvals = np.exp(-((grid.r_primal - c) / w) ** 2)
-        dirvals[-1] = 0.0
-        direction = RadialField(grid=grid, values=dirvals)
-        hf = hellmann_feynman(phi, (lam0, psi), direction, g, m)
-        t = 1e-4
-        lam_p = _nearest_eig(phi, direction, g, m, +t, lam0)
-        lam_m = _nearest_eig(phi, direction, g, m, -t, lam0)
-        fd = (lam_p - lam_m) / (2.0 * t)
-        worst = max(worst, abs(hf - fd) / max(abs(fd), 1e-12))
-    ok = worst <= 1e-4
-    return ("hellmann-feynman", ok, f"max relative mismatch {worst:.2e}")
-
-
-def _nearest_eig(phi: RadialField, direction: RadialField, g: float,
-                 m: float, t: float, lam0: float) -> float:
-    shifted = RadialField(grid=phi.grid,
-                          values=phi.values + t * direction.values)
-    lam = eigen_solve(assemble_hamiltonian(shifted, g, m)).eigenvalues
-    return float(lam[np.argmin(np.abs(lam - lam0))])
+    return ("hellmann-feynman", worst <= 1e-4,
+            f"max relative mismatch {worst:.2e}")
 
 
 def check_oracle_agreement(seed: int = 3, trials: int = 5, n: int = 4000,
@@ -135,21 +217,13 @@ def check_oracle_agreement(seed: int = 3, trials: int = 5, n: int = 4000,
     while done < trials:
         mu_in = rng.uniform(0.0, 0.9 * mu_out)
         R = rng.uniform(1.0, 10.0) / mu_out
-        p = TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R)
-        lad = eigenvalues(p, 1)
-        # skip near-threshold states: their exponential tails exceed any
-        # fixed truncation radius, so the comparison is meaningless there
-        if not lad.complete or lad.values[0] > 0.97 * mu_out:
+        gap = oracle_gap(TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R), n,
+                         R + 18.0 / mu_out)
+        if gap is None:
             continue
-        r_max = R + 18.0 / mu_out
-        grid = make_grid(r_max, n)
-        vals = np.where(grid.r_primal < R, (mu_in - mu_out), 0.0)
-        vals[-1] = 0.0
-        phi = RadialField(grid=grid, values=vals)
-        res = eigen_solve(assemble_hamiltonian(phi, g=1.0, m=mu_out))
-        if res.ladder.size == 0:
+        if gap == math.inf:
             return ("oracle-agreement", False, "matrix missed a bound state")
-        worst = max(worst, abs(res.ladder[0] - lad.values[0]))
+        worst = max(worst, gap)
         done += 1
     ok = worst <= 2e-3 * mu_out
     return ("oracle-agreement", ok, f"max |matrix - matching| = {worst:.2e}")
@@ -158,15 +232,7 @@ def check_oracle_agreement(seed: int = 3, trials: int = 5, n: int = 4000,
 def check_cavity_root() -> Check:
     """Massless confined cavity frequency against an independent bisection
     of tan(x) = x/(1-x)."""
-    f = lambda x: math.tan(x) - x / (1.0 - x)
-    lo, hi = 2.0, 2.2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    x_ref = 0.5 * (lo + hi)
+    x_ref = cavity_reference_root()
     lam = mit_eigenvalue(1.0, 1e-8, 1)
     ok = abs(lam - x_ref) <= 1e-6
     return ("cavity-ground-root", ok, f"lam={lam:.8f} vs x_ref={x_ref:.8f}")
@@ -174,10 +240,7 @@ def check_cavity_root() -> Check:
 
 def check_cavity_shape() -> Check:
     """R -> lam_1(R) decreasing and midpoint-convex on a log grid."""
-    Rs = np.geomspace(0.2, 20.0, 50)
-    lam = np.array([mit_eigenvalue(R, 1.0, 1) for R in Rs])
-    decreasing = bool(np.all(np.diff(lam) < 0.0))
-    convex = bool(np.all(lam[:-2] + lam[2:] - 2.0 * lam[1:-1] >= -1e-8))
+    decreasing, convex = cavity_shape(np.geomspace(0.2, 20.0, 50))
     ok = decreasing and convex
     return ("cavity-shape", ok, f"decreasing={decreasing} convex={convex}")
 
@@ -187,14 +250,11 @@ def check_density_normalization(seed: int = 4) -> Check:
     rng = np.random.default_rng(seed)
     grid = make_grid(25.0, 1000)
     phi = random_bound_field(grid, 1.0, 1.0, rng, depth=0.95)
-    res = eigen_solve(assemble_hamiltonian(phi, 1.0, 1.0))
-    if res.ladder.size == 0:
+    errs = normalization_errors(phi, 1.0, 1.0)
+    if errs is None:
         return ("normalization", False, "no bound state in test well")
-    psi = res.ladder_spinors([1])[0]
-    err = abs(psi.norm_sq() - 1.0)
-    gram = res.gram_deviation()
-    dens = density(psi)
-    ok = err <= 1e-8 and gram <= 1e-8 and math.isfinite(float(dens.values[0]))
+    err, gram, rho0 = errs
+    ok = err <= 1e-8 and gram <= 1e-8 and math.isfinite(rho0)
     return ("normalization", ok, f"|norm-1|={err:.2e}, gram dev={gram:.2e}")
 
 

@@ -7,6 +7,7 @@ from bagforge import (BagConfig, bag_energy, cavity_energy,
                       dirichlet_ball_eigenvalue, minimize_bag, mit_eigenvalue,
                       mit_ground, mit_limit)
 from bagforge.bag import cavity_energy_derivative
+from bagforge.verify import cavity_shape
 
 
 def test_config_validation():
@@ -16,6 +17,9 @@ def test_config_validation():
         BagConfig(n_quarks=1, g=0.8, m=1.0, a=0.0, b=0.0)
     with pytest.raises(ValueError):
         BagConfig(n_quarks=0, g=0.8, m=1.0, a=1e-3, b=1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        BagConfig(n_quarks=1, g=0.8, m=1.0, a=1e-3, b=1e-3,
+                  r_interval=(1.0, math.inf))
     cfg = BagConfig(n_quarks=1, g=0.8, m=1.0, a=1e-3, b=1e-3)
     assert cfg.r_interval[0] > 0
 
@@ -140,10 +144,9 @@ def test_mit_ground_more_quarks_bigger_bag():
 
 
 def test_mit_eigenvalue_decreasing_convex():
-    Rs = np.geomspace(0.3, 30.0, 50)
-    lam = np.array([mit_eigenvalue(R, 1.0, 1) for R in Rs])
-    assert np.all(np.diff(lam) < 0)
-    assert np.all(lam[:-2] + lam[2:] - 2 * lam[1:-1] >= -1e-8)
+    decreasing, convex = cavity_shape(np.geomspace(0.3, 30.0, 50))
+    assert decreasing
+    assert convex
     # large cavity limit: eigenvalue decays to the mass
     assert mit_eigenvalue(500.0, 1.0, 1) == pytest.approx(1.0, abs=1e-2)
 

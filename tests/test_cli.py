@@ -160,6 +160,8 @@ def test_removed_options_rejected(tmp_path, capsys, flags, cfg_text):
 @pytest.mark.parametrize("args", [["bag", "--a", "nan"],
                                   ["soliton", "--b", "nan"],
                                   ["gamma-sweep", "--eps", "nan"],
+                                  ["gamma-sweep", "--tol", "nan"],
+                                  ["bag", "--r-lo", "1", "--r-hi", "inf"],
                                   ["mit", "--m", "nan"],
                                   ["mit", "--R", "inf"],
                                   ["mit-limit", "--masses", "2,inf"]])
@@ -168,6 +170,17 @@ def test_nonfinite_input_rejected(tmp_path, capsys, args):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "finite" in err[0]
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["gamma-sweep", "--n", "0"],
+                                  ["gamma-sweep", "--tol", "-1"],
+                                  ["mit-limit", "--doublings", "0"],
+                                  ["mit-limit", "--doublings", "-2"]])
+def test_out_of_range_input_rejected(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
     assert not (tmp_path / "r.csv").exists()
 
 

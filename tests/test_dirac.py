@@ -5,22 +5,12 @@ import pytest
 
 from bagforge import (DegenerateEigenvalueError, RadialField, RadialSpinor,
                       TwoZoneProblem, assemble_hamiltonian, density,
-                      dirichlet_ball_eigenvalue, eigen_solve, eigenvalues,
-                      hellmann_feynman, integrate, make_grid,
-                      supercharge_singular_values)
-from bagforge.verify import random_bound_field
-
-
-def gaussian_well(grid, depth, center, width):
-    vals = -depth * np.exp(-((grid.r_primal - center) / width) ** 2)
-    vals[-1] = 0.0
-    return RadialField(grid=grid, values=vals)
-
-
-def square_well(grid, depth, R):
-    vals = np.where(grid.r_primal < R, -depth, 0.0)
-    vals[-1] = 0.0
-    return RadialField(grid=grid, values=vals)
+                      dirichlet_ball_eigenvalue, eigen_solve,
+                      hellmann_feynman, integrate, make_grid)
+from bagforge.verify import (gaussian_field, hf_mismatch, mirror_pairing,
+                             normalization_errors, oracle_gap,
+                             random_bound_field, square_well,
+                             supercharge_svd_error)
 
 
 # ---------------------------------------------------------------- assembly
@@ -126,13 +116,10 @@ def test_free_spectrum_has_no_bound_states():
 
 
 def test_square_well_matches_dispersion_oracle():
-    m, g, R = 1.0, 1.0, 5.0
-    grid = make_grid(25.0, 4000)
-    phi = square_well(grid, 1.0, R)
-    res = eigen_solve(assemble_hamiltonian(phi, g=g, m=m))
-    lam_matrix = res.ladder[0]
-    lad = eigenvalues(TwoZoneProblem(mu_in=0.0, mu_out=1.0, R=R), 1)
-    assert abs(lam_matrix - lad.values[0]) < 1e-3
+    # depth 1 square well of radius 5 on a 4000-cell grid of radius 25
+    gap = oracle_gap(TwoZoneProblem(mu_in=0.0, mu_out=1.0, R=5.0), 4000, 25.0)
+    assert gap is not None
+    assert gap < 1e-3
 
 
 def test_mirror_spectrum_across_sectors():
@@ -141,17 +128,11 @@ def test_mirror_spectrum_across_sectors():
     grid = make_grid(25.0, 1200)
     for _ in range(3):
         phi = random_bound_field(grid, m, g, rng)
-        w = 0.99 * m
-        lam_m = eigen_solve(assemble_hamiltonian(phi, g, m, sector=-1),
-                            window=(-w, w)).eigenvalues
-        lam_p = eigen_solve(assemble_hamiltonian(phi, g, m, sector=+1),
-                            window=(-w, w)).eigenvalues
-        both = np.concatenate([lam_m, lam_p])
-        assert both.size > 0
-        for lam in both:
-            assert np.min(np.abs(both + lam)) <= 1e-8
+        pair, gap, count = mirror_pairing(phi, g, m)
+        assert count > 0
+        assert pair <= 1e-8
         # no zero modes while the effective mass stays nonnegative
-        assert np.min(np.abs(both)) >= 1e-2 * m
+        assert gap >= 1e-2 * m
 
 
 def test_single_sector_spectrum_is_not_mirror_symmetric():
@@ -173,22 +154,17 @@ def test_supercharge_singular_values_match_moduli():
     m, g = 1.0, 0.8
     grid = make_grid(18.0, 300)
     phi = random_bound_field(grid, m, g, rng)
-    op = assemble_hamiltonian(phi, g=g, m=m)
-    lam = np.linalg.eigvalsh(op.dense())
-    sv = supercharge_singular_values(phi, g=g, m=m)
-    assert np.max(np.abs(np.sort(np.abs(lam)) - sv)) <= 1e-10
+    assert supercharge_svd_error(phi, g, m) <= 1e-10
 
 
 def test_orthonormality_and_normalization():
     m, g = 1.0, 1.0
     grid = make_grid(25.0, 2000)
     phi = square_well(grid, 1.0, 5.0)
-    res = eigen_solve(assemble_hamiltonian(phi, g=g, m=m))
-    assert res.gram_deviation() <= 1e-8
-    psi = res.ladder_spinors([1])[0]
-    assert abs(psi.norm_sq() - 1.0) <= 1e-10
-    assert integrate(grid, psi.v**2, "primal") + integrate(
-        grid, psi.u**2, "staggered") == pytest.approx(1.0, abs=1e-10)
+    # norm_err is |integral of v^2 (primal) + u^2 (staggered) - 1|
+    norm_err, gram, _ = normalization_errors(phi, g, m)
+    assert gram <= 1e-8
+    assert norm_err <= 1e-10
 
 
 def test_eigenvalue_continuity_in_field():
@@ -196,10 +172,9 @@ def test_eigenvalue_continuity_in_field():
     lam1 = {}
     for n in (800, 1600):
         grid = make_grid(25.0, n)
-        phi = gaussian_well(grid, 0.9, 2.5, 1.5)
+        phi = gaussian_field(grid, 2.5, 1.5, -0.9)
         base = eigen_solve(assemble_hamiltonian(phi, g, m)).ladder[0]
-        bump = 0.02 * np.exp(-((grid.r_primal - 2.0) / 1.0) ** 2)
-        bump[-1] = 0.0
+        bump = gaussian_field(grid, 2.0, 1.0, 0.02).values
         shifted = RadialField(grid=grid, values=phi.values + bump)
         pert = eigen_solve(assemble_hamiltonian(shifted, g, m)).ladder[0]
         dphi = math.sqrt(integrate(grid, bump**2))
@@ -262,40 +237,18 @@ def test_hellmann_feynman_against_finite_differences():
     rng = np.random.default_rng(11)
     m, g = 1.0, 1.0
     grid = make_grid(25.0, 1500)
-    phi = gaussian_well(grid, 0.95, 2.0, 2.0)
-    res = eigen_solve(assemble_hamiltonian(phi, g, m))
-    lam0 = float(res.ladder[0])
-    psi = res.ladder_spinors([1])[0]
-
-    def fd_derivative(direction, t=1e-4):
-        lams = []
-        for s in (+t, -t):
-            shifted = RadialField(grid=grid,
-                                  values=phi.values + s * direction.values)
-            ev = eigen_solve(assemble_hamiltonian(shifted, g, m)).eigenvalues
-            lams.append(float(ev[np.argmin(np.abs(ev - lam0))]))
-        return (lams[0] - lams[1]) / (2 * t)
-
-    # zero direction
-    zero = RadialField.zero(grid)
-    assert hellmann_feynman(phi, (lam0, psi), zero, g, m) == 0.0
-    # bump at r = 2
-    for _ in range(3):
-        c = rng.uniform(1.0, 5.0)
-        vals = np.exp(-((grid.r_primal - c) / 0.8) ** 2)
-        vals[-1] = 0.0
-        d = RadialField(grid=grid, values=vals)
-        hf = hellmann_feynman(phi, (lam0, psi), d, g, m)
-        fd = fd_derivative(d)
-        assert hf == pytest.approx(fd, rel=1e-5)
-    # direction = phi itself: derivative of lam((1+t) phi) at t=0
-    hf_self = hellmann_feynman(phi, (lam0, psi), phi, g, m)
-    assert hf_self == pytest.approx(fd_derivative(phi), rel=1e-5)
+    phi = gaussian_field(grid, 2.0, 2.0, -0.95)
+    # zero direction: HF and the centered difference both vanish exactly
+    assert hf_mismatch(phi, g, m, [RadialField.zero(grid)]) == 0.0
+    # random bumps, and phi itself: d/dt lam((1+t) phi) at t=0
+    bumps = [gaussian_field(grid, rng.uniform(1.0, 5.0), 0.8)
+             for _ in range(3)]
+    assert hf_mismatch(phi, g, m, bumps + [phi]) <= 1e-5
 
 
 def test_hellmann_feynman_requires_normalized_simple_state():
     grid = make_grid(20.0, 600)
-    phi = gaussian_well(grid, 0.9, 2.0, 1.5)
+    phi = gaussian_field(grid, 2.0, 1.5, -0.9)
     res = eigen_solve(assemble_hamiltonian(phi, 1.0, 1.0))
     psi = res.ladder_spinors([1])[0]
     lam0 = float(res.ladder[0])
@@ -306,7 +259,7 @@ def test_hellmann_feynman_requires_normalized_simple_state():
 
 def test_near_degenerate_refusal():
     grid = make_grid(20.0, 400)
-    phi = gaussian_well(grid, 0.9, 2.0, 1.5)
+    phi = gaussian_field(grid, 2.0, 1.5, -0.9)
     res = eigen_solve(assemble_hamiltonian(phi, 1.0, 1.0))
     psi = res.ladder_spinors([1])[0]
     lam0 = float(res.ladder[0])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,21 +8,10 @@ from bagforge import (TwoZoneProblem, dirichlet_ball_eigenvalue, eigenvalues,
                       matching_function, mit_eigenvalue, two_zone_state)
 from bagforge.dispersion import (_bisect, _j0, _j1, _scan_roots, j1_zero,
                                  mit_matching, spherical_j0, spherical_j1)
-
-
-def bisect(f, lo, hi, iters=200):
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, f(mid)
-    return 0.5 * (lo + hi)
-
+from bagforge.verify import cavity_reference_root
 
 # independent oracle for the massless confined cavity: tan x = x/(1-x)
-X_MASSLESS = bisect(lambda x: math.tan(x) - x / (1.0 - x), 2.0, 2.2)
+X_MASSLESS = cavity_reference_root()
 
 
 def test_bessel_small_argument():
@@ -79,6 +69,17 @@ def test_problem_rejects_nonfinite_inputs():
                              (math.nan, 2.0, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R)
+
+
+def test_large_radius_scan_skips_empty_brackets():
+    # the scan starts one bracket below x_lo: the roots are those of a scan
+    # from 0, and the 2e6 empty brackets below x_lo at R = 1e12 cost nothing
+    lad = eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=1e10), 1)
+    assert lad.values == [0.5000000020012784]
+    t0 = time.perf_counter()
+    lad = eigenvalues(TwoZoneProblem(mu_in=0.01, mu_out=2.0, R=1e12), 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert lad.values == [0.010000002000000823]
 
 
 def test_matching_window_enforced():
@@ -169,6 +170,16 @@ def test_state_ode_residual_and_normalization():
     vin, uin = state.profiles(p.R - eps)
     vout, uout = state.profiles(p.R + eps)
     assert uin / vin == pytest.approx(uout / vout, rel=1e-5)
+
+
+@pytest.mark.filterwarnings("error")     # no inf/inf at r = inf
+def test_profiles_vanish_at_infinity():
+    p = TwoZoneProblem(mu_in=0.3, mu_out=1.0, R=4.0)
+    state = two_zone_state(p, eigenvalues(p, 1).values[0])
+    v, u = state.profiles([1.0, 6.0, math.inf])
+    assert (v[2], u[2]) == (0.0, 0.0)
+    assert v[:2].tolist() == [0.07813263690594426, 0.004445654088011179]
+    assert u[:2].tolist() == [0.008298607012975131, 0.0026387195565109765]
 
 
 def test_boundary_ratio_tends_to_one():

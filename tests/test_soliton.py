@@ -6,6 +6,7 @@ import pytest
 from bagforge import (ModelParams, PotentialSpec, RadialField, SolitonConfig,
                       dirichlet_ball_eigenvalue, el_residual, energy,
                       gradient, initial_guess, integrate, make_grid, minimize)
+from bagforge.verify import gaussian_field
 
 
 def cfg_for(g=10.0, kappa=0.05, b=0.01, N=1, ks=None, n=600, r_max=20.0,
@@ -68,10 +69,8 @@ def test_gradient_matches_directional_differences():
     gvec = gradient(cfg, phi)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        c = rng.uniform(1.0, 6.0)
-        w = rng.uniform(0.4, 1.5)
-        d = np.exp(-((grid.r_primal - c) / w) ** 2)
-        d[-1] = 0.0
+        d = gaussian_field(grid, rng.uniform(1.0, 6.0),
+                           rng.uniform(0.4, 1.5)).values
         t = 1e-4
         ep = energy(cfg, RadialField(grid=grid, values=phi.values + t * d))
         em = energy(cfg, RadialField(grid=grid, values=phi.values - t * d))
@@ -123,8 +122,7 @@ def test_el_residual_increases_under_perturbation():
     res0 = el_residual(cfg, rep)
     assert res0.field == pytest.approx(rep.el.field, rel=1e-8)
     grid = rep.phi.grid
-    bump = 0.02 * np.exp(-((grid.r_primal - 2.0) / 0.7) ** 2)
-    bump[-1] = 0.0
+    bump = gaussian_field(grid, 2.0, 0.7, 0.02).values
     perturbed = minimize(cfg, phi0=rep.phi.values + bump)
     # evaluate the residual at the perturbed (non-stationary) field directly
     from bagforge.soliton import el_residual_from
