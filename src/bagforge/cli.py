@@ -314,6 +314,18 @@ def _out_paths(params) -> tuple:
     return stem.with_name(stem.name + suffix), stem
 
 
+def _flagged(reason: str) -> int:
+    """Exit status of a run whose results were written but did not pass:
+    one `error:` line on stderr saying what failed, then 2."""
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
+
+
+def _unconverged(res, tol: float) -> str:
+    return (f"after {res.iterations} iterations (gradient norm "
+            f"{res.grad_norm:.3e} > tol {tol:g})")
+
+
 def _run_soliton(params) -> int:
     gs = _floats(params["model.g"], "coupling")
     if not gs:
@@ -343,7 +355,12 @@ def _run_soliton(params) -> int:
     table, stem = _out_paths(params)
     write_table(table, header, rows, params["output.format"])
     _write_soliton_profiles(stem, results)
-    return 0 if all(rep.converged for rep in results) else 2
+    failed = [f"g={_fmt(g)} {_unconverged(rep, rep.config.tol)}"
+              for g, rep in zip(gs, results) if not rep.converged]
+    if failed:
+        return _flagged("soliton descent did not converge at "
+                        + "; ".join(failed))
+    return 0
 
 
 def _write_soliton_profiles(stem: Path, results):
@@ -378,7 +395,15 @@ def _run_bag(params) -> int:
              rep.energy, rep.curvature_residual, rep.flagged]]
     table, _ = _out_paths(params)
     write_table(table, header, rows, params["output.format"])
-    return 2 if rep.flagged else 0
+    if rep.flagged:
+        return _flagged(_bag_edge(rep.R, cfg.r_interval))
+    return 0
+
+
+def _bag_edge(R: float, interval) -> str:
+    lo, hi = interval
+    return (f"bag radius R={R:.6g} is not an interior optimum of the search "
+            f"interval [{lo:.6g}, {hi:.6g}]")
 
 
 def _run_mit(params) -> int:
@@ -441,8 +466,19 @@ def _run_gamma(params) -> int:
         for r, v in zip(grid.r_primal, row.phi):
             lines.append(f"phi_eps{_fmt(row.eps)},{_fmt(r)},{_fmt(v)}")
     stem.with_name(stem.name + "_profile.csv").write_text("\n".join(lines) + "\n")
-    ok = result.feasible and all(r.converged for r in result.rows)
-    return 0 if ok else 2
+    ref = result.reference
+    failed = []
+    if ref.flagged:
+        failed.append("reference " + _bag_edge(ref.R, ref.config.r_interval))
+    elif not result.feasible:
+        failed.append(f"reference bag is infeasible: l_c={ref.energy:.6g} "
+                      f">= N m={sweep.n_quarks * sweep.m:.6g}")
+    failed += [f"descent did not converge at eps={_fmt(r.eps)} "
+               + _unconverged(r, sweep.tol)
+               for r in result.rows if not r.converged]
+    if failed:
+        return _flagged("gamma-sweep " + "; ".join(failed))
+    return 0
 
 
 def _run_verify(params) -> int:
@@ -455,7 +491,10 @@ def _run_verify(params) -> int:
             for name, ok, detail in checks]
     table, _ = _out_paths(params)
     write_table(table, header, rows, params["output.format"])
-    return 0 if all(ok for _, ok, _ in checks) else 2
+    failed = [f"{name} ({detail})" for name, ok, detail in checks if not ok]
+    if failed:
+        return _flagged("verify checks failed: " + "; ".join(failed))
+    return 0
 
 
 _RUNNERS = {

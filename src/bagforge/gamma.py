@@ -65,6 +65,9 @@ class GammaSweep:
                 f"r_max={self.r_max}, tol={self.tol})")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError(
+                f"iteration budget must be >= 1, got max_iter={self.max_iter}")
         if not eps or any(e <= 0 for e in eps):
             raise ValueError("eps schedule must be positive")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):

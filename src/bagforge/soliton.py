@@ -74,6 +74,9 @@ class SolitonConfig:
                 f"(got tol={self.tol}, r_max={self.r_max})")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError(
+                f"iteration budget must be >= 1, got max_iter={self.max_iter}")
 
     def grid(self) -> RadialGrid:
         return make_grid(self.r_max, self.n)

@@ -17,6 +17,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .dirac import (RadialField, assemble_hamiltonian, density, eigen_solve,
                     hellmann_feynman, supercharge_singular_values)
@@ -81,8 +82,9 @@ def mirror_pairing(phi: RadialField, g: float,
 
 def supercharge_svd_error(phi: RadialField, g: float, m: float) -> float:
     """max |sv - |eig||, supercharge singular values vs the sorted moduli
-    of the ansatz-sector spectrum (dense solve)."""
-    lam = np.linalg.eigvalsh(assemble_hamiltonian(phi, g, m).dense())
+    of the full ansatz-sector spectrum (tridiagonal root-free QR, sterf)."""
+    op = assemble_hamiltonian(phi, g, m)
+    lam = eigvalsh_tridiagonal(op.diag, op.offdiag, lapack_driver="sterf")
     sv = supercharge_singular_values(phi, g, m)
     return float(np.max(np.abs(np.sort(np.abs(lam)) - sv)))
 

@@ -176,7 +176,10 @@ def test_nonfinite_input_rejected(tmp_path, capsys, args):
 @pytest.mark.parametrize("args", [["gamma-sweep", "--n", "0"],
                                   ["gamma-sweep", "--tol", "-1"],
                                   ["mit-limit", "--doublings", "0"],
-                                  ["mit-limit", "--doublings", "-2"]])
+                                  ["mit-limit", "--doublings", "-2"],
+                                  ["soliton", "--max-iter", "0"],
+                                  ["soliton", "--max-iter", "-5"],
+                                  ["gamma-sweep", "--max-iter", "0"]])
 def test_out_of_range_input_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -191,19 +194,43 @@ def test_negative_cavity_mass_rejected(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
-def test_solver_failure_is_one_line(tmp_path):
-    # the cavity root scan overflows at a vanishing radius; run the real
-    # entry point so warnings and tracebacks would show on stderr
+def run_entry_point(args):
+    # the real entry point, so warnings and tracebacks would show on stderr
     src = str(Path(bagforge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bagforge.cli", "mit", "--R", "1e-300",
-         "--out", str(tmp_path / "m")], capture_output=True, text=True,
-        env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "bagforge.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_solver_failure_is_one_line(tmp_path):
+    # the cavity root scan overflows at a vanishing radius
+    proc = run_entry_point(["mit", "--R", "1e-300",
+                            "--out", str(tmp_path / "m")])
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, names", [
+    (["soliton", "--max-iter", "3"],
+     ["g=10.0", "after 3 iterations", "gradient norm"]),
+    (["gamma-sweep", "--max-iter", "3"],
+     ["eps=0.4", "after 3 iterations", "gradient norm"]),
+    (["bag", "--g", "0.99", "--a", "1", "--b", "1"],
+     ["R=0.01", "[0.01, 100]"]),
+    # this seed's Hellmann-Feynman draw sits at the centered difference's
+    # rounding floor; a sharper finite-difference oracle needs another case
+    (["verify", "--seed", "1639344096"], ["hellmann-feynman"])])
+def test_flagged_run_is_one_line(tmp_path, args, names):
+    # the result table is written, then one line says what failed
+    proc = run_entry_point(args + ["--out", str(tmp_path / "r")])
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(name in err[0] for name in names)
+    assert (tmp_path / "r.csv").exists()
 
 
 def test_io_error_exit_code(tmp_path):

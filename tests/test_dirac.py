@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from bagforge import (DegenerateEigenvalueError, RadialField, RadialSpinor,
                       TwoZoneProblem, assemble_hamiltonian, density,
                       dirichlet_ball_eigenvalue, eigen_solve,
-                      hellmann_feynman, integrate, make_grid)
+                      hellmann_feynman, integrate, make_grid,
+                      supercharge_singular_values)
 from bagforge.verify import (gaussian_field, hf_mismatch, mirror_pairing,
                              normalization_errors, oracle_gap,
                              random_bound_field, square_well,
@@ -155,6 +157,25 @@ def test_supercharge_singular_values_match_moduli():
     grid = make_grid(18.0, 300)
     phi = random_bound_field(grid, m, g, rng)
     assert supercharge_svd_error(phi, g, m) <= 1e-10
+
+
+def test_supercharge_band_solve_matches_dense_oracle():
+    # the banded Jordan-Wielandt solve against a dense SVD of the supercharge
+    # built from the dense operator (u-columns negated), and the sterf
+    # moduli of supercharge_svd_error against a dense eigensolve
+    m, g = 1.0, 0.5
+    grid = make_grid(18.0, 150)
+    for seed in range(3):
+        phi = random_bound_field(grid, m, g, np.random.default_rng(seed))
+        op = assemble_hamiltonian(phi, g, m)
+        H = op.dense()
+        signs = np.where(np.arange(op.size) % 2 == 0, 1.0, -1.0)
+        sv = np.sort(np.linalg.svd(H * signs[None, :], compute_uv=False))
+        band_sv = supercharge_singular_values(phi, g, m)
+        assert band_sv.shape == sv.shape
+        assert np.max(np.abs(band_sv - sv)) <= 1e-12
+        lam = eigvalsh_tridiagonal(op.diag, op.offdiag, lapack_driver="sterf")
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(H))) <= 1e-12
 
 
 def test_orthonormality_and_normalization():

@@ -24,8 +24,10 @@ def test_sweep_validation():
     bad["g"] = 9.0
     with pytest.raises(ValueError):     # coupling must keep the mass gap
         GammaSweep(eps_schedule=[0.4], **bad)
-    # n is checked before r_max / n; tol must be finite and positive
-    for key, val in (("n", 0), ("n", 15), ("tol", math.nan), ("tol", -1.0)):
+    # n is checked before r_max / n; tol must be finite and positive; the
+    # budget must allow one iteration
+    for key, val in (("n", 0), ("n", 15), ("tol", math.nan), ("tol", -1.0),
+                     ("max_iter", 0)):
         with pytest.raises(ValueError):
             GammaSweep(eps_schedule=[0.4], **dict(CAL, **{key: val}))
 

@@ -23,6 +23,9 @@ def test_config_validation():
         cfg_for(N=2, ks=(2, 1))
     with pytest.raises(ValueError):
         cfg_for(g=-1.0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            cfg_for(max_iter=budget)
 
 
 def test_energy_of_vacuum_is_free_mass():
