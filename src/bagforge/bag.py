@@ -91,12 +91,13 @@ class BagReport:
 
 
 def _level(mu_in: float, mu_out: float, R: float, k: int):
-    """k-th two-zone level at radius R, band-edge padded: (lam, state|None)."""
+    """k-th two-zone level at radius R, band-edge padded:
+    (lam, problem|None, ladder); the problem is None when the level is
+    missing, so only callers that need the normalized state build it."""
     p = TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R)
     lad: Ladder = eigenvalues(p, k)
     if lad.complete:
-        lam = lad.values[k - 1]
-        return lam, two_zone_state(p, lam), lad.values
+        return lad.values[k - 1], p, lad.values
     return mu_out, None, lad.values
 
 
@@ -124,11 +125,11 @@ def cavity_energy_derivative(n_quarks: int, mu_in: float, mu_out: float,
     d lam/dR = (mu_in - mu_out) * 4 pi R^2 * (v(R)^2 - u(R)^2); a missing
     level sits at the band edge and does not respond to R.
     """
-    lam, state, _ = _level(mu_in, mu_out, R, k)
+    lam, p, _ = _level(mu_in, mu_out, R, k)
     geom = 8.0 * math.pi * a * R + 4.0 * math.pi * b * R**2
-    if state is None:
+    if p is None:
         return geom
-    rho = state.boundary_density()
+    rho = two_zone_state(p, lam).boundary_density()
     return n_quarks * (mu_in - mu_out) * 4.0 * math.pi * R**2 * rho + geom
 
 
@@ -180,8 +181,9 @@ def _minimize_cavity(n_quarks: int, mu_in: float, mu_out: float, a: float,
     rel_lo = (R - lo) / (hi - lo)
     rel_hi = (hi - R) / (hi - lo)
     flagged = not refined or min(rel_lo, rel_hi) < BOUNDARY_GUARD
-    lam, state, lower = _level(mu_in, mu_out, R, k)
+    lam, p, lower = _level(mu_in, mu_out, R, k)
     energy = _total(n_quarks, lam, a, b, R)
+    state = two_zone_state(p, lam) if p is not None else None
     if state is not None:
         ratio = state.boundary_ratio()
         gw = g_for_balance if g_for_balance is not None else (mu_out - mu_in)

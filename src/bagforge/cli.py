@@ -1,10 +1,18 @@
 """Command-line front end: parse configs, dispatch solves, emit results.
 
+Each option is declared once, in `_OPTIONS`: its config key, its flag, the
+type that checks it and its help.  `_SUBCOMMANDS` gives each subcommand its
+help, its runner and the defaults of the keys it accepts.  The flags, the
+defaults shown by `--help`, the keys a subcommand accepts and the coercion
+of config-file values all derive from these two tables, so a config value
+is checked exactly like its flag.
+
 Configuration is a flat key-value file with dotted section names
 (`model.m = 1.0`), chosen over nested formats so sweep studies diff
-cleanly; command-line flags override file keys.  Every run writes the
-requested rows as CSV or JSON plus a `run.json` manifest recording
-parameters, grid, version and wall time.  Identical configuration and seed
+cleanly; command-line flags override file keys.  Each runner solves and
+returns its result rows; `run` alone writes them, as CSV or JSON, plus an
+optional long-format profile CSV and a `run.json` manifest recording
+parameters, version and wall time.  Identical configuration and seed
 produce byte-identical result files (the manifest holds the only
 timestamp-like field).
 
@@ -61,9 +69,7 @@ def _fmt(x) -> str:
 
 def write_table(path: Path, header, rows, fmt: str):
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
+        lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
         path.write_text("\n".join(lines) + "\n")
     else:
         objs = [{k: (None if isinstance(v, float) and math.isnan(v) else
@@ -72,6 +78,14 @@ def write_table(path: Path, header, rows, fmt: str):
                        not isinstance(v, bool) else v)))
                  for k, v in zip(header, row)} for row in rows]
         path.write_text(json.dumps(objs, indent=2, sort_keys=True) + "\n")
+
+
+def write_profiles(path: Path, series):
+    """Long-format `series,r,value` CSV of (name, radii, values) triples."""
+    lines = ["series,r,value"]
+    for name, radii, values in series:
+        lines += [f"{name},{_fmt(r)},{_fmt(v)}" for r, v in zip(radii, values)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def read_table(path: Path):
@@ -99,7 +113,66 @@ def write_manifest(outdir: Path, subcommand: str, params: dict,
 
 
 # --------------------------------------------------------------------------
-# config file + flags
+# the option table, config file and flags
+
+
+def _checked(typ, expected: str):
+    """Type of an option: `typ`, failing with a message naming what it
+    expects.  The parser applies it to a flag, `parse` to a config value."""
+    def check(text: str):
+        try:
+            return typ(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}") from None
+    return check
+
+
+_REAL = _checked(float, "a number")
+_INT = _checked(int, "an integer")
+
+
+def _table_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from 'csv', 'json')")
+    return text
+
+
+#: every settable key: (flag, type, help).  Comma lists stay text here and
+#: are split by the runner that reads them.
+_OPTIONS = {
+    "model.m": ("--m", _REAL, "quark mass"),
+    "model.g": ("--g", str, "quark-field coupling (bag and gamma-sweep need "
+                            "0 < g < m; soliton solves each of a comma list)"),
+    "model.N": ("--N", _INT, "quark count"),
+    "model.k": ("--k", str, "comma list of ladder indices, one per quark "
+                            "(empty: all 1)"),
+    "potential.kappa": ("--kappa", _REAL, "double-well strength"),
+    "potential.b": ("--b", _REAL, "field mass term"),
+    "grid.r_max": ("--r-max", _REAL, "domain truncation radius"),
+    "grid.n": ("--n", _INT, "grid cells"),
+    "solver.tol": ("--tol", _REAL, "gradient tolerance"),
+    "solver.max_iter": ("--max-iter", _INT,
+                        "iteration budget (per width in gamma-sweep)"),
+    "bag.a": ("--a", _REAL, "surface tension"),
+    "bag.b": ("--b", _REAL, "bag constant"),
+    "bag.k": ("--k", _INT, "ladder index"),
+    "bag.r_lo": ("--r-lo", _REAL, "radius search lower end (both ends 0: "
+                                  "0.01/m to 100/m)"),
+    "bag.r_hi": ("--r-hi", _REAL, "radius search upper end"),
+    "mit.R": ("--R", _REAL, "cavity radius"),
+    "mit.k": ("--k", _INT, "level index"),
+    "limit.masses": ("--masses", str, "increasing comma list of exterior "
+                                      "masses (empty: m*2^j, j=1..D)"),
+    "limit.doublings": ("--doublings", _INT, "D, the count of doubled "
+                                             "exterior masses"),
+    "gamma.eps": ("--eps", str, "decreasing comma list of interface widths"),
+    "output.path": ("--out", str, "output stem of the result files"),
+    "output.format": ("--format", _table_format,
+                      "result table format, csv or json"),
+    "run.seed": ("--seed", _INT, "seed for randomized checks"),
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -121,43 +194,20 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_KEY_TYPES = {
-    "model.m": float, "model.g": str, "model.N": int, "model.k": str,
-    "potential.kappa": float, "potential.b": float,
-    "grid.r_max": float, "grid.n": int,
-    "solver.tol": float, "solver.max_iter": int,
-    "bag.a": float, "bag.b": float, "bag.k": int,
-    "bag.r_lo": float, "bag.r_hi": float,
-    "mit.R": float, "mit.k": int,
-    "limit.masses": str, "limit.doublings": int,
-    "gamma.eps": str,
-    "output.path": str, "output.format": str,
-    "run.seed": int,
-}
-
-
-def _coerce(key: str, raw: str):
-    if key not in _KEY_TYPES:
-        raise UsageError(f"unknown config key {key!r}")
-    typ = _KEY_TYPES[key]
+def _numbers(text: str, typ, what: str) -> list:
+    """A comma list of `typ` values; blank entries are skipped."""
     try:
-        return typ(raw)
-    except ValueError as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from exc
+        return [typ(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"bad {what} list {text!r}: expected comma-separated "
+                         f"{typ.__name__} values") from None
 
 
-def _floats(text: str, what: str):
+def _one_number(text: str, what: str) -> float:
     try:
-        return [float(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad {what} list {text!r}") from exc
-
-
-def _ints(text: str, what: str):
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad {what} list {text!r}") from exc
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{what}: expected a number, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,159 +216,45 @@ def build_parser() -> argparse.ArgumentParser:
                             "sharp bag, confined cavity and the "
                             "diffuse-interface laboratory.")
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--out", dest="output.path",
-                        help="output stem (default: run artifacts in cwd)")
-        sp.add_argument("--format", dest="output.format",
-                        choices=["csv", "json"],
-                        help="result table format (default csv)")
-        sp.add_argument("--seed", dest="run.seed", type=int,
-                        help="seed for randomized checks (default 0)")
-
-    def grid(sp):
-        sp.add_argument("--r-max", dest="grid.r_max", type=float,
-                        help="domain truncation radius")
-        sp.add_argument("--n", dest="grid.n", type=int, help="grid cells")
-
-    sp = sub.add_parser("soliton", help="minimize the soliton field energy")
-    common(sp)
-    grid(sp)
-    sp.add_argument("--m", dest="model.m", type=float, help="quark mass (default 1)")
-    sp.add_argument("--g", dest="model.g",
-                    help="coupling, comma list sweeps (default 10)")
-    sp.add_argument("--N", dest="model.N", type=int, help="quark count (default 1)")
-    sp.add_argument("--k", dest="model.k",
-                    help="comma list of ladder indices (default all 1)")
-    sp.add_argument("--kappa", dest="potential.kappa", type=float,
-                    help="double-well strength (default 1)")
-    sp.add_argument("--b", dest="potential.b", type=float,
-                    help="field mass term (default 0.01)")
-    sp.add_argument("--tol", dest="solver.tol", type=float,
-                    help="gradient tolerance (default 1e-6)")
-    sp.add_argument("--max-iter", dest="solver.max_iter", type=int,
-                    help="iteration budget (default 4000)")
-
-    sp = sub.add_parser("bag", help="optimal sharp-bag radius")
-    common(sp)
-    sp.add_argument("--m", dest="model.m", type=float, help="quark mass (default 1)")
-    sp.add_argument("--g", dest="model.g", help="coupling in (0, m) (default 0.8)")
-    sp.add_argument("--N", dest="model.N", type=int, help="quark count (default 1)")
-    sp.add_argument("--a", dest="bag.a", type=float,
-                    help="surface tension (default 1e-3)")
-    sp.add_argument("--b", dest="bag.b", type=float,
-                    help="bag constant (default 1e-3)")
-    sp.add_argument("--k", dest="bag.k", type=int, help="ladder index (default 1)")
-    sp.add_argument("--r-lo", dest="bag.r_lo", type=float,
-                    help="radius search lower end")
-    sp.add_argument("--r-hi", dest="bag.r_hi", type=float,
-                    help="radius search upper end")
-
-    sp = sub.add_parser("mit", help="confined-cavity eigenvalue at radius R")
-    common(sp)
-    sp.add_argument("--m", dest="model.m", type=float, help="quark mass (default 1)")
-    sp.add_argument("--R", dest="mit.R", type=float, help="cavity radius (default 1)")
-    sp.add_argument("--k", dest="mit.k", type=int, help="level index (default 1)")
-
-    sp = sub.add_parser("mit-limit",
-                        help="sharp-cavity minima for growing exterior masses")
-    common(sp)
-    sp.add_argument("--m", dest="model.m", type=float, help="quark mass (default 1)")
-    sp.add_argument("--N", dest="model.N", type=int, help="quark count (default 1)")
-    sp.add_argument("--a", dest="bag.a", type=float,
-                    help="surface tension (default 0.01)")
-    sp.add_argument("--b", dest="bag.b", type=float,
-                    help="bag constant (default 0.01)")
-    sp.add_argument("--masses", dest="limit.masses",
-                    help="comma list of exterior masses")
-    sp.add_argument("--doublings", dest="limit.doublings", type=int,
-                    help="use masses m*2^j, j=1..D (default 10)")
-
-    sp = sub.add_parser("gamma-sweep",
-                        help="diffuse-interface sweep toward the sharp bag")
-    common(sp)
-    grid(sp)
-    sp.add_argument("--m", dest="model.m", type=float, help="quark mass (default 8)")
-    sp.add_argument("--g", dest="model.g", help="coupling in (0, m) (default 6.8)")
-    sp.add_argument("--N", dest="model.N", type=int, help="quark count (default 1)")
-    sp.add_argument("--kappa", dest="potential.kappa", type=float,
-                    help="double-well strength (default 1)")
-    sp.add_argument("--b", dest="potential.b", type=float,
-                    help="field mass term (default 0.02)")
-    sp.add_argument("--eps", dest="gamma.eps",
-                    help="decreasing comma list of widths "
-                         "(default 0.4,0.2,0.1,0.05)")
-    sp.add_argument("--tol", dest="solver.tol", type=float,
-                    help="gradient tolerance (default 1e-5)")
-    sp.add_argument("--max-iter", dest="solver.max_iter", type=int,
-                    help="iteration budget per width (default 20000)")
-
-    sp = sub.add_parser("verify", help="run the invariant battery")
-    common(sp)
+    for name, (text, _, defaults) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=text, description=text)
+        sp.add_argument("--config", metavar="FILE",
+                        help="flat `key = value` file of the keys below; "
+                             "flags override it")
+        for key, default in {**_COMMON, **defaults}.items():
+            flag, typ, about = _OPTIONS[key]
+            shown = _fmt(default) or "empty"
+            sp.add_argument(flag, dest=key, metavar=key, type=typ,
+                            help=f"{about} (default: {shown})")
     return p
-
-
-_DEFAULTS = {
-    "soliton": {"model.m": 1.0, "model.g": "10", "model.N": 1, "model.k": "",
-                "potential.kappa": 1.0, "potential.b": 0.01,
-                "grid.r_max": 20.0, "grid.n": 800, "solver.tol": 1e-6,
-                "solver.max_iter": 4000},
-    "bag": {"model.m": 1.0, "model.g": "0.8", "model.N": 1, "bag.a": 1e-3,
-            "bag.b": 1e-3, "bag.k": 1, "bag.r_lo": 0.0, "bag.r_hi": 0.0},
-    "mit": {"model.m": 1.0, "mit.R": 1.0, "mit.k": 1},
-    "mit-limit": {"model.m": 1.0, "model.N": 1, "bag.a": 0.01, "bag.b": 0.01,
-                  "limit.masses": "", "limit.doublings": 10},
-    "gamma-sweep": {"model.m": 8.0, "model.g": "6.8", "model.N": 1,
-                    "potential.kappa": 1.0, "potential.b": 0.02,
-                    "grid.r_max": 3.0, "grid.n": 640, "solver.tol": 1e-5,
-                    "solver.max_iter": 20000, "gamma.eps": "0.4,0.2,0.1,0.05"},
-    "verify": {},
-}
-
-_COMMON_DEFAULTS = {"output.path": "bagforge_run", "output.format": "csv",
-                    "run.seed": 0}
 
 
 def parse(argv) -> dict:
     """Resolve defaults, config file and flags into one validated mapping."""
     ns = build_parser().parse_args(argv)
     sub = ns.subcommand
-    params = dict(_COMMON_DEFAULTS)
-    params.update(_DEFAULTS[sub])
-    if getattr(ns, "config", None):
+    params = {**_COMMON, **_SUBCOMMANDS[sub][2]}
+    if ns.config:
         for key, raw in parse_config_file(ns.config).items():
-            if key not in params and key not in _KEY_TYPES:
+            if key not in _OPTIONS:
                 raise UsageError(f"unknown config key {key!r}")
             if key not in params:
                 raise UsageError(
                     f"config key {key!r} does not apply to `{sub}`")
-            params[key] = _coerce(key, raw)
+            try:
+                params[key] = _OPTIONS[key][1](raw)
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
     for key, val in vars(ns).items():
-        if key in ("subcommand", "config") or val is None:
-            continue
-        params[key] = val
+        if key not in ("subcommand", "config") and val is not None:
+            params[key] = val
     params["subcommand"] = sub
     return params
 
 
 # --------------------------------------------------------------------------
-# subcommand drivers
-
-
-def _out_paths(params) -> tuple:
-    stem = Path(params["output.path"])
-    if stem.parent != Path("."):
-        stem.parent.mkdir(parents=True, exist_ok=True)
-    suffix = ".csv" if params["output.format"] == "csv" else ".json"
-    return stem.with_name(stem.name + suffix), stem
-
-
-def _flagged(reason: str) -> int:
-    """Exit status of a run whose results were written but did not pass:
-    one `error:` line on stderr saying what failed, then 2."""
-    print(f"error: {reason}", file=sys.stderr)
-    return 2
+# subcommand runners: each solves and returns (header, rows, profile series
+# or None, failure message or "")
 
 
 def _unconverged(res, tol: float) -> str:
@@ -326,78 +262,36 @@ def _unconverged(res, tol: float) -> str:
             f"{res.grad_norm:.3e} > tol {tol:g})")
 
 
-def _run_soliton(params) -> int:
-    gs = _floats(params["model.g"], "coupling")
+def _run_soliton(p):
+    gs = _numbers(p["model.g"], float, "coupling")
     if not gs:
         raise UsageError("need at least one coupling value")
-    m = float(params["model.m"])
-    N = int(params["model.N"])
-    ks = _ints(params["model.k"], "ladder") if params["model.k"] else [1] * N
-    pot = PotentialSpec(kappa=float(params["potential.kappa"]),
-                        b=float(params["potential.b"]))
-
-    results = []
-    for g in gs:
-        cfg = SolitonConfig(
-            model=ModelParams(n_quarks=N, g=g, m=m, k_indices=tuple(ks)),
-            potential=pot, r_max=float(params["grid.r_max"]),
-            n=int(params["grid.n"]), tol=float(params["solver.tol"]),
-            max_iter=int(params["solver.max_iter"]))
-        results.append(minimize(cfg))
+    m, N = p["model.m"], p["model.N"]
+    ks = _numbers(p["model.k"], int, "ladder") if p["model.k"] else [1] * N
+    pot = PotentialSpec(kappa=p["potential.kappa"], b=p["potential.b"])
+    reports = [minimize(SolitonConfig(
+        model=ModelParams(n_quarks=N, g=g, m=m, k_indices=tuple(ks)),
+        potential=pot, r_max=p["grid.r_max"], n=p["grid.n"],
+        tol=p["solver.tol"], max_iter=p["solver.max_iter"])) for g in gs]
 
     header = ["g", "m", "N", "k_list", "energy", "lambdas", "el_residual",
               "eigen_residual", "iterations", "converged"]
-    rows = []
-    for g, rep in zip(gs, results):
-        rows.append([g, m, N, ";".join(str(k) for k in ks), rep.energy,
-                     ";".join(_fmt(x) for x in rep.lambdas), rep.el.field,
-                     rep.el.eigen, rep.iterations, rep.converged])
-    table, stem = _out_paths(params)
-    write_table(table, header, rows, params["output.format"])
-    _write_soliton_profiles(stem, results)
+    rows = [[g, m, N, ";".join(str(k) for k in ks), rep.energy,
+             ";".join(_fmt(x) for x in rep.lambdas), rep.el.field,
+             rep.el.eigen, rep.iterations, rep.converged]
+            for g, rep in zip(gs, reports)]
+    profiles = []
+    for rep in reports:
+        tag, r = _fmt(rep.config.model.g), rep.phi.grid.r_primal
+        profiles.append((f"phi_g{tag}", r, rep.phi.values))
+        profiles += [(f"density_g{tag}_k{k}", r, density(psi).values)
+                     for k, psi in zip(rep.config.model.k_indices, rep.spinors)
+                     if psi is not None]
     failed = [f"g={_fmt(g)} {_unconverged(rep, rep.config.tol)}"
-              for g, rep in zip(gs, results) if not rep.converged]
-    if failed:
-        return _flagged("soliton descent did not converge at "
-                        + "; ".join(failed))
-    return 0
-
-
-def _write_soliton_profiles(stem: Path, results):
-    lines = ["series,r,value"]
-    for rep in results:
-        tag = _fmt(rep.config.model.g)
-        grid = rep.phi.grid
-        for r, v in zip(grid.r_primal, rep.phi.values):
-            lines.append(f"phi_g{tag},{_fmt(r)},{_fmt(v)}")
-        for i, psi in enumerate(rep.spinors):
-            if psi is None:
-                continue
-            rho = density(psi)
-            for r, v in zip(grid.r_primal, rho.values):
-                lines.append(f"density_g{tag}_k{rep.config.model.k_indices[i]},"
-                             f"{_fmt(r)},{_fmt(v)}")
-    stem.with_name(stem.name + "_profile.csv").write_text(
-        "\n".join(lines) + "\n")
-
-
-def _run_bag(params) -> int:
-    g = float(params["model.g"])
-    interval = (float(params["bag.r_lo"]), float(params["bag.r_hi"]))
-    cfg = BagConfig(n_quarks=int(params["model.N"]), g=g,
-                    m=float(params["model.m"]), a=float(params["bag.a"]),
-                    b=float(params["bag.b"]), k=int(params["bag.k"]),
-                    r_interval=interval)
-    rep = minimize_bag(cfg)
-    header = ["N", "g", "m", "a", "b", "k", "R_opt", "lambda", "energy",
-              "curvature_residual", "flagged"]
-    rows = [[cfg.n_quarks, cfg.g, cfg.m, cfg.a, cfg.b, cfg.k, rep.R, rep.lam,
-             rep.energy, rep.curvature_residual, rep.flagged]]
-    table, _ = _out_paths(params)
-    write_table(table, header, rows, params["output.format"])
-    if rep.flagged:
-        return _flagged(_bag_edge(rep.R, cfg.r_interval))
-    return 0
+              for g, rep in zip(gs, reports) if not rep.converged]
+    return header, rows, profiles, (
+        "soliton descent did not converge at " + "; ".join(failed)
+        if failed else "")
 
 
 def _bag_edge(R: float, interval) -> str:
@@ -406,66 +300,63 @@ def _bag_edge(R: float, interval) -> str:
             f"interval [{lo:.6g}, {hi:.6g}]")
 
 
-def _run_mit(params) -> int:
-    m = float(params["model.m"])
-    R = float(params["mit.R"])
-    k = int(params["mit.k"])
+def _run_bag(p):
+    cfg = BagConfig(n_quarks=p["model.N"],
+                    g=_one_number(p["model.g"], "coupling"), m=p["model.m"],
+                    a=p["bag.a"], b=p["bag.b"], k=p["bag.k"],
+                    r_interval=(p["bag.r_lo"], p["bag.r_hi"]))
+    rep = minimize_bag(cfg)
+    header = ["N", "g", "m", "a", "b", "k", "R_opt", "lambda", "energy",
+              "curvature_residual", "flagged"]
+    rows = [[cfg.n_quarks, cfg.g, cfg.m, cfg.a, cfg.b, cfg.k, rep.R, rep.lam,
+             rep.energy, rep.curvature_residual, rep.flagged]]
+    return header, rows, None, (_bag_edge(rep.R, cfg.r_interval)
+                                if rep.flagged else "")
+
+
+def _run_mit(p):
+    m, R, k = p["model.m"], p["mit.R"], p["mit.k"]
     lam = mit_eigenvalue(R, m, k)
     print(f"lambda = {lam:.6f}  (R={_fmt(R)}, m={_fmt(m)}, k={k})")
-    header = ["R", "m", "k", "lambda"]
-    table, _ = _out_paths(params)
-    write_table(table, header, [[R, m, k, lam]], params["output.format"])
-    return 0
+    return ["R", "m", "k", "lambda"], [[R, m, k, lam]], None, ""
 
 
-def _run_mit_limit(params) -> int:
-    m = float(params["model.m"])
-    if params["limit.masses"]:
-        masses = _floats(params["limit.masses"], "mass")
+def _run_mit_limit(p):
+    m = p["model.m"]
+    if p["limit.masses"]:
+        masses = _numbers(p["limit.masses"], float, "mass")
     else:
-        doublings = int(params["limit.doublings"])
+        doublings = p["limit.doublings"]
         if doublings < 1:
             raise ValueError(f"--doublings must be >= 1, got {doublings}")
         masses = [m * 2.0**j for j in range(1, doublings + 1)]
     # the limit sweep replaces the coupling well by the exterior wall, so g
     # only has to satisfy the config's validity window
-    cfg = BagConfig(n_quarks=int(params["model.N"]), g=0.5 * m, m=m,
-                    a=float(params["bag.a"]), b=float(params["bag.b"]), k=1)
+    cfg = BagConfig(n_quarks=p["model.N"], g=0.5 * m, m=m, a=p["bag.a"],
+                    b=p["bag.b"], k=1)
     result = mit_limit(cfg, masses)
     header = ["M_n", "R_n", "l_n", "boundary_ratio", "R_mit", "l_mit"]
     rows = [[row.mass_out, row.R, row.energy, row.boundary_ratio,
              result.limit.R, result.limit.energy] for row in result.rows]
-    table, _ = _out_paths(params)
-    write_table(table, header, rows, params["output.format"])
-    return 0
+    return header, rows, None, ""
 
 
-def _run_gamma(params) -> int:
-    eps = _floats(params["gamma.eps"], "eps")
-    sweep = GammaSweep(eps_schedule=eps,
-                       potential=PotentialSpec(
-                           kappa=float(params["potential.kappa"]),
-                           b=float(params["potential.b"])),
-                       n_quarks=int(params["model.N"]),
-                       g=float(params["model.g"]),
-                       m=float(params["model.m"]),
-                       r_max=float(params["grid.r_max"]),
-                       n=int(params["grid.n"]),
-                       tol=float(params["solver.tol"]),
-                       max_iter=int(params["solver.max_iter"]))
+def _run_gamma(p):
+    sweep = GammaSweep(eps_schedule=_numbers(p["gamma.eps"], float, "eps"),
+                       potential=PotentialSpec(kappa=p["potential.kappa"],
+                                               b=p["potential.b"]),
+                       n_quarks=p["model.N"],
+                       g=_one_number(p["model.g"], "coupling"),
+                       m=p["model.m"], r_max=p["grid.r_max"], n=p["grid.n"],
+                       tol=p["solver.tol"], max_iter=p["solver.max_iter"])
     result = run_sweep(sweep)
     header = ["eps", "l_s_eps", "l_c_ref", "interface_width",
               "l2_dist_to_char", "equipartition_ratio"]
     rows = [[r.eps, r.l_s, result.l_c, r.interface_width, r.l2_dist,
              r.equipartition_ratio] for r in result.rows]
-    table, stem = _out_paths(params)
-    write_table(table, header, rows, params["output.format"])
-    lines = ["series,r,value"]
-    grid = sweep.grid()
-    for row in result.rows:
-        for r, v in zip(grid.r_primal, row.phi):
-            lines.append(f"phi_eps{_fmt(row.eps)},{_fmt(r)},{_fmt(v)}")
-    stem.with_name(stem.name + "_profile.csv").write_text("\n".join(lines) + "\n")
+    r_primal = sweep.grid().r_primal
+    profiles = [(f"phi_eps{_fmt(row.eps)}", r_primal, row.phi)
+                for row in result.rows]
     ref = result.reference
     failed = []
     if ref.flagged:
@@ -476,54 +367,81 @@ def _run_gamma(params) -> int:
     failed += [f"descent did not converge at eps={_fmt(r.eps)} "
                + _unconverged(r, sweep.tol)
                for r in result.rows if not r.converged]
-    if failed:
-        return _flagged("gamma-sweep " + "; ".join(failed))
-    return 0
+    return header, rows, profiles, ("gamma-sweep " + "; ".join(failed)
+                                    if failed else "")
 
 
-def _run_verify(params) -> int:
-    checks = run_battery(seed=int(params["run.seed"]))
+def _run_verify(p):
+    checks = run_battery(seed=p["run.seed"])
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     header = ["check", "passed", "detail"]
     rows = [[name, bool(ok), detail.replace(",", ";")]
             for name, ok, detail in checks]
-    table, _ = _out_paths(params)
-    write_table(table, header, rows, params["output.format"])
     failed = [f"{name} ({detail})" for name, ok, detail in checks if not ok]
-    if failed:
-        return _flagged("verify checks failed: " + "; ".join(failed))
-    return 0
+    return header, rows, None, ("verify checks failed: " + "; ".join(failed)
+                                if failed else "")
 
 
-_RUNNERS = {
-    "soliton": _run_soliton,
-    "bag": _run_bag,
-    "mit": _run_mit,
-    "mit-limit": _run_mit_limit,
-    "gamma-sweep": _run_gamma,
-    "verify": _run_verify,
+_COMMON = {"output.path": "bagforge_run", "output.format": "csv",
+           "run.seed": 0}
+
+#: each subcommand: (help, runner, defaults of the keys it accepts besides
+#: _COMMON)
+_SUBCOMMANDS = {
+    "soliton": ("minimize the soliton field energy", _run_soliton,
+                {"model.m": 1.0, "model.g": "10", "model.N": 1, "model.k": "",
+                 "potential.kappa": 1.0, "potential.b": 0.01,
+                 "grid.r_max": 20.0, "grid.n": 800, "solver.tol": 1e-6,
+                 "solver.max_iter": 4000}),
+    "bag": ("optimal sharp-bag radius", _run_bag,
+            {"model.m": 1.0, "model.g": "0.8", "model.N": 1, "bag.a": 1e-3,
+             "bag.b": 1e-3, "bag.k": 1, "bag.r_lo": 0.0, "bag.r_hi": 0.0}),
+    "mit": ("confined-cavity eigenvalue at radius R", _run_mit,
+            {"model.m": 1.0, "mit.R": 1.0, "mit.k": 1}),
+    "mit-limit": ("sharp-cavity minima for growing exterior masses",
+                  _run_mit_limit,
+                  {"model.m": 1.0, "model.N": 1, "bag.a": 0.01, "bag.b": 0.01,
+                   "limit.masses": "", "limit.doublings": 10}),
+    "gamma-sweep": ("diffuse-interface sweep toward the sharp bag",
+                    _run_gamma,
+                    {"model.m": 8.0, "model.g": "6.8", "model.N": 1,
+                     "potential.kappa": 1.0, "potential.b": 0.02,
+                     "grid.r_max": 3.0, "grid.n": 640, "solver.tol": 1e-5,
+                     "solver.max_iter": 20000,
+                     "gamma.eps": "0.4,0.2,0.1,0.05"}),
+    "verify": ("run the invariant battery", _run_verify, {}),
 }
 
 
 def run(params: dict) -> int:
-    """Execute a parsed configuration; writes artifacts plus the manifest."""
+    """Execute a parsed configuration and write its result table, profiles
+    and manifest.  A run whose results were written but did not pass puts
+    one `error:` line on stderr saying what failed and exits 2."""
     start = time.perf_counter()
-    sub = params["subcommand"]
+    sub, fmt = params["subcommand"], params["output.format"]
+    stem = Path(params["output.path"])
     try:
+        table = stem.with_name(f"{stem.name}.{fmt}")
         # degenerate inputs overflow inside the root scans; the solvers turn
         # the resulting non-finite values into errors, so numpy's warnings
         # would only put a second message on stderr
         with np.errstate(all="ignore"):
-            code = _RUNNERS[sub](params)
+            header, rows, profiles, failure = _SUBCOMMANDS[sub][1](params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    outdir = Path(params["output.path"]).parent
-    manifest_params = {k: v for k, v in params.items() if k != "subcommand"}
-    write_manifest(outdir if str(outdir) != "" else Path("."), sub,
-                   manifest_params, time.perf_counter() - start)
-    return code
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    write_table(table, header, rows, fmt)
+    if profiles is not None:
+        write_profiles(stem.with_name(stem.name + "_profile.csv"), profiles)
+    write_manifest(stem.parent, sub,
+                   {k: v for k, v in params.items() if k != "subcommand"},
+                   time.perf_counter() - start)
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:

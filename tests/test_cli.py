@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bagforge
+from bagforge import cli
 from bagforge.cli import main, parse, read_table
 
 
@@ -263,3 +265,90 @@ def test_gamma_sweep_run(tmp_path):
     assert gaps[1] < gaps[0]
     prof = (tmp_path / "gam_profile.csv").read_text().splitlines()
     assert any(ln.startswith("phi_eps0.2") for ln in prof)
+
+
+def accepted(sub):
+    """The config keys a subcommand accepts, with their defaults."""
+    return {**cli._COMMON, **cli._SUBCOMMANDS[sub][2]}
+
+
+# every (subcommand, config key) pair of the option table, with its default
+SETTABLE = [pytest.param(sub, key, default, id=f"{sub}-{key}")
+            for sub in cli._SUBCOMMANDS
+            for key, default in accepted(sub).items()]
+
+
+def _valid_text(key, default):
+    if key == "output.format":
+        return "json"
+    if isinstance(default, float):
+        return "2.5"
+    if isinstance(default, int):
+        return "7"
+    return "3,4"          # comma lists and the output stem stay text
+
+
+def _flag_and_config(tmp_path, sub, key, text):
+    """The same setting given as a flag and as a config-file line."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {text}\n")
+    return ([sub, cli._OPTIONS[key][0], text],
+            [sub, "--config", str(cfgfile)])
+
+
+@pytest.mark.parametrize("sub, key, default", SETTABLE)
+def test_flag_and_config_parse_alike(tmp_path, sub, key, default):
+    by_flag, by_config = (parse(args) for args in _flag_and_config(
+        tmp_path, sub, key, _valid_text(key, default)))
+    assert by_flag[key] == by_config[key] != default
+    assert type(by_flag[key]) is type(by_config[key]) is type(default)
+
+
+def _allowed(sub, key, default):
+    """What the error line of an invalid value has to name."""
+    if key == "output.format":
+        return "choose from 'csv', 'json'"
+    # only soliton sweeps a comma list of couplings; the others take one
+    if isinstance(default, float) or (key == "model.g" and sub != "soliton"):
+        return "expected a number"
+    if isinstance(default, int):
+        return "expected an integer"
+    return "comma-separated"
+
+
+@pytest.mark.parametrize("sub, key, default",
+                         [c for c in SETTABLE if c.values[1] != "output.path"])
+def test_flag_and_config_reject_alike(tmp_path, capsys, sub, key, default):
+    bad = "xml" if key == "output.format" else "abc"
+    for args in _flag_and_config(tmp_path, sub, key, bad):
+        assert main(args + ["--out", str(tmp_path / "out" / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert _allowed(sub, key, default) in err[0] and repr(bad) in err[0]
+        assert not (tmp_path / "out").exists()
+
+
+def readme_commands():
+    """Every `bagforge ...` line of README's "Command line" block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("bagforge ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert [c[0] for c in commands] == list(cli._SUBCOMMANDS)
+    for argv in commands:
+        assert parse(argv)["subcommand"] == argv[0]
+
+
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_help_lists_every_key(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key in accepted(sub):
+        assert f"{cli._OPTIONS[key][0]} {key}" in text
