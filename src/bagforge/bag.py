@@ -168,11 +168,13 @@ def _optimize_radius(f, df, lo: float, hi: float, iters: int):
     return (R0, False) if math.isnan(R) else (R, True)
 
 
-def _minimize_cavity(n_quarks: int, mu_in: float, mu_out: float, a: float,
-                     b: float, k: int, interval: Tuple[float, float],
-                     cfg: Optional[BagConfig],
+def _minimize_cavity(cfg: BagConfig, mu_in: float, mu_out: float,
                      g_for_balance: Optional[float]) -> BagReport:
-    lo, hi = interval
+    """Optimal radius of N quarks on level k of cfg between the two zone
+    masses; the wall balance weighs the density by g_for_balance, or by the
+    mass jump when it is None."""
+    n_quarks, a, b, k = cfg.n_quarks, cfg.a, cfg.b, cfg.k
+    lo, hi = cfg.r_interval
     f = lambda R: cavity_energy(n_quarks, mu_in, mu_out, a, b, k, R)
     df = lambda R: cavity_energy_derivative(n_quarks, mu_in, mu_out, a, b, k, R)
     R, refined = _optimize_radius(f, df, lo, hi, iters=60)
@@ -204,8 +206,7 @@ def minimize_bag(cfg: BagConfig) -> BagReport:
 
     The wall-balance residual of the report certifies interior optimality;
     a flagged report means the minimum sat on the search boundary."""
-    return _minimize_cavity(cfg.n_quarks, cfg.m - cfg.g, cfg.m, cfg.a, cfg.b,
-                            cfg.k, cfg.r_interval, cfg, cfg.g)
+    return _minimize_cavity(cfg, cfg.m - cfg.g, cfg.m, cfg.g)
 
 
 @dataclass
@@ -241,17 +242,8 @@ def mit_ground(cfg: BagConfig) -> MITReport:
 
 
 @dataclass
-class MITLimitRow:
-    mass_out: float
-    R: float
-    energy: float
-    boundary_ratio: float     # NaN when the cavity failed to bind (collapse)
-    flagged: bool
-
-
-@dataclass
 class MITLimitResult:
-    rows: List[MITLimitRow]
+    rows: List[BagReport]      # one per exterior mass, in order
     limit: MITReport
 
     def energy_gaps(self) -> np.ndarray:
@@ -267,17 +259,13 @@ def mit_limit(cfg: BagConfig, masses: Sequence[float]) -> MITLimitResult:
     the confined boundary condition u = v.
     """
     masses = list(masses)
+    if not masses:
+        raise ValueError("need at least one exterior mass")
     if not all(map(math.isfinite, masses)):
         raise ValueError(f"exterior masses must be finite, got {masses}")
     if any(mn <= cfg.m for mn in masses):
         raise ValueError("exterior masses must exceed the interior mass")
     if any(b <= a for a, b in zip(masses, masses[1:])):
         raise ValueError("exterior masses must be strictly increasing")
-    rows = []
-    for mn in masses:
-        rep = _minimize_cavity(cfg.n_quarks, cfg.m, mn, cfg.a, cfg.b, cfg.k,
-                               cfg.r_interval, cfg, g_for_balance=None)
-        rows.append(MITLimitRow(mass_out=mn, R=rep.R, energy=rep.energy,
-                                boundary_ratio=rep.boundary_ratio,
-                                flagged=rep.flagged))
+    rows = [_minimize_cavity(cfg, cfg.m, mn, None) for mn in masses]
     return MITLimitResult(rows=rows, limit=mit_ground(cfg))

@@ -336,7 +336,7 @@ def _run_mit_limit(p):
                     b=p["bag.b"], k=1)
     result = mit_limit(cfg, masses)
     header = ["M_n", "R_n", "l_n", "boundary_ratio", "R_mit", "l_mit"]
-    rows = [[row.mass_out, row.R, row.energy, row.boundary_ratio,
+    rows = [[row.mu_out, row.R, row.energy, row.boundary_ratio,
              result.limit.R, result.limit.energy] for row in result.rows]
     return header, rows, None, ""
 

@@ -14,8 +14,12 @@ The gradient is *exact* for the discrete functional: the eigenvalue part is
 first-order perturbation of the assembled matrix (valid while each used
 level is simple), the field part is the algebraic derivative of the
 quadrature sums.  Descent directions are preconditioned by the field
-metric (stiffness + mass), i.e. an H^1-gradient flow; an Armijo line search
-guarantees a nonincreasing energy history.
+metric (stiffness + curvature-adapted mass), i.e. an H^1-gradient flow; an
+Armijo line search guarantees a nonincreasing energy history.
+
+A `FieldFunctional` is the whole description of a field model: besides the
+quark content it carries its potential's value, slope and curvature, so the
+energy, its gradient and the descent metric all read the same hooks.
 """
 
 from __future__ import annotations
@@ -46,32 +50,26 @@ class LadderSolve:
 
 @dataclass
 class FieldFunctional:
-    """Discrete energy of N quarks in a radial scalar field.
+    """Discrete energy of quarks on ladder levels k_indices in a radial field.
 
-    V_prim/V_stag are (value, derivative) callable pairs evaluated at primal
-    nodes and staggered midpoints respectively; either may be None.
+    The field part is c_grad phi'^2 + V_stag + V_prim: V_prim is a (value,
+    slope) pair at primal nodes, the optional V_stag one at staggered
+    midpoints, and `curvature` gives the potential's curvature at the free
+    primal nodes (or a bound on its modulus), which the descent metric
+    reads.  The model configs (`SolitonConfig`, `GammaSweep`) validate the
+    parameters.
     """
 
     grid: RadialGrid
     m: float
     g: float
-    n_quarks: int
-    k_indices: Sequence[int] = (1,)
-    c_grad: float = 0.5
-    v_prim: Optional[Callable] = None
-    v_prim_d: Optional[Callable] = None
+    k_indices: Sequence[int]
+    c_grad: float
+    v_prim: Callable
+    v_prim_d: Callable
+    curvature: Callable
     v_stag: Optional[Callable] = None
     v_stag_d: Optional[Callable] = None
-
-    def __post_init__(self):
-        ks = tuple(int(k) for k in self.k_indices)
-        if len(ks) != self.n_quarks:
-            raise ValueError("one excitation index per quark")
-        if any(k < 1 for k in ks) or list(ks) != sorted(ks):
-            raise ValueError("excitation indices must be ascending and >= 1")
-        if not (0 < self.g):
-            raise ValueError("coupling must be positive")
-        self.k_indices = ks
 
     # -- eigenvalue ladder -------------------------------------------------
 
@@ -112,20 +110,20 @@ class FieldFunctional:
 
     # -- field terms ---------------------------------------------------------
 
-    def field_energy(self, phi_vals: np.ndarray) -> float:
+    def term_sums(self, phi_vals: np.ndarray) -> tuple:
+        """(gradient, staggered, primal) quadrature sums of the field energy,
+        without the 4 pi; the staggered sum is 0 without V_stag."""
         gr = self.grid
         dph = forward_diff(gr, phi_vals)
         vol_s = gr.vol_staggered[1:]
-        e = float(np.dot(vol_s, self.c_grad * dph**2))
-        if self.v_stag is not None:
-            e += float(np.dot(vol_s, self.v_stag(midpoints(phi_vals))))
-        if self.v_prim is not None:
-            e += float(np.dot(gr.vol_primal, self.v_prim(phi_vals)))
-        return FOUR_PI * e
+        grad = float(np.dot(vol_s, self.c_grad * dph**2))
+        stag = (0.0 if self.v_stag is None else
+                float(np.dot(vol_s, self.v_stag(midpoints(phi_vals)))))
+        prim = float(np.dot(gr.vol_primal, self.v_prim(phi_vals)))
+        return grad, stag, prim
 
-    def energy(self, phi_vals: np.ndarray) -> float:
-        solve = self.ladder(phi_vals)
-        return float(np.sum(solve.values)) + self.field_energy(phi_vals)
+    def field_energy(self, phi_vals: np.ndarray) -> float:
+        return FOUR_PI * sum(self.term_sums(phi_vals))
 
     def energy_and_ladder(self, phi_vals: np.ndarray):
         solve = self.ladder(phi_vals)
@@ -134,15 +132,14 @@ class FieldFunctional:
     # -- exact gradient ------------------------------------------------------
 
     def gradient_partials(self, phi_vals: np.ndarray,
-                          solve: Optional[LadderSolve] = None,
-                          check_gap: bool = True) -> np.ndarray:
-        """dE/dphi_a for the free nodes a = 0..n-2 (phi_n is pinned)."""
+                          solve: Optional[LadderSolve] = None) -> np.ndarray:
+        """dE/dphi_a for the free nodes a = 0..n-2 (phi_n is pinned);
+        refuses on near-degenerate levels."""
         gr = self.grid
         nd = gr.n - 1
         if solve is None:
             solve = self.ladder(phi_vals)
-        if check_gap:
-            self.check_simple(solve)
+        self.check_simple(solve)
         dE = np.zeros(nd)
         for y in solve.vectors:
             if y is not None:
@@ -153,18 +150,12 @@ class FieldFunctional:
         if self.v_stag_d is not None:
             half = 0.5 * vol_s * self.v_stag_d(midpoints(phi_vals))
             scatter_mid(dE, FOUR_PI * half)
-        if self.v_prim_d is not None:
-            dE += FOUR_PI * gr.vol_primal[:nd] * self.v_prim_d(phi_vals[:nd])
+        dE += FOUR_PI * gr.vol_primal[:nd] * self.v_prim_d(phi_vals[:nd])
         return dE
 
-    def gradient_field(self, phi_vals: np.ndarray, **kw) -> np.ndarray:
-        """L^2(r^2 dr) representation of the gradient, padded with the pinned
-        boundary zero so it is a RadialField-shaped array."""
-        return self.as_field(self.gradient_partials(phi_vals, **kw))
-
     def as_field(self, dE: np.ndarray) -> np.ndarray:
-        """Field representation of the free-node partials dE (see
-        `gradient_field`)."""
+        """L^2(r^2 dr) representation of the free-node partials dE, padded
+        with the pinned boundary zero so it is a RadialField-shaped array."""
         out = np.zeros(self.grid.n)
         out[:-1] = dE / (FOUR_PI * self.grid.vol_primal[:-1])
         return out
@@ -185,12 +176,11 @@ class DescentResult:
     ladder: Optional[LadderSolve] = None
 
 
-def _metric_bands(fn: FieldFunctional, curvature: Optional[np.ndarray]):
+def _metric_bands(fn: FieldFunctional, phi: np.ndarray):
     gr = fn.grid
     nd = gr.n - 1
-    mass = FOUR_PI * gr.vol_primal[:nd].copy()
-    if curvature is not None:
-        mass = mass * (1.0 + np.abs(curvature))
+    mass = (FOUR_PI * gr.vol_primal[:nd]
+            * (1.0 + np.abs(fn.curvature(phi[:-1]))))
     stiff = FOUR_PI * gr.vol_staggered[1:] * max(fn.c_grad, 1e-12) / gr.h**2
     diag = mass + stiff
     diag[1:] += stiff[:-1]
@@ -201,20 +191,20 @@ def _metric_bands(fn: FieldFunctional, curvature: Optional[np.ndarray]):
 
 
 def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
-                   max_iter: int = 2000, alpha0: float = 1.0,
-                   curvature: Optional[Callable] = None,
+                   max_iter: int = 2000,
                    monitor: Optional[Callable] = None) -> DescentResult:
     """Preconditioned gradient descent with Armijo backtracking.
 
-    curvature(phi) may supply a nonnegative per-node stiffness estimate that
-    sharpens the metric for stiff wells (used by the diffuse-interface runs
-    where the well term carries a 1/eps factor).  Accepted steps never
-    increase the energy; the returned history lists accepted energies.
+    The metric's mass term is sharpened by the functional's curvature, which
+    matters for stiff wells (the diffuse-interface runs carry a 1/eps
+    factor there).  Accepted steps never increase the energy; the returned
+    history lists accepted energies, and the gradient norm is the one of the
+    returned field.
     """
     phi = np.array(phi0, dtype=float)
     phi[-1] = 0.0
     E, solve = fn.energy_and_ladder(phi)
-    alpha = alpha0
+    alpha = 1.0
     history = [E]
     gnorm = math.inf
     converged = False
@@ -227,9 +217,7 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         if gnorm <= tol:
             converged = True
             break
-        curv = curvature(phi[:-1]) if curvature is not None else None
-        ab = _metric_bands(fn, curv)
-        d = solveh_banded(ab, dE, lower=False)
+        d = solveh_banded(_metric_bands(fn, phi), dE, lower=False)
         slope = float(np.dot(dE, d))
         if slope <= 0.0:          # metric is SPD, so this means dE ~ 0
             converged = gnorm <= tol
@@ -248,5 +236,8 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
             alpha *= 0.5
         if not accepted:
             break
+    else:   # out of budget after an accepted step: gnorm is the previous one
+        gnorm = fn.grad_norm(fn.as_field(fn.gradient_partials(phi, solve)))
+        converged = gnorm <= tol
     return DescentResult(phi=phi, energy=E, grad_norm=gnorm, iterations=it,
                          converged=converged, history=history, ladder=solve)

@@ -20,6 +20,11 @@ turns, cell by cell, into an exact lower bound of the field energy by the
 weighted total variation of the composed well coordinate — the discrete
 version of the lower-bound half of the variational limit.  The sweep checks
 this inequality at every accepted iterate.
+
+`GammaSweep.functional` is the one description of E_eps: the gradient
+weight eps, the well W/eps at the midpoints and the mass term b phi^2 at
+the nodes, with their slopes and the curvature bound |W''|/eps + 2b that
+the descent metric reads; `field_terms` splits its quadrature sums.
 """
 
 from __future__ import annotations
@@ -68,7 +73,9 @@ class GammaSweep:
         if self.max_iter < 1:
             raise ValueError(
                 f"iteration budget must be >= 1, got max_iter={self.max_iter}")
-        if not eps or any(e <= 0 for e in eps):
+        if not eps:
+            raise ValueError("eps schedule is empty")
+        if any(e <= 0 for e in eps):
             raise ValueError("eps schedule must be positive")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("eps schedule must be strictly decreasing")
@@ -82,6 +89,8 @@ class GammaSweep:
                 f"grid spacing h={h:.4g} under-resolves the smallest "
                 f"interface: need h <= eps/{CELLS_PER_WIDTH} = "
                 f"{min(eps) / CELLS_PER_WIDTH:.4g}")
+        if self.n_quarks < 1:
+            raise ValueError("need at least one quark")
         object.__setattr__(self, "eps_schedule", eps)
 
     def grid(self) -> RadialGrid:
@@ -92,31 +101,25 @@ class GammaSweep:
         grid = grid or self.grid()
         pot = self.potential
         return FieldFunctional(
-            grid=grid, m=self.m, g=self.g, n_quarks=self.n_quarks,
-            k_indices=(1,) * self.n_quarks, c_grad=eps,
+            grid=grid, m=self.m, g=self.g, k_indices=(1,) * self.n_quarks,
+            c_grad=eps,
             v_prim=lambda t: pot.b * t**2,
             v_prim_d=lambda t: 2.0 * pot.b * t,
+            curvature=lambda t: np.abs(pot.w_second(t)) / eps + 2.0 * pot.b,
             v_stag=lambda t: pot.w(t) / eps,
             v_stag_d=lambda t: pot.w_prime(t) / eps)
 
 
 def eps_energy(sweep: GammaSweep, eps: float, phi: RadialField) -> float:
     """Regularized total energy of the field phi at width eps."""
-    fn = sweep.functional(eps, phi.grid)
-    return fn.energy(phi.values)
+    return sweep.functional(eps, phi.grid).energy_and_ladder(phi.values)[0]
 
 
 def field_terms(sweep: GammaSweep, eps: float, phi_vals: np.ndarray,
                 grid: Optional[RadialGrid] = None):
     """(gradient term, well term, mass term) of the field energy."""
-    grid = grid or sweep.grid()
-    pot = sweep.potential
-    vol_s = grid.vol_staggered[1:]
-    dph = forward_diff(grid, phi_vals)
-    e_grad = FOUR_PI * float(np.dot(vol_s, eps * dph**2))
-    e_well = FOUR_PI * float(np.dot(vol_s, pot.w(midpoints(phi_vals)) / eps))
-    e_mass = FOUR_PI * float(np.dot(grid.vol_primal, pot.b * phi_vals**2))
-    return e_grad, e_well, e_mass
+    sums = sweep.functional(eps, grid).term_sums(phi_vals)
+    return tuple(FOUR_PI * s for s in sums)
 
 
 def tv_well_coordinate(sweep: GammaSweep, phi_vals: np.ndarray,
@@ -249,7 +252,6 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
     grid = sweep.grid()
     a, ref = reference_bag(sweep)
     feasible = ref.energy < sweep.n_quarks * sweep.m and not ref.flagged
-    pot = sweep.potential
     phi = initial_profile(sweep, ref.R, sweep.eps_schedule[0], grid)
     rows: List[GammaRow] = []
     worst_inline = math.inf
@@ -263,8 +265,6 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
                           - tv_well_coordinate(sweep, phi_it, grid))
 
         res = minimize_field(fn, phi, tol=sweep.tol, max_iter=sweep.max_iter,
-                             curvature=lambda t: np.abs(pot.w_second(t)) / eps
-                             + 2.0 * pot.b,
                              monitor=monitor)
         phi = res.phi
         e_grad, e_well, e_mass = field_terms(sweep, eps, phi, grid)

@@ -85,9 +85,9 @@ class SolitonConfig:
         grid = grid or self.grid()
         pot = self.potential
         return FieldFunctional(grid=grid, m=self.model.m, g=self.model.g,
-                               n_quarks=self.model.n_quarks,
                                k_indices=self.model.k_indices, c_grad=0.5,
-                               v_prim=pot.u, v_prim_d=pot.u_prime)
+                               v_prim=pot.u, v_prim_d=pot.u_prime,
+                               curvature=pot.u_second)
 
 
 @dataclass
@@ -124,15 +124,14 @@ def initial_guess(cfg: SolitonConfig, grid: Optional[RadialGrid] = None) -> np.n
 
 def energy(cfg: SolitonConfig, phi: RadialField) -> float:
     """Total energy of the configuration at field phi."""
-    fn = cfg.functional(phi.grid)
-    return fn.energy(phi.values)
+    return cfg.functional(phi.grid).energy_and_ladder(phi.values)[0]
 
 
 def gradient(cfg: SolitonConfig, phi: RadialField) -> RadialField:
     """L^2 gradient of the energy; refuses on near-degenerate levels."""
     fn = cfg.functional(phi.grid)
-    vals = fn.gradient_field(phi.values, check_gap=True)
-    return RadialField(grid=phi.grid, values=vals)
+    return RadialField(grid=phi.grid,
+                       values=fn.as_field(fn.gradient_partials(phi.values)))
 
 
 def minimize(cfg: SolitonConfig,
@@ -145,9 +144,7 @@ def minimize(cfg: SolitonConfig,
     grid = cfg.grid()
     fn = cfg.functional(grid)
     start = initial_guess(cfg, grid) if phi0 is None else np.asarray(phi0, float)
-    pot = cfg.potential
-    res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter,
-                         curvature=lambda t: np.abs(pot.u_second(t)))
+    res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter)
     phi = RadialField(grid=grid, values=res.phi)
     solve = res.ladder
     spinors = solve.spectral.ladder_spinors(cfg.model.k_indices)

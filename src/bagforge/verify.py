@@ -164,15 +164,14 @@ def normalization_errors(phi: RadialField, g: float,
             float(density(psi).values[0]))
 
 
-def check_susy_pairing(seed: int = 0, trials: int = 5, n: int = 900,
-                       r_max: float = 25.0, m: float = 1.0,
-                       g: float = 0.5) -> Check:
+def check_susy_pairing(seed: int = 0) -> Check:
     """Spectrum of the full symmetric subspace is mirror-symmetric about 0
     and gapped away from 0 while the effective mass stays nonnegative."""
     rng = np.random.default_rng(seed)
-    grid = make_grid(r_max, n)
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, 900)
     worst_pair, worst_gap = 0.0, math.inf
-    for _ in range(trials):
+    for _ in range(5):
         phi = random_bound_field(grid, m, g, rng)
         pair, gap, _ = mirror_pairing(phi, g, m)
         worst_pair, worst_gap = max(worst_pair, pair), min(worst_gap, gap)
@@ -181,24 +180,22 @@ def check_susy_pairing(seed: int = 0, trials: int = 5, n: int = 900,
             f"max pair error {worst_pair:.2e}, min |lambda| {worst_gap:.3f}")
 
 
-def check_supercharge_svd(seed: int = 1, n: int = 400,
-                          r_max: float = 20.0) -> Check:
+def check_supercharge_svd(seed: int = 1) -> Check:
     """Singular values of the supercharge block equal |eigenvalues| of the
     ansatz sector: the operator form of the positive-ladder formula."""
     rng = np.random.default_rng(seed)
     m, g = 1.0, 0.5
-    phi = random_bound_field(make_grid(r_max, n), m, g, rng)
+    phi = random_bound_field(make_grid(20.0, 400), m, g, rng)
     err = supercharge_svd_error(phi, g, m)
     return ("supercharge-svd", err <= 1e-8, f"max |sv - |eig|| = {err:.2e}")
 
 
-def check_hellmann_feynman(seed: int = 2, n: int = 1200,
-                           r_max: float = 25.0) -> Check:
+def check_hellmann_feynman(seed: int = 2) -> Check:
     """First-order eigenvalue response along random directions matches a
     centered difference of the assembled problem to 1e-4 relative."""
     rng = np.random.default_rng(seed)
-    m, g = 1.0, 1.0
-    grid = make_grid(r_max, n)
+    m, g, r_max = 1.0, 1.0, 25.0
+    grid = make_grid(r_max, 1200)
     phi = random_bound_field(grid, m, g, rng, depth=0.9)
     directions = [gaussian_field(grid, rng.uniform(0.2 * r_max, 0.6 * r_max),
                                  rng.uniform(0.05, 0.15) * r_max)
@@ -210,17 +207,17 @@ def check_hellmann_feynman(seed: int = 2, n: int = 1200,
             f"max relative mismatch {worst:.2e}")
 
 
-def check_oracle_agreement(seed: int = 3, trials: int = 5, n: int = 4000,
-                           mu_out: float = 1.0) -> Check:
+def check_oracle_agreement(seed: int = 3) -> Check:
     """Square-well ground levels: matrix eigensolver vs closed-form matching."""
     rng = np.random.default_rng(seed)
+    mu_out = 1.0
     worst = 0.0
     done = 0
-    while done < trials:
+    while done < 5:
         mu_in = rng.uniform(0.0, 0.9 * mu_out)
         R = rng.uniform(1.0, 10.0) / mu_out
-        gap = oracle_gap(TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R), n,
-                         R + 18.0 / mu_out)
+        gap = oracle_gap(TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R),
+                         4000, R + 18.0 / mu_out)
         if gap is None:
             continue
         if gap == math.inf:

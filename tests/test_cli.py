@@ -181,7 +181,8 @@ def test_nonfinite_input_rejected(tmp_path, capsys, args):
                                   ["mit-limit", "--doublings", "-2"],
                                   ["soliton", "--max-iter", "0"],
                                   ["soliton", "--max-iter", "-5"],
-                                  ["gamma-sweep", "--max-iter", "0"]])
+                                  ["gamma-sweep", "--max-iter", "0"],
+                                  ["mit-limit", "--masses", ","]])
 def test_out_of_range_input_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err.splitlines()

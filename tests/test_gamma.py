@@ -8,6 +8,7 @@ from bagforge import (GammaSweep, PotentialSpec, RadialField, eps_energy,
                       surface_constant)
 from bagforge.gamma import (field_terms, initial_profile, l2_distance_to_bag,
                             tv_well_coordinate)
+from bagforge.grid import FOUR_PI
 
 CAL = dict(potential=PotentialSpec(kappa=1.0, b=0.02), n_quarks=1, g=6.8,
            m=8.0, r_max=3.0, n=640)
@@ -30,6 +31,13 @@ def test_sweep_validation():
                      ("max_iter", 0)):
         with pytest.raises(ValueError):
             GammaSweep(eps_schedule=[0.4], **dict(CAL, **{key: val}))
+    # an empty schedule is named as such, not as a nonpositive one
+    with pytest.raises(ValueError, match="eps schedule is empty"):
+        GammaSweep(eps_schedule=[], **CAL)
+    with pytest.raises(ValueError, match="eps schedule must be positive"):
+        GammaSweep(eps_schedule=[0.4, -0.1], **CAL)
+    with pytest.raises(ValueError, match="need at least one quark"):
+        GammaSweep(eps_schedule=[0.4], **dict(CAL, n_quarks=0))
 
 
 def test_eps_energy_vacuum_and_scaling():
@@ -44,6 +52,16 @@ def test_eps_energy_vacuum_and_scaling():
     _, well_04, _ = field_terms(sweep, 0.4, phi, grid)
     _, well_02, _ = field_terms(sweep, 0.2, phi, grid)
     assert well_02 == pytest.approx(2 * well_04, rel=1e-12)
+
+
+def test_field_terms_are_the_functional_sums():
+    sweep = GammaSweep(eps_schedule=[0.2], **CAL)
+    grid = sweep.grid()
+    fn = sweep.functional(0.2, grid)
+    phi = initial_profile(sweep, 0.6, 0.2, grid)
+    terms = field_terms(sweep, 0.2, phi, grid)
+    assert terms == tuple(FOUR_PI * s for s in fn.term_sums(phi))
+    assert sum(terms) == pytest.approx(fn.field_energy(phi), rel=1e-14)
 
 
 def test_recovery_energy_approaches_sharp_interface_value():

@@ -104,6 +104,18 @@ def test_minimize_large_coupling_binds():
     assert rep.el.eigen <= 1e-8
 
 
+def test_budget_cut_reports_gradient_of_returned_field():
+    # three accepted steps use up the budget: the reported norm is the one
+    # of the field that comes back, which is also its EL residual
+    cfg = cfg_for(g=10.0, kappa=0.05, b=0.01, n=800, max_iter=3)
+    rep = minimize(cfg)
+    assert not rep.converged and len(rep.history) == 4
+    fresh = gradient(cfg, rep.phi)
+    assert rep.grad_norm == pytest.approx(
+        math.sqrt(integrate(rep.phi.grid, fresh.values**2)), rel=1e-12)
+    assert rep.grad_norm == pytest.approx(rep.el.field, rel=1e-9)
+
+
 def test_minimize_weak_coupling_collapses():
     cfg = cfg_for(g=0.1, kappa=1.0, b=0.01, max_iter=6000)
     rep = minimize(cfg)
