@@ -327,8 +327,10 @@ def _run_mit_limit(p):
         masses = _numbers(p["limit.masses"], float, "mass")
     else:
         doublings = p["limit.doublings"]
-        if doublings < 1:
-            raise ValueError(f"--doublings must be >= 1, got {doublings}")
+        # 2.0**1024 overflows a double
+        if not 1 <= doublings <= 1023:
+            raise ValueError(
+                f"--doublings must be in [1, 1023], got {doublings}")
         masses = [m * 2.0**j for j in range(1, doublings + 1)]
     # the limit sweep replaces the coupling well by the exterior wall, so g
     # only has to satisfy the config's validity window
@@ -431,6 +433,10 @@ def run(params: dict) -> int:
             header, rows, profiles, failure = _SUBCOMMANDS[sub][1](params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except OverflowError as exc:
+        # a Python float ** raises where a solve leaves double range
+        raise RuntimeError(f"{sub}: floating-point overflow "
+                           f"({exc.args[-1]})") from exc
     stem.parent.mkdir(parents=True, exist_ok=True)
     write_table(table, header, rows, fmt)
     if profiles is not None:

@@ -13,15 +13,16 @@ sqrt((mu_out - lam)/(mu_out + lam)) forced by the first-order radial system
     v'(r) = -(lam + mu) u(r),     u'(r) + 2 u(r)/r = (lam - mu) v(r).
 
 Matching u/v across R quantizes lam.  This module is the independent oracle
-for the finite-difference eigensolver and the engine of the cavity solvers;
-the hard-wall (mu_out -> inf) limit reduces the matching to the confined
-boundary condition u = v at R.
+for the finite-difference eigensolver and the engine of the cavity solvers.
+One pole-free condition in x = kR serves both cavities, s_in j1(x) - rho
+j0(x): the u/v mismatch times j0(x), with rho the exterior u/v at R.  The
+confined cavity is its mu_out -> inf limit rho = 1, the condition u = v.
 
-One scanner finds the roots of both the two-zone ladder and the confined
-cavity: it samples pole-free brackets between consecutive zeros of j0(kR)
-(the poles of the interior ratio) and resolves every sign change by plain
-bisection, which cannot be defeated by the poles the way a Newton iteration
-can.  The same bisection refines the cavity radii in `bag`.
+One scanner finds the roots of both: it samples the brackets between
+consecutive zeros of j0(x), on each of which the condition has the sign of
+the mismatch up to a fixed factor, and bisects every sign change in x, so a
+root is resolved however close lam sits to mu_in.  The same bisection
+refines the cavity radii in `bag`.
 
 Scalar Bessel values come from the `math` kernels `_j0`/`_j1`; arrays use
 their vectorized forms `spherical_j0`/`spherical_j1`.
@@ -145,38 +146,33 @@ class TwoZoneProblem:
         return (abs(self.mu_in), self.mu_out)
 
 
-def _rho_in(p: TwoZoneProblem, lam: float) -> float:
-    k = math.sqrt(lam * lam - p.mu_in * p.mu_in)
-    x = k * p.R
-    j0 = _j0(x)
-    if j0 == 0.0:
-        return math.inf
-    s = math.sqrt((lam - p.mu_in) / (lam + p.mu_in))
-    return s * _j1(x) / j0
+def _x_to_lam(mu_in: float, R: float, x: float) -> float:
+    return math.sqrt(mu_in * mu_in + (x / R) ** 2)
 
 
-def _rho_out(p: TwoZoneProblem, lam: float) -> float:
-    # k1(x)/k0(x) = 1 + 1/x for the decaying exterior profile
-    kap = math.sqrt(p.mu_out * p.mu_out - lam * lam)
-    s = math.sqrt((p.mu_out - lam) / (p.mu_out + lam))
-    if kap == 0.0:
-        return 1.0 / (p.R * (p.mu_out + lam))
-    return s * (1.0 + 1.0 / (kap * p.R))
+def _quantization(R: float, mu_in: float, mu_out: float, x: float) -> float:
+    """s_in j1(x) - rho j0(x) at x = kR, with rho = s_out (1 + 1/(kap R))
+    the exterior u/v ratio at R (k1/k0 = 1 + 1/y), or 1 for mu_out = inf."""
+    lam = _x_to_lam(mu_in, R, x)
+    s = math.sqrt((lam - mu_in) / (lam + mu_in)) if lam > abs(mu_in) else 0.0
+    rho = 1.0
+    if mu_out < math.inf:
+        kap = math.sqrt(mu_out * mu_out - lam * lam)
+        s_out = math.sqrt((mu_out - lam) / (mu_out + lam))
+        rho = s_out * (1.0 + 1.0 / (kap * R))
+    return s * _j1(x) - rho * _j0(x)
 
 
-def matching_function(p: TwoZoneProblem, lam: float) -> float:
-    """u/v mismatch at R; zeros are eigenvalues.
+def matching_function(p: TwoZoneProblem, x: float) -> float:
+    """Quantization condition of p at x = kR; its zeros are the eigenvalues.
 
-    Returns a signed infinity marker at the poles of the interior ratio
-    (zeros of j0(kR)) so bracketing code can detect them.
+    x must lie in (0, R sqrt(mu_out^2 - mu_in^2)), the image of the
+    bound-state window.
     """
-    lo, hi = p.window
-    if not (lo < lam < hi):
-        raise ValueError(f"lam={lam} outside bound-state window ({lo}, {hi})")
-    rin = _rho_in(p, lam)
-    if math.isinf(rin):
-        return math.copysign(math.inf, rin)
-    return rin - _rho_out(p, lam)
+    x_max = p.R * math.sqrt(p.mu_out * p.mu_out - p.mu_in * p.mu_in)
+    if not 0.0 < x < x_max:
+        raise ValueError(f"x={x} outside the bound-state window (0, {x_max})")
+    return _quantization(p.R, p.mu_in, p.mu_out, x)
 
 
 class Ladder(NamedTuple):
@@ -184,32 +180,31 @@ class Ladder(NamedTuple):
     complete: bool      # False when the window holds fewer roots than asked
 
 
-def _x_to_lam(p: TwoZoneProblem, x: float) -> float:
-    return math.sqrt(p.mu_in * p.mu_in + (x / p.R) ** 2)
-
-
 def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
                 x_hi: float, guard: float) -> list:
     """First `count` roots of f in [x_lo, x_hi], ascending.
 
-    Samples each pole-free bracket (j pi + guard, (j+1) pi - guard) at
-    BRACKET_SAMPLES points, skips non-finite samples, takes an exact-zero
-    sample as a root and bisects every sign change to ROOT_RTOL.
+    Samples each bracket (j pi + guard, (j+1) pi - guard) at BRACKET_SAMPLES
+    points, skips non-finite samples, takes an exact-zero sample as a root
+    and bisects every sign change to ROOT_RTOL.  Raises RuntimeError where
+    consecutive brackets no longer differ in floating point (x beyond ~1e16).
     """
     roots = []
     # brackets below x_lo are empty (b <= a); one spare absorbs rounding
     branch = max(0, math.floor(x_lo / math.pi) - 1)
     while branch * math.pi < x_hi and len(roots) < count:
-        a = max(branch * math.pi + guard, x_lo)
-        b = min((branch + 1) * math.pi - guard, x_hi)
+        left, right = branch * math.pi + guard, (branch + 1) * math.pi - guard
+        if right <= left:
+            raise RuntimeError(f"root scan cannot separate the brackets at "
+                               f"x = {left:.6g} in floating point")
+        a, b = max(left, x_lo), min(right, x_hi)
         branch += 1
         if b <= a:
             continue
-        xs = np.linspace(a, b, BRACKET_SAMPLES)
-        vals = np.array([f(x) for x in xs])
-        finite = np.isfinite(vals)
+        xs = np.linspace(a, b, BRACKET_SAMPLES).tolist()
+        vals = [f(x) for x in xs]
         for i in range(len(xs) - 1):
-            if not (finite[i] and finite[i + 1]):
+            if not (math.isfinite(vals[i]) and math.isfinite(vals[i + 1])):
                 continue
             if vals[i] == 0.0:
                 roots.append(xs[i])
@@ -236,19 +231,17 @@ def eigenvalues(p: TwoZoneProblem, count: int) -> Ladder:
     x_lo = p.R * math.sqrt(lam_lo**2 - p.mu_in**2)
     x_hi = p.R * math.sqrt(lam_hi**2 - p.mu_in**2)
     # looked up at call time, so a wrapped matching_function sees every call
-    xs = _scan_roots(lambda x: matching_function(p, _x_to_lam(p, x)), count,
-                     x_lo, x_hi, ENDPOINT_GUARD)
-    roots = [lam for lam in (_x_to_lam(p, x) for x in xs)
+    xs = _scan_roots(lambda x: matching_function(p, x), count, x_lo, x_hi,
+                     ENDPOINT_GUARD)
+    roots = [lam for lam in (_x_to_lam(p.mu_in, p.R, x) for x in xs)
              if lam - lo > guard and hi - lam > guard]
     return Ladder(values=roots[:count], complete=len(roots) >= count)
 
 
 def mit_matching(R: float, m: float, x: float) -> float:
-    """Confined-cavity quantization: sqrt((lam-m)/(lam+m)) j1(x) - j0(x),
-    with x = R sqrt(lam^2 - m^2); vanishes where u = v on the boundary."""
-    lam = math.sqrt(m * m + (x / R) ** 2)
-    s = math.sqrt((lam - m) / (lam + m)) if lam > m else 0.0
-    return s * _j1(x) - _j0(x)
+    """Confined-cavity quantization at x = kR, the hard-wall (mu_out = inf)
+    condition sqrt((lam-m)/(lam+m)) j1(x) - j0(x): u = v on the boundary."""
+    return _quantization(R, m, math.inf, x)
 
 
 def mit_eigenvalue(R: float, m: float, k: int = 1) -> float:
@@ -263,13 +256,12 @@ def mit_eigenvalue(R: float, m: float, k: int = 1) -> float:
         raise ValueError(f"m must be finite and nonnegative, got {m}")
     if k < 1:
         raise ValueError("eigenvalue index starts at 1")
-    # a budget of k + 65 pole-free brackets in x = kR
+    # a budget of k + 65 brackets in x = kR
     roots = _scan_roots(lambda x: mit_matching(R, m, x), k, 0.0,
                         (k + 65) * math.pi, 1e-12)
     if len(roots) < k:
         raise RuntimeError("cavity root search failed to bracket")
-    x0 = roots[k - 1]
-    return math.sqrt(m * m + (x0 / R) ** 2)
+    return _x_to_lam(m, R, roots[k - 1])
 
 
 def _wavenumbers(p: TwoZoneProblem, lam: float) -> tuple:

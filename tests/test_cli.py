@@ -182,7 +182,9 @@ def test_nonfinite_input_rejected(tmp_path, capsys, args):
                                   ["soliton", "--max-iter", "0"],
                                   ["soliton", "--max-iter", "-5"],
                                   ["gamma-sweep", "--max-iter", "0"],
-                                  ["mit-limit", "--masses", ","]])
+                                  ["mit-limit", "--masses", ","],
+                                  # 2^2000 is no double
+                                  ["mit-limit", "--doublings", "2000"]])
 def test_out_of_range_input_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -214,6 +216,23 @@ def test_solver_failure_is_one_line(tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, names", [
+    # x = kR beyond ~1e16, where consecutive brackets of the root scan
+    # coincide in floating point
+    (["bag", "--r-lo", "1e299", "--r-hi", "1e300"], ["cannot separate"]),
+    # lam_lo**2 of the bound-state window, and R**2 of the bag energy over
+    # the default interval up to 1e2/m, leave double range
+    (["mit-limit", "--masses", "1e200"], ["mit-limit", "overflow"]),
+    (["bag", "--g", "1e-200", "--m", "2e-200"], ["bag", "overflow"])])
+def test_unrepresentable_solve_is_one_line(tmp_path, args, names):
+    proc = run_entry_point(args + ["--out", str(tmp_path / "r")])
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(name in err[0] for name in names)
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("args, names", [

@@ -73,21 +73,51 @@ def test_problem_rejects_nonfinite_inputs():
 
 def test_large_radius_scan_skips_empty_brackets():
     # the scan starts one bracket below x_lo: the roots are those of a scan
-    # from 0, and the 2e6 empty brackets below x_lo at R = 1e12 cost nothing
+    # from 0, and the 2e6 empty brackets below x_lo at R = 1e12 cost nothing.
+    # Both values are the correctly rounded first level above the window's
+    # lower guard, as a 60-digit solve of the same condition gives them
     lad = eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=1e10), 1)
-    assert lad.values == [0.5000000020012784]
+    assert lad.values == [0.5000000020000138]
     t0 = time.perf_counter()
     lad = eigenvalues(TwoZoneProblem(mu_in=0.01, mu_out=2.0, R=1e12), 1)
     assert time.perf_counter() - t0 < 1.0
-    assert lad.values == [0.010000002000000823]
+    assert lad.values == [0.010000002000000825]
+
+
+@pytest.mark.parametrize("R, level", [(1e12, 0.5000000020000003),
+                                      (1e14, 0.500000002),
+                                      (1e16, 0.500000002)])
+def test_level_near_window_edge_resolved_in_x(R, level):
+    # near lam = mu_in one ulp of lam moves x = kR by ~1.2 at R = 1e12; the
+    # quantization is evaluated in x itself, so the first level above the
+    # lower guard is found at once.  The levels are those of a 60-digit
+    # solve, correctly rounded
+    t0 = time.perf_counter()
+    lad = eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=R), 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert lad.values == [level]
+
+
+def test_scan_stops_where_brackets_coincide():
+    # beyond x ~ 1e16 consecutive multiples of pi round together; the scan
+    # raises instead of stepping through empty brackets one at a time
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="cannot separate"):
+        eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=1e22), 1)
+    with pytest.raises(RuntimeError, match="cannot separate"):
+        _scan_roots(lambda x: 1.0, 1, 1e299, 1e300, 1e-9)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_matching_window_enforced():
+    # the window in x = kR is (0, R sqrt(mu_out^2 - mu_in^2)) = (0, 2.939...)
     p = TwoZoneProblem(mu_in=0.2, mu_out=1.0, R=3.0)
-    with pytest.raises(ValueError):
-        matching_function(p, 0.1)
-    with pytest.raises(ValueError):
-        matching_function(p, 1.2)
+    x_max = 3.0 * math.sqrt(0.96)
+    for x in (0.0, -0.1, x_max, 3.0, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            matching_function(p, x)
+    assert math.isfinite(matching_function(p, 0.1))
+    assert math.isfinite(matching_function(p, 2.9))
 
 
 def test_vanishing_well_has_no_root():
