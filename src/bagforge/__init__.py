@@ -21,7 +21,8 @@ from .bag import (BagConfig, BagReport, MITLimitResult, MITReport, bag_energy,
 from .dirac import (DegenerateEigenvalueError, RadialDiracOperator,
                     RadialField, RadialSpinor, SpectralResult,
                     assemble_hamiltonian, density, eigen_solve,
-                    hellmann_feynman, supercharge_singular_values)
+                    hellmann_feynman, supercharge_singular_values,
+                    window_eigenvalues)
 from .dispersion import (TwoZoneProblem, TwoZoneState, dirichlet_ball_eigenvalue,
                          eigenvalues, matching_function, mit_eigenvalue,
                          two_zone_state)
@@ -44,5 +45,5 @@ __all__ = [
     "integrate", "interface_width", "make_grid", "matching_function",
     "minimize", "minimize_bag", "mit_eigenvalue", "mit_ground", "mit_limit",
     "recovery_energy", "run_sweep", "supercharge_singular_values",
-    "surface_constant", "two_zone_state",
+    "surface_constant", "two_zone_state", "window_eigenvalues",
 ]

@@ -337,9 +337,11 @@ def _run_mit_limit(p):
     cfg = BagConfig(n_quarks=p["model.N"], g=0.5 * m, m=m, a=p["bag.a"],
                     b=p["bag.b"], k=1)
     result = mit_limit(cfg, masses)
-    header = ["M_n", "R_n", "l_n", "boundary_ratio", "R_mit", "l_mit"]
+    header = ["M_n", "R_n", "l_n", "boundary_ratio", "R_mit", "l_mit",
+              "flagged"]
     rows = [[row.mu_out, row.R, row.energy, row.boundary_ratio,
-             result.limit.R, result.limit.energy] for row in result.rows]
+             result.limit.R, result.limit.energy, row.flagged]
+            for row in result.rows]
     return header, rows, None, ""
 
 

@@ -184,9 +184,11 @@ def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
                 x_hi: float, guard: float) -> list:
     """First `count` roots of f in [x_lo, x_hi], ascending.
 
-    Samples each bracket (j pi + guard, (j+1) pi - guard) at BRACKET_SAMPLES
-    points, skips non-finite samples, takes an exact-zero sample as a root
-    and bisects every sign change to ROOT_RTOL.  Raises RuntimeError where
+    Samples each bracket (j pi + guard, (j+1) pi - guard) at up to
+    BRACKET_SAMPLES points, in order, skips non-finite samples, takes an
+    exact-zero sample as a root and bisects every sign change to ROOT_RTOL.
+    Sampling stops at the sign change that completes `count` roots, so the
+    rest of that bracket is never evaluated.  Raises RuntimeError where
     consecutive brackets no longer differ in floating point (x beyond ~1e16).
     """
     roots = []
@@ -202,16 +204,17 @@ def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
         if b <= a:
             continue
         xs = np.linspace(a, b, BRACKET_SAMPLES).tolist()
-        vals = [f(x) for x in xs]
-        for i in range(len(xs) - 1):
-            if not (math.isfinite(vals[i]) and math.isfinite(vals[i + 1])):
-                continue
-            if vals[i] == 0.0:
-                roots.append(xs[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(_bisect(f, xs[i], xs[i + 1]))
-            if len(roots) == count:
-                break
+        x0, f0 = xs[0], f(xs[0])
+        for x1 in xs[1:]:
+            f1 = f(x1)
+            if math.isfinite(f0) and math.isfinite(f1):
+                if f0 == 0.0:
+                    roots.append(x0)
+                elif f0 * f1 < 0.0:
+                    roots.append(_bisect(f, x0, x1))
+                if len(roots) == count:
+                    break
+            x0, f0 = x1, f1
     return roots
 
 

@@ -9,6 +9,13 @@ singular values of the supercharge block), the first-order perturbation
 formula against finite differences, agreement between the matrix
 eigensolver and the closed-form two-zone oracle, and the confined-cavity
 monotonicity.
+
+Most measurements read eigenvalues only and take them from
+`window_eigenvalues`, with no eigenvectors: both sectors of the mirror
+pairing, the finite-difference legs of `hf_mismatch` (and the simplicity
+window of `hellmann_feynman`), and the matrix level of `oracle_gap`.  Only
+the ground state of `hf_mismatch` and of `normalization_errors` needs its
+eigenvector, from `eigen_solve`; `supercharge_svd_error` reads full spectra.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .dirac import (RadialField, assemble_hamiltonian, density, eigen_solve,
-                    hellmann_feynman, supercharge_singular_values)
+from .dirac import (WINDOW_SHAVE, RadialField, assemble_hamiltonian, density,
+                    eigen_solve, hellmann_feynman, supercharge_singular_values,
+                    window_eigenvalues)
 from .dispersion import TwoZoneProblem, eigenvalues, mit_eigenvalue
 from .grid import make_grid
 
@@ -71,8 +79,8 @@ def mirror_pairing(phi: RadialField, g: float,
     sectors in the window +-0.99 m; min |lambda| is inf when there are none."""
     w = 0.99 * m
     both = np.concatenate([
-        eigen_solve(assemble_hamiltonian(phi, g, m, sector=s),
-                    window=(-w, w)).eigenvalues
+        window_eigenvalues(assemble_hamiltonian(phi, g, m, sector=s),
+                           window=(-w, w))
         for s in (-1, +1)])
     pair = max((float(np.min(np.abs(both + lam))) for lam in both),
                default=0.0)
@@ -106,7 +114,7 @@ def hf_mismatch(phi: RadialField, g: float, m: float,
         for s in (+t, -t):
             shifted = RadialField(grid=phi.grid,
                                   values=phi.values + s * d.values)
-            ev = eigen_solve(assemble_hamiltonian(shifted, g, m)).eigenvalues
+            ev = window_eigenvalues(assemble_hamiltonian(shifted, g, m))
             lams.append(float(ev[np.argmin(np.abs(ev - lam0))]))
         fd = (lams[0] - lams[1]) / (2.0 * t)
         worst = max(worst, abs(hf - fd) / max(abs(fd), 1e-12))
@@ -124,10 +132,12 @@ def oracle_gap(problem: TwoZoneProblem, n: int,
     if not lad.complete or lad.values[0] > 0.97 * mu_out:
         return None
     phi = square_well(make_grid(r_max, n), mu_out - problem.mu_in, problem.R)
-    res = eigen_solve(assemble_hamiltonian(phi, g=1.0, m=mu_out))
-    if res.ladder.size == 0:
+    # the positive part of the default window holds the ladder
+    ladder = window_eigenvalues(assemble_hamiltonian(phi, g=1.0, m=mu_out),
+                                window=(0.0, mu_out * (1.0 - WINDOW_SHAVE)))
+    if ladder.size == 0:
         return math.inf
-    return abs(float(res.ladder[0]) - lad.values[0])
+    return abs(float(ladder[0]) - lad.values[0])
 
 
 def cavity_reference_root() -> float:

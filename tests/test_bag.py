@@ -187,3 +187,23 @@ def test_mit_ground_radius_scales_with_quark_count():
                         r_interval=(0.05, 10.0))
         reports.append(mit_ground(cfg))
     assert reports[1].R / reports[0].R == pytest.approx(2.0, rel=1e-4)
+
+
+def test_readme_bag_scan_stops_at_last_root(monkeypatch):
+    # the root scan samples a bracket only up to the sign change that
+    # completes the ladder; the bisection endpoints, and so every value,
+    # are those of sampling whole brackets
+    import bagforge.dispersion as dispersion
+    calls = 0
+    inner = dispersion.matching_function
+
+    def counted(p, x):
+        nonlocal calls
+        calls += 1
+        return inner(p, x)
+
+    monkeypatch.setattr(dispersion, "matching_function", counted)
+    rep = minimize_bag(BagConfig(n_quarks=1, g=0.8, m=1.0, a=1e-3, b=1e-3))
+    assert calls <= 12222
+    assert (repr(rep.R), repr(rep.lam), repr(rep.energy)) == (
+        "2.75185397850765", "0.7066969195998102", "0.8891483329285179")

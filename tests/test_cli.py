@@ -125,6 +125,17 @@ def test_mit_limit_run(tmp_path):
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
+def test_mit_limit_flags_rows_past_the_endpoint_guard(tmp_path):
+    # from M ~ 1e8 up the window guard drops the true level and pins R where
+    # the band edge takes over; the rows say so, and the exit code stays 0
+    out = tmp_path / "lim"
+    assert run_cli(["mit-limit", "--masses", "1e6,1e9,1e12",
+                    "--out", str(out)]) == 0
+    header, rows = read_table(out.with_suffix(".csv"))
+    assert header[-1] == "flagged"
+    assert [r[-1] for r in rows] == ["false", "true", "true"]
+
+
 def test_parse_defaults():
     params = parse(["mit"])
     assert params["mit.R"] == 1.0

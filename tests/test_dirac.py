@@ -8,7 +8,7 @@ from bagforge import (DegenerateEigenvalueError, RadialField, RadialSpinor,
                       TwoZoneProblem, assemble_hamiltonian, density,
                       dirichlet_ball_eigenvalue, eigen_solve,
                       hellmann_feynman, integrate, make_grid,
-                      supercharge_singular_values)
+                      supercharge_singular_values, window_eigenvalues)
 from bagforge.verify import (gaussian_field, hf_mismatch, mirror_pairing,
                              normalization_errors, oracle_gap,
                              random_bound_field, square_well,
@@ -160,7 +160,7 @@ def test_supercharge_singular_values_match_moduli():
 
 
 def test_supercharge_band_solve_matches_dense_oracle():
-    # the banded Jordan-Wielandt solve against a dense SVD of the supercharge
+    # the banded Gram solve against a dense SVD of the supercharge
     # built from the dense operator (u-columns negated), and the sterf
     # moduli of supercharge_svd_error against a dense eigensolve
     m, g = 1.0, 0.5
@@ -176,6 +176,36 @@ def test_supercharge_band_solve_matches_dense_oracle():
         assert np.max(np.abs(band_sv - sv)) <= 1e-12
         lam = eigvalsh_tridiagonal(op.diag, op.offdiag, lapack_driver="sterf")
         assert np.max(np.abs(lam - np.linalg.eigvalsh(H))) <= 1e-12
+
+
+def test_supercharge_singular_values_at_battery_size():
+    # the grid of the verify check: the Gram solve's error grows like
+    # ||R||^2 / sigma_min, so it is largest on the finest grid it sees
+    m, g = 1.0, 0.5
+    grid = make_grid(20.0, 400)
+    for seed in (1, 2, 3):
+        phi = random_bound_field(grid, m, g, np.random.default_rng(seed))
+        op = assemble_hamiltonian(phi, g, m)
+        signs = np.where(np.arange(op.size) % 2 == 0, 1.0, -1.0)
+        sv = np.sort(np.linalg.svd(op.dense() * signs[None, :],
+                                   compute_uv=False))
+        assert np.max(np.abs(supercharge_singular_values(phi, g, m) - sv)
+                      ) <= 1e-11
+
+
+@pytest.mark.parametrize("sector", [-1, +1])
+def test_window_eigenvalues_bit_equal_to_eigen_solve(sector):
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, 900)
+    for seed in range(3):
+        phi = random_bound_field(grid, m, g, np.random.default_rng(seed))
+        op = assemble_hamiltonian(phi, g, m, sector=sector)
+        for window in (None, (-0.99, 0.99), (0.0, 0.8)):
+            ev = window_eigenvalues(op, window)
+            assert ev.size > 0
+            assert ev.tobytes() == eigen_solve(op, window).eigenvalues.tobytes()
+    with pytest.raises(ValueError, match="empty window"):
+        window_eigenvalues(op, (0.5, 0.5))
 
 
 def test_orthonormality_and_normalization():
