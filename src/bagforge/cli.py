@@ -60,10 +60,7 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
+        return repr(float(x))     # a float's repr spells NaN as "nan"
     return str(x)
 
 
@@ -81,10 +78,13 @@ def write_table(path: Path, header, rows, fmt: str):
 
 
 def write_profiles(path: Path, series):
-    """Long-format `series,r,value` CSV of (name, radii, values) triples."""
+    """Long-format `series,r,value` CSV of (name, radii, values) triples of
+    float arrays, each value in `_fmt`'s float format: the repr of the
+    Python float that `tolist` gives."""
     lines = ["series,r,value"]
     for name, radii, values in series:
-        lines += [f"{name},{_fmt(r)},{_fmt(v)}" for r, v in zip(radii, values)]
+        lines += [f"{name},{r!r},{v!r}"
+                  for r, v in zip(radii.tolist(), values.tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 

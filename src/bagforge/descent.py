@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .dirac import (DegenerateEigenvalueError, RadialField, SIMPLE_GAP_RTOL,
-                    WINDOW_SHAVE, assemble_hamiltonian, density_partials,
-                    eigen_solve)
+                    WINDOW_SHAVE, SpectralResult, assemble_hamiltonian,
+                    density_partials, eigen_solve)
 from .grid import (FOUR_PI, RadialGrid, forward_diff, midpoints, scatter_diff,
                    scatter_mid)
 
@@ -44,8 +44,20 @@ ARMIJO_C1 = 1e-4
 @dataclass
 class LadderSolve:
     values: np.ndarray            # lam^{k_i} with band-edge padding
-    vectors: List[Optional[np.ndarray]]   # tridiagonal eigenvectors or None
-    spectral: object              # SpectralResult of the positive window
+    spectral: SpectralResult      # the positive window
+    k_indices: Sequence[int]
+
+    @property
+    def vectors(self) -> List[Optional[np.ndarray]]:
+        """Tridiagonal-basis eigenvectors of the used levels (None for a
+        padded level), for perturbation formulas.  The first read runs the
+        inverse iteration of `spectral`, so an energy evaluation that is
+        never differentiated (a rejected line-search trial) skips it."""
+        res = self.spectral
+        y = (res.vectors * np.sqrt(res.operator.weights)[:, None]
+             * math.sqrt(FOUR_PI))
+        return [y[:, k - 1] if k <= res.eigenvalues.size else None
+                for k in self.k_indices]
 
 
 @dataclass
@@ -79,17 +91,10 @@ class FieldFunctional:
         res = eigen_solve(op, window=(0.0, self.m * (1.0 - WINDOW_SHAVE)))
         lam = res.eigenvalues
         values = np.empty(len(self.k_indices))
-        vectors: List[Optional[np.ndarray]] = []
-        # tridiagonal-basis vectors for perturbation formulas
-        y = res.vectors * np.sqrt(op.weights)[:, None] * math.sqrt(FOUR_PI)
         for i, k in enumerate(self.k_indices):
-            if k <= lam.size:
-                values[i] = lam[k - 1]
-                vectors.append(y[:, k - 1])
-            else:
-                values[i] = self.m
-                vectors.append(None)
-        return LadderSolve(values=values, vectors=vectors, spectral=res)
+            values[i] = lam[k - 1] if k <= lam.size else self.m
+        return LadderSolve(values=values, spectral=res,
+                           k_indices=self.k_indices)
 
     def check_simple(self, solve: LadderSolve):
         """Refuse first-order formulas when a used level is nearly degenerate."""

@@ -26,19 +26,24 @@ positive eigenvalues coincide with singular values of the supercharge block
 
 Ordering the unknowns v_1, u_{3/2}, v_2, u_{5/2}, ... makes the symmetrized
 matrix tridiagonal, so eigenpairs in a window come from tridiagonal bisection
-(LAPACK stebz) followed by inverse iteration (stein); `window_eigenvalues`
-stops after the bisection for callers that read no eigenvector.
+(LAPACK stebz) followed by inverse iteration (stein).  `eigen_solve` runs
+only the bisection when called; inverse iteration, the residual certificate
+and the map back to grid-normalized vectors run on the first read of the
+result's vectors (or residual), once.  A caller that reads eigenvalues only,
+such as a rejected line-search trial, pays for the bisection alone, and
+`window_eigenvalues` returns the same values without a result object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import (eigh_tridiagonal, eigvals_banded,
-                          eigvalsh_tridiagonal)
+from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import dstebz, dstein
 
 from .grid import FOUR_PI, RadialGrid, integrate, midpoints, scatter_mid
 
@@ -192,15 +197,50 @@ class SpectralResult:
 
     eigenvalues are ascending; vectors are orthonormal under the grid inner
     product 4 pi sum(W x x').  `ladder` lists the eigenvalues in (0, m), the
-    physically admissible bound states.  `gap` is the distance of 0 to the
-    computed spectrum (inf when the window is empty).
+    physically admissible bound states.  The eigenvalues come with the
+    result; the vectors and their residual are computed on first read from
+    the stored bisection output (`bisection`: stebz's block-ordered values,
+    block indices and splits, and the permutation sorting the values).
     """
 
     operator: RadialDiracOperator
     window: Tuple[float, float]
     eigenvalues: np.ndarray
-    vectors: np.ndarray          # columns, grid-orthonormal
-    residual: float
+    bisection: tuple = field(repr=False)
+
+    @cached_property
+    def _pairs(self) -> Tuple[np.ndarray, float]:
+        """Inverse iteration on the bisection output, checked against the
+        direct solver's backward-stability budget and mapped back to
+        grid-normalized vectors; raises RuntimeError past the budget."""
+        op = self.operator
+        w, iblock, isplit, order = self.bisection
+        y, info = dstein(op.diag, op.offdiag, w, iblock, isplit)
+        _check_lapack(info, "stein")
+        y = y[:, order]
+        lam = self.eigenvalues
+        residual = 0.0
+        for i in range(lam.size):
+            r = op.apply_bands(y[:, i]) - lam[i] * y[:, i]
+            residual = max(residual, float(np.linalg.norm(r)))
+        scale = max(op.m, float(np.max(np.abs(lam))) if lam.size else op.m)
+        if residual > 1e-8 * scale:
+            raise RuntimeError(
+                f"eigensolver residual {residual:.3e} exceeds tolerance; "
+                f"window={self.window}")
+        # map back: x = W^(-1/2) y, normalized to unit grid norm
+        x = y / np.sqrt(op.weights)[:, None] / math.sqrt(FOUR_PI)
+        return x, residual
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Eigenvector columns, grid-orthonormal."""
+        return self._pairs[0]
+
+    @property
+    def residual(self) -> float:
+        """Largest residual norm of the pairs in the tridiagonal basis."""
+        return self._pairs[1]
 
     @property
     def ladder(self) -> np.ndarray:
@@ -246,33 +286,48 @@ def _spectral_window(op: RadialDiracOperator,
     return window
 
 
+def _check_lapack(info: int, routine: str):
+    # the error mapping of scipy's eigh_tridiagonal, with its LinAlgError
+    # (no convergence) reported as RuntimeError
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise RuntimeError(f"tridiagonal eigensolver failed: {routine} "
+                           f"did not converge (LAPACK info={info})")
+
+
+def _bisection(op: RadialDiracOperator,
+               window: Optional[Tuple[float, float]]):
+    """(window, ascending eigenvalues, stein inputs) of the bisection.
+
+    The stebz call `eigh_tridiagonal(select="v")` makes when it computes
+    vectors (range V, tol 0, block order), with its finiteness check, so
+    values and, through `SpectralResult`, vectors are bit-equal to it.
+    """
+    window = _spectral_window(op, window)
+    d = np.asarray_chkfinite(op.diag)
+    e = np.asarray_chkfinite(op.offdiag)
+    count, w, iblock, isplit, info = dstebz(d, e, 1, window[0], window[1],
+                                            1, 1, 0.0, "B")
+    _check_lapack(info, "stebz")
+    w = w[:count]
+    order = np.argsort(w)
+    return window, w[order], (w, iblock, isplit, order)
+
+
 def eigen_solve(op: RadialDiracOperator,
                 window: Optional[Tuple[float, float]] = None) -> SpectralResult:
     """All eigenpairs of the sector operator inside the window.
 
-    Default window stops just short of the band edges +-m.  Residual norms
-    of the returned pairs are checked against the direct solver's
-    backward-stability budget.
+    Default window stops just short of the band edges +-m.  The call runs
+    the bisection, so the eigenvalues are final; inverse iteration, the
+    check of the pairs' residual norms against the direct solver's
+    backward-stability budget and the map to grid-normalized vectors run on
+    the first read of `vectors` or `residual`, once.
     """
-    window = _spectral_window(op, window)
-    try:
-        lam, y = eigh_tridiagonal(op.diag, op.offdiag, select="v",
-                                  select_range=window)
-    except np.linalg.LinAlgError as exc:   # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"tridiagonal eigensolver failed: {exc}") from exc
-    residual = 0.0
-    for i in range(lam.size):
-        r = op.apply_bands(y[:, i]) - lam[i] * y[:, i]
-        residual = max(residual, float(np.linalg.norm(r)))
-    scale = max(op.m, float(np.max(np.abs(lam))) if lam.size else op.m)
-    if residual > 1e-8 * scale:
-        raise RuntimeError(
-            f"eigensolver residual {residual:.3e} exceeds tolerance; "
-            f"window={window}")
-    # map back: x = W^(-1/2) y, normalized to unit grid norm
-    x = y / np.sqrt(op.weights)[:, None] / math.sqrt(FOUR_PI)
+    window, lam, stein_inputs = _bisection(op, window)
     return SpectralResult(operator=op, window=window, eigenvalues=lam,
-                          vectors=x, residual=residual)
+                          bisection=stein_inputs)
 
 
 def window_eigenvalues(op: RadialDiracOperator,
@@ -281,16 +336,10 @@ def window_eigenvalues(op: RadialDiracOperator,
     """Eigenvalues (ascending) of the sector operator inside the window,
     for callers that read no eigenvector.
 
-    The same bisection (stebz) as `eigen_solve` without the inverse
-    iteration, so the values are bit-equal to `eigen_solve(op,
-    window).eigenvalues`; same default window and errors.
+    The bisection of `eigen_solve`, so the values are bit-equal to
+    `eigen_solve(op, window).eigenvalues`; same default window and errors.
     """
-    window = _spectral_window(op, window)
-    try:
-        return eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
-                                    select_range=window)
-    except np.linalg.LinAlgError as exc:   # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return _bisection(op, window)[1]
 
 
 def density(psi: RadialSpinor) -> RadialField:

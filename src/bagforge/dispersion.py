@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .grid import FOUR_PI
+from .grid import FOUR_PI, quad
 
 #: bisection stops at this relative bracket width
 ROOT_RTOL = 1e-12

@@ -15,6 +15,10 @@ The discretization kernels shared by every field solver live here too: the
 staggered difference and midpoint average of a primal field (both land on
 the n-1 inner staggered nodes) and the adjoint scatters of the two, which
 carry staggered-node sensitivities back to the free primal nodes.
+
+Adaptive quadrature of closed-form integrands (`quad`) is imported from
+scipy.integrate on its first call, so a process that never normalizes a
+closed-form state or integrates a potential does not load it.
 """
 
 from __future__ import annotations
@@ -123,3 +127,10 @@ def scatter_mid(acc: np.ndarray, f: np.ndarray) -> None:
 def tanh_step(z):
     """Interface profile -(1 - tanh z)/2: -1 deep inside, 0 far outside."""
     return -(1.0 - np.tanh(z)) / 2.0
+
+
+def quad(func, a: float, b: float, **kwargs):
+    """`scipy.integrate.quad`, imported on first call (the module costs
+    about a third of the package's import time)."""
+    from scipy.integrate import quad as adaptive_quad
+    return adaptive_quad(func, a, b, **kwargs)

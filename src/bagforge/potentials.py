@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+
+from .grid import quad
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,37 @@ def test_readme_commands_parse():
         assert parse(argv)["subcommand"] == argv[0]
 
 
+#: README `bag` result table, as written before the quadrature was imported
+#: lazily
+README_BAG_CSV = (
+    "N,g,m,a,b,k,R_opt,lambda,energy,curvature_residual,flagged\n"
+    "1,0.8,1.0,0.001,0.001,1,2.75185397850765,0.7066969195998102,"
+    "0.8891483329285179,3.133127438048611e-14,false\n")
+
+
+def test_quadrature_module_loads_on_first_use(tmp_path):
+    # scipy.integrate is about a third of `import bagforge.cli`; soliton and
+    # verify never call it, the bag normalizes its state with it
+    readme = {argv[0]: argv for argv in readme_commands()}
+    runs = [readme[sub] for sub in ("soliton", "verify", "bag")]
+    script = ("import json, sys\n"
+              "from bagforge.cli import main\n"
+              "seen = ['scipy.integrate' in sys.modules]\n"
+              "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+              "    code = main(argv + ['--out', sys.argv[2] + str(i)])\n"
+              "    seen.append((code, 'scipy.integrate' in sys.modules))\n"
+              "print(json.dumps(seen))\n")
+    src = str(Path(bagforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), str(tmp_path / "r")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [False, [0, False], [0, False], [0, True]]
+    assert (tmp_path / "r2.csv").read_text() == README_BAG_CSV
+
+
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
 def test_help_lists_every_key(capsys, sub):
     with pytest.raises(SystemExit) as exc:

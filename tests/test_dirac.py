@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from bagforge import dirac
 from bagforge import (DegenerateEigenvalueError, RadialField, RadialSpinor,
                       TwoZoneProblem, assemble_hamiltonian, density,
                       dirichlet_ball_eigenvalue, eigen_solve,
@@ -206,6 +208,91 @@ def test_window_eigenvalues_bit_equal_to_eigen_solve(sector):
             assert ev.tobytes() == eigen_solve(op, window).eigenvalues.tobytes()
     with pytest.raises(ValueError, match="empty window"):
         window_eigenvalues(op, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("sector", [-1, +1])
+def test_eigen_solve_bit_equal_to_scipy(sector):
+    # the bisection at call and the inverse iteration on first read give the
+    # pairs of eigh_tridiagonal(select="v") bit for bit, mapped to grid
+    # normalization as before; the last window holds no level
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, 900)
+    for seed in range(3):
+        phi = random_bound_field(grid, m, g, np.random.default_rng(seed))
+        op = assemble_hamiltonian(phi, g, m, sector=sector)
+        counts = []
+        for window in ((-0.99, 0.99), (0.0, 0.8), (-0.9, -0.1),
+                       (-1e-3, 1e-3)):
+            lam, y = eigh_tridiagonal(op.diag, op.offdiag, select="v",
+                                      select_range=window)
+            res = eigen_solve(op, window)
+            assert res.eigenvalues.tobytes() == lam.tobytes()
+            x = y / np.sqrt(op.weights)[:, None] / math.sqrt(4.0 * math.pi)
+            assert res.vectors.shape == x.shape
+            assert res.vectors.tobytes() == x.tobytes()
+            values_only = eigvalsh_tridiagonal(op.diag, op.offdiag,
+                                               select="v", select_range=window)
+            assert (window_eigenvalues(op, window).tobytes()
+                    == values_only.tobytes())
+            counts.append(lam.size)
+        assert min(counts[:3]) > 0 and counts[3] == 0
+
+
+def test_inverse_iteration_runs_once_on_first_read(monkeypatch):
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, 900)
+    phi = random_bound_field(grid, m, g, np.random.default_rng(0))
+    op = assemble_hamiltonian(phi, g, m)
+    calls = []
+    stein = dirac.dstein
+
+    def counted(*args):
+        calls.append(1)
+        return stein(*args)
+
+    monkeypatch.setattr(dirac, "dstein", counted)
+    res = eigen_solve(op)
+    assert res.eigenvalues.size > 0 and not calls
+    first = res.vectors
+    assert res.residual <= 1e-8 and res.vectors is first
+    res.ladder_spinors([1])
+    assert res.gram_deviation() <= 1e-8
+    assert len(calls) == 1
+
+
+def test_residual_certificate_on_first_read(monkeypatch):
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, 900)
+    phi = random_bound_field(grid, m, g, np.random.default_rng(1))
+    op = assemble_hamiltonian(phi, g, m)
+    stein = dirac.dstein
+
+    def perturbed(*args):
+        z, info = stein(*args)
+        z[0] += 1e-3
+        return z, info
+
+    monkeypatch.setattr(dirac, "dstein", perturbed)
+    res = eigen_solve(op)
+    for attr in ("vectors", "residual"):
+        with pytest.raises(RuntimeError, match="residual"):
+            getattr(res, attr)
+
+
+def test_nonfinite_operator_rejected_like_scipy():
+    grid = make_grid(25.0, 200)
+    op = assemble_hamiltonian(RadialField.zero(grid), 1.0, 1.0)
+    for band in ("diag", "offdiag"):
+        bad = getattr(op, band).copy()
+        bad[3] = np.nan
+        broken = dataclasses.replace(op, **{band: bad})
+        with pytest.raises(ValueError):
+            eigh_tridiagonal(broken.diag, broken.offdiag, select="v",
+                             select_range=(-0.5, 0.5))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigen_solve(broken)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            window_eigenvalues(broken)
 
 
 def test_orthonormality_and_normalization():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bagforge import dirac
 from bagforge import (ModelParams, PotentialSpec, RadialField, SolitonConfig,
                       dirichlet_ball_eigenvalue, el_residual, energy,
                       gradient, initial_guess, integrate, make_grid, minimize)
@@ -114,6 +115,30 @@ def test_budget_cut_reports_gradient_of_returned_field():
     assert rep.grad_norm == pytest.approx(
         math.sqrt(integrate(rep.phi.grid, fresh.values**2)), rel=1e-12)
     assert rep.grad_norm == pytest.approx(rep.el.field, rel=1e-9)
+
+
+@pytest.mark.parametrize("ks, bisections, inverse, iterations, E, lam1", [
+    # README soliton and its excited ladder, values as recorded
+    ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069),
+    ((1, 1, 2), 179, 107, 107, 2.1189172320272873, 0.3908284588805935),
+])
+def test_descent_inverse_iteration_only_on_accepted_fields(
+        monkeypatch, ks, bisections, inverse, iterations, E, lam1):
+    # every energy evaluation bisects; only the fields whose gradient is
+    # taken (the start and each accepted step) run inverse iteration, and
+    # the final report reuses the last one
+    calls = {"dstebz": 0, "dstein": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(dirac, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(dirac, name, counted)
+    rep = minimize(cfg_for(N=len(ks), ks=ks, n=800))
+    assert rep.converged and rep.iterations == iterations
+    assert calls == {"dstebz": bisections, "dstein": inverse}
+    assert len(rep.history) == inverse
+    assert repr(rep.energy) == repr(E)
+    assert repr(float(rep.lambdas[0])) == repr(lam1)
 
 
 def test_minimize_weak_coupling_collapses():
