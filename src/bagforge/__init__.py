@@ -29,7 +29,7 @@ from .dispersion import (TwoZoneProblem, TwoZoneState, dirichlet_ball_eigenvalue
 from .gamma import (GammaResult, GammaSweep, eps_energy, interface_width,
                     recovery_energy, run_sweep)
 from .grid import RadialGrid, integrate, make_grid
-from .potentials import PotentialSpec, check_hypotheses, surface_constant
+from .potentials import PotentialSpec, surface_constant
 from .soliton import (ModelParams, SolitonConfig, SolitonReport, el_residual,
                       energy, gradient, initial_guess, minimize)
 
@@ -39,11 +39,11 @@ __all__ = [
     "PotentialSpec", "RadialDiracOperator", "RadialField", "RadialGrid",
     "RadialSpinor", "SolitonConfig", "SolitonReport", "SpectralResult",
     "TwoZoneProblem", "TwoZoneState", "assemble_hamiltonian", "bag_energy",
-    "cavity_energy", "check_hypotheses", "density",
-    "dirichlet_ball_eigenvalue", "eigen_solve", "eigenvalues", "el_residual",
-    "energy", "eps_energy", "gradient", "hellmann_feynman", "initial_guess",
-    "integrate", "interface_width", "make_grid", "matching_function",
-    "minimize", "minimize_bag", "mit_eigenvalue", "mit_ground", "mit_limit",
-    "recovery_energy", "run_sweep", "supercharge_singular_values",
-    "surface_constant", "two_zone_state", "window_eigenvalues",
+    "cavity_energy", "density", "dirichlet_ball_eigenvalue", "eigen_solve",
+    "eigenvalues", "el_residual", "energy", "eps_energy", "gradient",
+    "hellmann_feynman", "initial_guess", "integrate", "interface_width",
+    "make_grid", "matching_function", "minimize", "minimize_bag",
+    "mit_eigenvalue", "mit_ground", "mit_limit", "recovery_energy",
+    "run_sweep", "supercharge_singular_values", "surface_constant",
+    "two_zone_state", "window_eigenvalues",
 ]

@@ -24,7 +24,7 @@ exterior masses M_n growing without bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -214,16 +214,13 @@ class MITReport:
     R: float
     lam: float
     energy: float
-    convex_ok: bool
-    samples: np.ndarray = field(repr=False, default=None)
 
 
 def mit_ground(cfg: BagConfig) -> MITReport:
     """Unique optimal radius of the confined-cavity ground state.
 
     The objective R -> N lam_1(R) + a P + b V is strictly convex and
-    coercive; midpoint convexity is verified on a log sample of the search
-    interval and reported alongside the optimum.
+    coercive, so the radius search finds its one stationary point.
     """
     N, m, a, b = cfg.n_quarks, cfg.m, cfg.a, cfg.b
     f = lambda R: _total(N, mit_eigenvalue(R, m, 1), a, b, R)
@@ -233,12 +230,7 @@ def mit_ground(cfg: BagConfig) -> MITReport:
         return (f(R * (1 + step)) - f(R * (1 - step))) / (2 * R * step)
 
     R, _ = _optimize_radius(f, df, lo, hi, iters=80)
-    Rs = np.geomspace(lo, hi, 33)
-    vals = np.array([f(x) for x in Rs])
-    # midpoint convexity in the log coordinate spacing
-    convex_ok = bool(np.all(vals[:-2] + vals[2:] - 2.0 * vals[1:-1] > -1e-8))
-    return MITReport(R=R, lam=mit_eigenvalue(R, m, 1), energy=f(R),
-                     convex_ok=convex_ok, samples=np.stack([Rs, vals]))
+    return MITReport(R=R, lam=mit_eigenvalue(R, m, 1), energy=f(R))
 
 
 @dataclass

@@ -53,18 +53,9 @@ WINDOW_SHAVE = 1e-6
 SIMPLE_GAP_RTOL = 1e-6
 
 
-class GridMismatchError(ValueError):
-    pass
-
-
 class DegenerateEigenvalueError(RuntimeError):
     """Raised when a derivative formula needs a simple eigenvalue but the
     spectral gap is below the simplicity threshold."""
-
-
-def _check_same_grid(a: RadialGrid, b: RadialGrid):
-    if not a.same_as(b):
-        raise GridMismatchError("objects live on different grids")
 
 
 @dataclass(frozen=True)
@@ -90,11 +81,6 @@ class RadialField:
     @classmethod
     def zero(cls, grid: RadialGrid) -> "RadialField":
         return cls(grid=grid, values=np.zeros(grid.n))
-
-    def staggered_values(self) -> np.ndarray:
-        """Second-order interpolation to the inner staggered nodes
-        r_{3/2}..r_{n-1/2}; this is the mass sampling the assembly uses."""
-        return midpoints(self.values)
 
 
 @dataclass(frozen=True)
@@ -171,7 +157,7 @@ def assemble_hamiltonian(phi: RadialField, g: float, m: float,
     rs = grid.r_staggered[1:]        # u-type nodes r_{3/2}..r_{n-1/2}
     h = grid.h
     mu_p = m + g * phi.values[:n - 1]
-    mu_s = m + g * phi.staggered_values()
+    mu_s = m + g * midpoints(phi.values)
     wp = h * rp**2
     ws = h * rs**2
     nd = n - 1
@@ -392,8 +378,10 @@ def hellmann_feynman(phi: RadialField, eigenpair: Tuple[float, RadialSpinor],
     simplicity threshold, where the first-order formula breaks down.
     """
     lam, psi = eigenpair
-    _check_same_grid(phi.grid, direction.grid)
-    _check_same_grid(phi.grid, psi.grid)
+    mesh = (phi.grid.n, phi.grid.r_max)
+    if any((o.grid.n, o.grid.r_max) != mesh for o in (direction, psi)):
+        raise ValueError("field, direction and eigenstate live on "
+                         "different grids")
     nrm = psi.norm_sq()
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"eigenstate must be normalized (norm^2 = {nrm})")

@@ -96,11 +96,6 @@ def _bisect(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def j0_zero(k: int) -> float:
-    """k-th positive zero of j0, exactly k*pi."""
-    return k * math.pi
-
-
 def j1_zero(k: int) -> float:
     """k-th positive zero of j1, bracketed between consecutive j0 zeros."""
     return _bisect(_j1, k * math.pi + 1e-12, (k + 1) * math.pi - 1e-12)
@@ -111,7 +106,7 @@ def dirichlet_ball_eigenvalue(k: int) -> float:
     two-profile symmetric sector: squared zeros of j0 and j1, merged."""
     if k < 1:
         raise ValueError("eigenvalue index starts at 1")
-    vals = [j0_zero(i) ** 2 for i in range(1, k + 1)]
+    vals = [(i * math.pi) ** 2 for i in range(1, k + 1)]  # j0 zeros i*pi
     vals += [j1_zero(i) ** 2 for i in range(1, k + 1)]
     return sorted(vals)[k - 1]
 

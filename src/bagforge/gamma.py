@@ -24,7 +24,8 @@ this inequality at every accepted iterate.
 `GammaSweep.functional` is the one description of E_eps: the gradient
 weight eps, the well W/eps at the midpoints and the mass term b phi^2 at
 the nodes, with their slopes and the curvature bound |W''|/eps + 2b that
-the descent metric reads; `field_terms` splits its quadrature sums.
+the descent metric reads; `field_terms` splits its quadrature sums, and
+`recovery_energy` is its field energy at the equipartition tanh ansatz.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from .potentials import PotentialSpec, surface_constant
 
 #: interfaces thinner than this many cells refuse to run
 CELLS_PER_WIDTH = 10
+#: field levels near the two wells whose outermost crossings bound the
+#: interface that `interface_width` measures
+WIDTH_LEVELS = (-0.9, -0.1)
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,8 @@ def tv_well_coordinate(sweep: GammaSweep, phi_vals: np.ndarray,
                                   2.0 * np.abs(dph) * np.sqrt(well)))
 
 
-def interface_width(grid: RadialGrid, phi_vals: np.ndarray,
-                    levels=(-0.9, -0.1)) -> float:
-    """Distance between the outermost crossings of the two well levels.
+def interface_width(grid: RadialGrid, phi_vals: np.ndarray) -> float:
+    """Distance between the outermost crossings of the two `WIDTH_LEVELS`.
 
     NaN when the field never reaches a level (no developed interface).
     """
@@ -148,9 +151,8 @@ def interface_width(grid: RadialGrid, phi_vals: np.ndarray,
         frac = s[i] / (s[i] - s[i + 1])
         return grid.r_primal[i] + grid.h * frac
 
-    r_deep = outer_crossing(levels[0])
-    r_shallow = outer_crossing(levels[1])
-    return r_shallow - r_deep
+    deep, shallow = WIDTH_LEVELS
+    return outer_crossing(shallow) - outer_crossing(deep)
 
 
 def l2_distance_to_bag(grid: RadialGrid, phi_vals: np.ndarray) -> tuple:
@@ -213,19 +215,15 @@ def reference_bag(sweep: GammaSweep) -> tuple:
 def initial_profile(sweep: GammaSweep, R: float, eps: float,
                     grid: Optional[RadialGrid] = None) -> np.ndarray:
     """Equipartition tanh ansatz around radius R at width eps."""
-    return _tanh_profile(grid or sweep.grid(), R, eps, sweep.potential)
-
-
-def _tanh_profile(grid: RadialGrid, R: float, eps: float,
-                  spec: PotentialSpec) -> np.ndarray:
-    s = math.sqrt(spec.kappa) / 2.0
+    grid = grid or sweep.grid()
+    s = math.sqrt(sweep.potential.kappa) / 2.0
     vals = tanh_step((grid.r_primal - R) * s / eps)
     vals[-1] = 0.0
     return vals
 
 
-def recovery_energy(grid: RadialGrid, R: float, eps: float,
-                    spec: PotentialSpec) -> float:
+def recovery_energy(sweep: GammaSweep, R: float, eps: float,
+                    grid: Optional[RadialGrid] = None) -> float:
     """Field energy E_eps of the equipartition ansatz at radius R.
 
     Upper-bounds the sharp value a*P + b*V up to O(eps) interface
@@ -233,12 +231,8 @@ def recovery_energy(grid: RadialGrid, R: float, eps: float,
     """
     if not (R > 0.0 and eps > 0.0):
         raise ValueError("R and eps must be positive")
-    vals = _tanh_profile(grid, R, eps, spec)
-    dph = forward_diff(grid, vals)
-    e = float(np.dot(grid.vol_staggered[1:],
-                     eps * dph**2 + spec.w(midpoints(vals)) / eps))
-    e += float(np.dot(grid.vol_primal, spec.b * vals**2))
-    return FOUR_PI * e
+    return sweep.functional(eps, grid).field_energy(
+        initial_profile(sweep, R, eps, grid))
 
 
 def run_sweep(sweep: GammaSweep) -> GammaResult:

@@ -56,9 +56,6 @@ class RadialGrid:
     def vol_staggered(self) -> np.ndarray:
         return self.w_staggered * self.r_staggered**2
 
-    def same_as(self, other: "RadialGrid") -> bool:
-        return self.n == other.n and abs(self.r_max - other.r_max) < 1e-14 * self.r_max
-
 
 def make_grid(r_max: float, n: int) -> RadialGrid:
     """Build the uniform grid on [0, r_max] with n cells.

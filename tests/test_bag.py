@@ -124,7 +124,6 @@ def test_mit_ground_massless_closed_form():
     rep = mit_ground(cfg)
     x0 = mit_eigenvalue(1.0, 1e-8, 1)      # massless cavity frequency
     assert rep.R == pytest.approx((x0 / (4 * math.pi)) ** 0.25, rel=1e-5)
-    assert rep.convex_ok
 
 
 def test_mit_ground_more_quarks_bigger_bag():

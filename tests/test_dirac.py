@@ -31,16 +31,25 @@ def test_field_validation():
 
 
 def test_grid_mismatch_rejected():
+    """A normalized simple ground state on g1 passes every other check, so
+    only the grid comparison can refuse a direction or a state living on a
+    grid with another r_max or another cell count."""
     g1 = make_grid(10.0, 64)
-    g2 = make_grid(12.0, 64)
-    phi = RadialField.zero(g1)
-    direction = RadialField.zero(g2)
-    op = assemble_hamiltonian(phi, g=1.0, m=1.0)
-    res = eigen_solve(op, window=(0.0, 0.999))
-    psi = RadialSpinor(grid=g1, u=np.zeros(64), v=np.zeros(64))
-    with pytest.raises(ValueError):
-        hellmann_feynman(phi, (0.5, psi), direction, g=1.0, m=1.0)
-    assert res.eigenvalues.size == 0
+
+    def ground(grid):
+        phi = square_well(grid, 1.0, 4.0)
+        res = eigen_solve(assemble_hamiltonian(phi, g=1.0, m=1.0))
+        return phi, (float(res.ladder[0]), res.ladder_spinors([1])[0])
+
+    phi, pair = ground(g1)
+    assert pair[1].norm_sq() == pytest.approx(1.0, abs=1e-10)
+    bump = lambda grid: gaussian_field(grid, 2.0, 1.0)
+    assert math.isfinite(hellmann_feynman(phi, pair, bump(g1), 1.0, 1.0))
+    for other in (make_grid(12.0, 64), make_grid(10.0, 65)):
+        with pytest.raises(ValueError, match="different grids"):
+            hellmann_feynman(phi, pair, bump(other), 1.0, 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            hellmann_feynman(phi, ground(other)[1], bump(g1), 1.0, 1.0)
 
 
 def test_free_operator_squares_to_radial_laplacians():

@@ -69,24 +69,31 @@ def test_recovery_energy_approaches_sharp_interface_value():
     a = surface_constant(spec)
     assert a == pytest.approx(1 / 3, abs=1e-10)
     grid = make_grid(4.0, 1600)
+    # the ansatz energy is a field energy: the quark terms (g, m) drop out
+    sweep = GammaSweep(eps_schedule=[0.4], **dict(CAL, potential=spec))
     R = 2.0
     sharp = a * 16 * math.pi + spec.b * 32 * math.pi / 3
-    val = recovery_energy(grid, R, 0.05, spec)
+    val = recovery_energy(sweep, R, 0.05, grid)
     assert val == pytest.approx(sharp, rel=0.05)
     # pure surface part (b = 0): the ansatz energies decrease monotonically
     # onto the sharp perimeter value from above; the mass term would add a
     # small smoothing deficit of order eps that can undershoot it
     spec0 = PotentialSpec(kappa=1.0, b=0.0)
+    sweep0 = GammaSweep(eps_schedule=[0.4], **dict(CAL, potential=spec0))
     sharp0 = surface_constant(spec0) * 16 * math.pi
-    vals = [recovery_energy(grid, R, e, spec0) for e in (0.2, 0.1, 0.05, 0.025)]
+    vals = [recovery_energy(sweep0, R, e, grid)
+            for e in (0.2, 0.1, 0.05, 0.025)]
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
     assert vals[-1] > sharp0
     assert vals[0] == pytest.approx(sharp0, rel=0.2)
     # doubling the radius quadruples the perimeter part of the target
     sharp_2R = a * 4 * math.pi * (2 * R) ** 2 + spec.b * (4 / 3) * math.pi * (2 * R) ** 3
     grid8 = make_grid(8.0, 3200)
-    assert recovery_energy(grid8, 2 * R, 0.05, spec) == pytest.approx(
+    assert recovery_energy(sweep, 2 * R, 0.05, grid8) == pytest.approx(
         sharp_2R, rel=0.05)
+    for bad in ((0.0, 0.05), (R, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            recovery_energy(sweep, *bad, grid)
 
 
 def test_interface_width_of_tanh_profile():

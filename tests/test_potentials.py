@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bagforge import PotentialSpec, check_hypotheses, surface_constant
+from bagforge import PotentialSpec, surface_constant
 
 
 def test_well_zeros_and_nonnegativity():
@@ -50,18 +50,32 @@ def test_derivative_consistency():
             1.0, float(np.max(np.abs(fd))))
 
 
+def _sample_nonzero():
+    t = np.linspace(-3.0, 3.0, 2001)
+    return np.append(t[np.abs(t) > 1e-12], -1.0)    # second well, where U/t^2 dips
+
+
 def test_hypotheses_report_mass_term():
-    rep = check_hypotheses(PotentialSpec(kappa=1.0, b=0.5))
-    assert rep.holds_h2
-    assert rep.coercivity_c == pytest.approx(0.5, rel=1e-3)
-    assert rep.growth_p == 3.0
-    assert rep.growth_C > 0
+    # U(t)/t^2 = kappa (1+t)^2 + b: the coercivity constant is exactly b,
+    # attained at the second well; |U'(t)| <= C (|t| + |t|^3)
+    spec = PotentialSpec(kappa=1.0, b=0.5)
+    t = _sample_nonzero()
+    ratio = spec.u(t) / t**2
+    assert np.all(ratio >= spec.b - 1e-12)
+    assert float(np.min(ratio)) == pytest.approx(0.5, rel=1e-3)
+    assert spec.u(-1.0) == spec.b
+    growth_C = float(np.max(np.abs(spec.u_prime(t)) / (np.abs(t) + np.abs(t)**3)))
+    assert 0 < growth_C < np.inf
 
 
 def test_hypotheses_violation_without_mass_term():
-    rep = check_hypotheses(PotentialSpec(kappa=1.0, b=0.0))
-    assert not rep.holds_h2
-    assert any(abs(t + 1.0) < 0.02 for t in rep.violations)
+    # b = 0: U(t) >= c t^2 fails for every c > 0, at the second well t = -1
+    spec = PotentialSpec(kappa=1.0, b=0.0)
+    t = _sample_nonzero()
+    ratio = spec.u(t) / t**2
+    violations = t[ratio <= 1e-12]
+    assert violations.size > 0
+    assert any(abs(x + 1.0) < 0.02 for x in violations)
 
 
 def test_invalid_spec():
