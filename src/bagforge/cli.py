@@ -12,12 +12,13 @@ Configuration is a flat key-value file with dotted section names
 cleanly; command-line flags override file keys.  Each runner solves and
 returns its result rows; `run` alone writes them, as CSV or JSON, plus an
 optional long-format profile CSV and a `run.json` manifest recording
-parameters, version and wall time.  Identical configuration and seed
-produce byte-identical result files (the manifest holds the only
-timestamp-like field).
+parameters, version, wall time and, for the field descents (`soliton`,
+`gamma-sweep`), a `telemetry` block counting their eigen-solves by how the
+bisection started.  Identical configuration and seed produce byte-identical
+result files (the manifest holds the only timestamp-like field).
 
-Exit codes: 0 success, 1 usage error, 2 flagged non-convergence or solver
-failure, 3 I/O.
+Exit codes: 0 success, 1 usage error (including a problem too large to
+allocate), 2 flagged non-convergence or solver failure, 3 I/O.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -101,13 +103,15 @@ def read_table(path: Path):
 
 
 def write_manifest(outdir: Path, subcommand: str, params: dict,
-                   wall_time: float):
+                   wall_time: float, telemetry=None):
     manifest = {
         "subcommand": subcommand,
         "parameters": {k: params[k] for k in sorted(params)},
         "version": __version__,
         "wall_time_s": wall_time,
     }
+    if telemetry is not None:
+        manifest["telemetry"] = telemetry
     (outdir / "run.json").write_text(json.dumps(manifest, indent=2,
                                                 sort_keys=True) + "\n")
 
@@ -254,12 +258,22 @@ def parse(argv) -> dict:
 
 # --------------------------------------------------------------------------
 # subcommand runners: each solves and returns (header, rows, profile series
-# or None, failure message or "")
+# or None, failure message or "", run.json telemetry or None)
 
 
 def _unconverged(res, tol: float) -> str:
     return (f"after {res.iterations} iterations (gradient norm "
             f"{res.grad_norm:.3e} > tol {tol:g})")
+
+
+def _solve_telemetry(results) -> dict:
+    """The descents' eigen-solves summed by start (`DescentResult.solves`):
+    full bisections without a warm result, resumed ones, and fallbacks to
+    the full bisection."""
+    total = Counter()
+    for res in results:
+        total.update(res.solves)
+    return {"eigen_solves": dict(total)}
 
 
 def _run_soliton(p):
@@ -291,7 +305,7 @@ def _run_soliton(p):
               for g, rep in zip(gs, reports) if not rep.converged]
     return header, rows, profiles, (
         "soliton descent did not converge at " + "; ".join(failed)
-        if failed else "")
+        if failed else ""), _solve_telemetry(reports)
 
 
 def _bag_edge(R: float, interval) -> str:
@@ -311,14 +325,14 @@ def _run_bag(p):
     rows = [[cfg.n_quarks, cfg.g, cfg.m, cfg.a, cfg.b, cfg.k, rep.R, rep.lam,
              rep.energy, rep.curvature_residual, rep.flagged]]
     return header, rows, None, (_bag_edge(rep.R, cfg.r_interval)
-                                if rep.flagged else "")
+                                if rep.flagged else ""), None
 
 
 def _run_mit(p):
     m, R, k = p["model.m"], p["mit.R"], p["mit.k"]
     lam = mit_eigenvalue(R, m, k)
     print(f"lambda = {lam:.6f}  (R={_fmt(R)}, m={_fmt(m)}, k={k})")
-    return ["R", "m", "k", "lambda"], [[R, m, k, lam]], None, ""
+    return ["R", "m", "k", "lambda"], [[R, m, k, lam]], None, "", None
 
 
 def _run_mit_limit(p):
@@ -342,7 +356,7 @@ def _run_mit_limit(p):
     rows = [[row.mu_out, row.R, row.energy, row.boundary_ratio,
              result.limit.R, result.limit.energy, row.flagged]
             for row in result.rows]
-    return header, rows, None, ""
+    return header, rows, None, "", None
 
 
 def _run_gamma(p):
@@ -372,7 +386,8 @@ def _run_gamma(p):
                + _unconverged(r, sweep.tol)
                for r in result.rows if not r.converged]
     return header, rows, profiles, ("gamma-sweep " + "; ".join(failed)
-                                    if failed else "")
+                                    if failed else ""), _solve_telemetry(
+                                        result.rows)
 
 
 def _run_verify(p):
@@ -385,7 +400,7 @@ def _run_verify(p):
             for name, ok, detail in checks]
     failed = [f"{name} ({detail})" for name, ok, detail in checks if not ok]
     return header, rows, None, ("verify checks failed: " + "; ".join(failed)
-                                if failed else "")
+                                if failed else ""), None
 
 
 _COMMON = {"output.path": "bagforge_run", "output.format": "csv",
@@ -432,9 +447,14 @@ def run(params: dict) -> int:
         # the resulting non-finite values into errors, so numpy's warnings
         # would only put a second message on stderr
         with np.errstate(all="ignore"):
-            header, rows, profiles, failure = _SUBCOMMANDS[sub][1](params)
+            header, rows, profiles, failure, telemetry = (
+                _SUBCOMMANDS[sub][1](params))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError as exc:
+        # numpy refuses an array larger than the machine before allocating
+        raise UsageError(f"{sub}: not enough memory for this problem "
+                         f"({exc})") from exc
     except OverflowError as exc:
         # a Python float ** raises where a solve leaves double range
         raise RuntimeError(f"{sub}: floating-point overflow "
@@ -445,7 +465,7 @@ def run(params: dict) -> int:
         write_profiles(stem.with_name(stem.name + "_profile.csv"), profiles)
     write_manifest(stem.parent, sub,
                    {k: v for k, v in params.items() if k != "subcommand"},
-                   time.perf_counter() - start)
+                   time.perf_counter() - start, telemetry)
     if failure:
         print(f"error: {failure}", file=sys.stderr)
         return 2

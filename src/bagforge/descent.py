@@ -15,7 +15,10 @@ first-order perturbation of the assembled matrix (valid while each used
 level is simple), the field part is the algebraic derivative of the
 quadrature sums.  Descent directions are preconditioned by the field
 metric (stiffness + curvature-adapted mass), i.e. an H^1-gradient flow; an
-Armijo line search guarantees a nonincreasing energy history.
+Armijo line search guarantees a nonincreasing energy history.  Each trial
+field's eigen-solve resumes its bisection from the accepted field's levels
+(`dirac.eigen_solve`'s `warm`), which leaves every bit as a cold solve
+would; `DescentResult.solves` counts how each solve started.
 
 A `FieldFunctional` is the whole description of a field model: besides the
 quark content it carries its potential's value, slope and curvature, so the
@@ -85,10 +88,14 @@ class FieldFunctional:
 
     # -- eigenvalue ladder -------------------------------------------------
 
-    def ladder(self, phi_vals: np.ndarray) -> LadderSolve:
+    def ladder(self, phi_vals: np.ndarray,
+               warm: Optional[LadderSolve] = None) -> LadderSolve:
+        """The ladder at phi_vals; `warm`, the solve at a nearby field, lets
+        the eigen-solve resume from its levels with the same bits."""
         phi = RadialField(grid=self.grid, values=phi_vals)
         op = assemble_hamiltonian(phi, g=self.g, m=self.m)
-        res = eigen_solve(op, window=(0.0, self.m * (1.0 - WINDOW_SHAVE)))
+        res = eigen_solve(op, window=(0.0, self.m * (1.0 - WINDOW_SHAVE)),
+                          warm=None if warm is None else warm.spectral)
         lam = res.eigenvalues
         values = np.empty(len(self.k_indices))
         for i, k in enumerate(self.k_indices):
@@ -130,8 +137,9 @@ class FieldFunctional:
     def field_energy(self, phi_vals: np.ndarray) -> float:
         return FOUR_PI * sum(self.term_sums(phi_vals))
 
-    def energy_and_ladder(self, phi_vals: np.ndarray):
-        solve = self.ladder(phi_vals)
+    def energy_and_ladder(self, phi_vals: np.ndarray,
+                          warm: Optional[LadderSolve] = None):
+        solve = self.ladder(phi_vals, warm)
         return float(np.sum(solve.values)) + self.field_energy(phi_vals), solve
 
     # -- exact gradient ------------------------------------------------------
@@ -179,6 +187,8 @@ class DescentResult:
     converged: bool
     history: list = field(default_factory=list)
     ladder: Optional[LadderSolve] = None
+    #: eigen-solves by `SpectralResult.start`: "full", "resumed", "fallback"
+    solves: dict = field(default_factory=dict)
 
 
 def _metric_bands(fn: FieldFunctional, phi: np.ndarray):
@@ -209,6 +219,8 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
     phi = np.array(phi0, dtype=float)
     phi[-1] = 0.0
     E, solve = fn.energy_and_ladder(phi)
+    solves = {"full": 0, "resumed": 0, "fallback": 0}
+    solves[solve.spectral.start] += 1
     alpha = 1.0
     history = [E]
     gnorm = math.inf
@@ -231,7 +243,8 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         while alpha > 1e-16:
             trial = phi.copy()
             trial[:-1] -= alpha * d
-            E_t, solve_t = fn.energy_and_ladder(trial)
+            E_t, solve_t = fn.energy_and_ladder(trial, warm=solve)
+            solves[solve_t.spectral.start] += 1
             if E_t <= E - ARMIJO_C1 * alpha * slope:
                 phi, E, solve = trial, E_t, solve_t
                 history.append(E)
@@ -245,4 +258,5 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         gnorm = fn.grad_norm(fn.as_field(fn.gradient_partials(phi, solve)))
         converged = gnorm <= tol
     return DescentResult(phi=phi, energy=E, grad_norm=gnorm, iterations=it,
-                         converged=converged, history=history, ladder=solve)
+                         converged=converged, history=history, ladder=solve,
+                         solves=solves)

@@ -32,6 +32,13 @@ and the map back to grid-normalized vectors run on the first read of the
 result's vectors (or residual), once.  A caller that reads eigenvalues only,
 such as a rejected line-search trial, pays for the bisection alone, and
 `window_eigenvalues` returns the same values without a result object.
+
+A caller that solves a sequence of nearby fields, like the field descent,
+passes the previous result as `warm`: each level's bisection then resumes
+from a subinterval of stebz's own midpoint tree that holds the level alone,
+found from an enclosure of the level, and the output is bit-equal to the
+full bisection's.  A Sturm count over the whole window certifies the
+subintervals; where it or another check fails, the full bisection runs.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigvals_banded
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .grid import FOUR_PI, RadialGrid, integrate, midpoints, scatter_mid
 
@@ -193,6 +200,10 @@ class SpectralResult:
     window: Tuple[float, float]
     eigenvalues: np.ndarray
     bisection: tuple = field(repr=False)
+    #: "full" (no warm result given), "resumed" (bisection resumed from a
+    #: warm result's enclosures) or "fallback" (a warm result was given but
+    #: its enclosures failed a check, so the full bisection ran)
+    start: str = "full"
 
     @cached_property
     def _pairs(self) -> Tuple[np.ndarray, float]:
@@ -301,8 +312,116 @@ def _bisection(op: RadialDiracOperator,
     return window, w[order], (w, iblock, isplit, order)
 
 
+def _enclosures(op: RadialDiracOperator, warm: SpectralResult):
+    """(lower, upper) ends of one interval per level of `warm`, each meant
+    to hold the same level of `op`.
+
+    With warm's vectors at hand: one step of shifted inverse iteration (a
+    `dgtsv` solve at the warm eigenvalue) and the Rayleigh quotient of the
+    result, widened by the Kato-Temple bound r^2/gap (the residual norm r
+    where the gap to the neighbouring levels and window ends is not larger
+    than r).  Without them (their inverse iteration never ran, and is not
+    run here): the warm eigenvalues widened by the Weyl bound, the largest
+    change of the diagonal.  The intervals only steer the resumed
+    bisection; a wrong one costs a fallback, never a bit.
+    """
+    lam = warm.eigenvalues
+    if "_pairs" not in vars(warm):
+        shift = float(np.max(np.abs(op.diag - warm.operator.diag)))
+        return lam - shift, lam + shift
+    ys = (warm.vectors * np.sqrt(warm.operator.weights)[:, None]).T
+    rho = np.empty(lam.size)
+    r = np.empty(lam.size)
+    for i, y in enumerate(ys):
+        _, _, _, z, info = dgtsv(op.offdiag, op.diag - lam[i], op.offdiag, y)
+        if info or not np.all(np.isfinite(z)):
+            z = y
+        z = z / np.linalg.norm(z)
+        tz = op.apply_bands(z)
+        rho[i] = float(np.dot(z, tz))
+        r[i] = float(np.linalg.norm(tz - rho[i] * z))
+    ends = np.concatenate(([warm.window[0]], rho, [warm.window[1]]))
+    gap = np.minimum(rho - ends[:-2], ends[2:] - rho)
+    half = np.where(gap > r, r * r / np.maximum(gap, r), r)
+    return rho - half, rho + half
+
+
+def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
+                       warm: SpectralResult):
+    """(ascending eigenvalues, stein inputs) equal bit for bit to
+    `_bisection(op, window)`, from subintervals of its own bisection; None
+    where that equality is not certified.
+
+    stebz bisects (vl, vu] at midpoints 0.5*(lo + hi), keeps every half
+    holding an eigenvalue by its Sturm count and stops an interval when it
+    is narrower than its tolerance.  A node of that midpoint tree holding
+    one eigenvalue is therefore bisected from then on exactly as a stebz
+    call over the node itself bisects it, down to the same last interval
+    and midpoint (Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).
+    Each level's node is found by replaying the midpoints from the window
+    ends while they miss the level's enclosure, never below a width far
+    above stebz's stopping width.  The result is accepted when one
+    count-only stebz over the window finds as many eigenvalues as there
+    are nodes, the nodes are ordered and disjoint, and each holds exactly
+    one eigenvalue; with Sturm counts monotone in floating point (Demmel,
+    Dhillon & Ren, ETNA 3, 1995) every eigenvalue then sits alone in its
+    node, which the full bisection reaches.  A window that stebz would clip
+    to the Gershgorin interval, or a matrix that splits into blocks, is
+    left to the full bisection.
+    """
+    d = np.asarray_chkfinite(op.diag)
+    e = np.asarray_chkfinite(op.offdiag)
+    if not warm.eigenvalues.size:       # nothing to resume from
+        return None
+    vl, vu = window
+    count, _, iblock, isplit, info = dstebz(d, e, 1, vl, vu, 1, 1, vu - vl,
+                                            "B")
+    if info or count != warm.eigenvalues.size or isplit[0] != op.size:
+        return None
+    ulp = np.finfo(float).eps                      # LAPACK dlamch("P")
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e)))
+    ae = np.abs(e)
+    radius = np.append(ae, 0.0)
+    radius[1:] += ae
+    gl, gu = float(np.min(d - radius)), float(np.max(d + radius))
+    scale = max(-gl, gu, abs(vl), abs(vu))
+    # stebz widens the Gershgorin interval by ~2 n ulp scale before it clips
+    # the window to it; its stopping width is at most 2 ulp scale + pivmin
+    margin = 4.0 * (op.size * ulp * scale + pivmin)
+    if not (gl + margin < vl and vu < gu - margin):
+        return None
+    # nodes stay this wide, and the enclosures are widened by as much to
+    # cover their own rounding and the Sturm counts' backward error
+    floor = 16.0 * (ulp * scale + pivmin)
+    lower, upper = _enclosures(op, warm)
+    nodes = []
+    for a, b in zip(lower - floor, upper + floor):
+        lo, hi = vl, vu
+        while 0.5 * (hi - lo) >= floor:
+            mid = 0.5 * (lo + hi)
+            if mid < a:
+                lo = mid
+            elif mid > b:
+                hi = mid
+            else:
+                break
+        nodes.append((lo, hi))
+    if (vl, vu) in nodes or any(hi > lo for (_, hi), (lo, _)
+                                in zip(nodes, nodes[1:])):
+        return None
+    w = np.empty(count)
+    for i, (lo, hi) in enumerate(nodes):
+        one, wi, _, _, info = dstebz(d, e, 1, lo, hi, 1, 1, 0.0, "B")
+        if info or one != 1:
+            return None
+        w[i] = wi[0]
+    order = np.argsort(w)
+    return w[order], (w, iblock, isplit, order)
+
+
 def eigen_solve(op: RadialDiracOperator,
-                window: Optional[Tuple[float, float]] = None) -> SpectralResult:
+                window: Optional[Tuple[float, float]] = None,
+                warm: Optional[SpectralResult] = None) -> SpectralResult:
     """All eigenpairs of the sector operator inside the window.
 
     Default window stops just short of the band edges +-m.  The call runs
@@ -310,10 +429,28 @@ def eigen_solve(op: RadialDiracOperator,
     check of the pairs' residual norms against the direct solver's
     backward-stability budget and the map to grid-normalized vectors run on
     the first read of `vectors` or `residual`, once.
+
+    `warm`, the result of the same sector and window at a nearby field,
+    lets the bisection resume from its levels (`_resumed_bisection`); the
+    values, vectors and residual are bit-equal to a solve without it, and
+    `start` tells which way they came.
     """
-    window, lam, stein_inputs = _bisection(op, window)
+    window = _spectral_window(op, window)
+    resumed = None
+    if warm is not None:
+        if (warm.window != window or warm.operator.sector != op.sector
+                or warm.operator.size != op.size):
+            raise ValueError(
+                "warm result is of another window, sector or grid")
+        resumed = _resumed_bisection(op, window, warm)
+    if resumed is None:
+        _, lam, stein_inputs = _bisection(op, window)
+    else:
+        lam, stein_inputs = resumed
+    start = ("full" if warm is None else
+             "fallback" if resumed is None else "resumed")
     return SpectralResult(operator=op, window=window, eigenvalues=lam,
-                          bisection=stein_inputs)
+                          bisection=stein_inputs, start=start)
 
 
 def window_eigenvalues(op: RadialDiracOperator,

@@ -184,6 +184,7 @@ class GammaRow:
     iterations: int
     grad_norm: float
     converged: bool
+    solves: dict              # the descent's eigen-solves, by start
     phi: np.ndarray = field(repr=False, default=None)
 
 
@@ -270,7 +271,7 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
             equipartition_ratio=e_grad / e_well if e_well > 0 else math.inf,
             liminf_margin=(e_grad + e_well) - tv,
             iterations=res.iterations, grad_norm=res.grad_norm,
-            converged=res.converged, phi=phi.copy()))
+            converged=res.converged, solves=res.solves, phi=phi.copy()))
         worst_inline = min(worst_inline, min(inline) if inline else math.inf)
         if not res.converged:
             break

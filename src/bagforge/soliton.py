@@ -109,6 +109,7 @@ class SolitonReport:
     converged: bool
     el: ELResidual
     all_bound: bool        # every occupied level strictly inside (0, m)
+    solves: dict           # the descent's eigen-solves, `DescentResult.solves`
 
 
 def initial_guess(cfg: SolitonConfig, grid: Optional[RadialGrid] = None) -> np.ndarray:
@@ -155,7 +156,8 @@ def minimize(cfg: SolitonConfig,
                          energy=res.energy, history=res.history,
                          grad_norm=res.grad_norm, iterations=res.iterations,
                          converged=res.converged, el=el,
-                         all_bound=bool(np.all((lam > 0.0) & (lam < m))))
+                         all_bound=bool(np.all((lam > 0.0) & (lam < m))),
+                         solves=res.solves)
 
 
 def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,

@@ -78,6 +78,11 @@ def test_soliton_run_and_profiles(tmp_path):
     assert prof[0] == "series,r,value"
     assert any(ln.startswith("phi_g") for ln in prof[1:])
     assert any(ln.startswith("density_g") for ln in prof[1:])
+    # the start field of each descent is solved cold, every trial warm
+    solves = json.loads((tmp_path / "run.json").read_text()
+                        )["telemetry"]["eigen_solves"]
+    assert sorted(solves) == ["fallback", "full", "resumed"]
+    assert solves["full"] == 1 and solves["resumed"] > solves["fallback"]
 
 
 def test_soliton_nonconvergence_exit_code(tmp_path):
@@ -266,6 +271,18 @@ def test_flagged_run_is_one_line(tmp_path, args, names):
     assert (tmp_path / "r.csv").exists()
 
 
+def test_too_large_problem_is_one_line(tmp_path):
+    # numpy refuses a 10**12-node grid before allocating anything
+    proc = run_entry_point(["soliton", "--n", str(10**12),
+                            "--out", str(tmp_path / "r")])
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: soliton:")
+    assert "not enough memory" in err[0]
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_io_error_exit_code(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("")      # a file where a directory is needed
@@ -296,6 +313,10 @@ def test_gamma_sweep_run(tmp_path):
     assert gaps[1] < gaps[0]
     prof = (tmp_path / "gam_profile.csv").read_text().splitlines()
     assert any(ln.startswith("phi_eps0.2") for ln in prof)
+    # one cold solve starts each width's descent
+    solves = json.loads((tmp_path / "run.json").read_text()
+                        )["telemetry"]["eigen_solves"]
+    assert solves["full"] == 2 and solves["resumed"] > solves["fallback"]
 
 
 def accepted(sub):

@@ -247,6 +247,139 @@ def test_eigen_solve_bit_equal_to_scipy(sector):
         assert min(counts[:3]) > 0 and counts[3] == 0
 
 
+def _warm_pair(size=1e-3, seed=0, sector=-1, window=None, n=300):
+    """(warm result at a random well, operator at the perturbed well)."""
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, n)
+    rng = np.random.default_rng(seed)
+    phi = random_bound_field(grid, m, g, rng, depth=0.9)
+    bump = gaussian_field(grid, rng.uniform(0.0, 10.0), rng.uniform(0.5, 5.0))
+    warm = eigen_solve(assemble_hamiltonian(phi, g, m, sector), window)
+    moved = RadialField(grid=grid, values=phi.values + size * bump.values)
+    return warm, assemble_hamiltonian(moved, g, m, sector)
+
+
+def _same_bits(res, cold):
+    return (res.window == cold.window
+            and res.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+            and res.vectors.tobytes() == cold.vectors.tobytes()
+            and res.residual == cold.residual)
+
+
+def test_warm_solve_bit_equal_to_cold():
+    # resumed or refused, a warm solve gives the cold solve's values,
+    # inverse-iteration vectors and residual byte for byte; the warm result
+    # may or may not have its vectors (Rayleigh-quotient or Weyl
+    # enclosures), and the window is the descent's or the default one
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    starts = []
+
+    @hyp.settings(derandomize=True, max_examples=60, deadline=None)
+    @hyp.example(seed=0, size=0.0, sector=-1, read=True, window=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), size=st.floats(1e-9, 0.3),
+               sector=st.sampled_from([-1, 1]), read=st.booleans(),
+               window=st.sampled_from([None, (0.0, 1.0 - dirac.WINDOW_SHAVE)]))
+    def check(seed, size, sector, read, window):
+        warm, op = _warm_pair(size, seed, sector, window)
+        if read:
+            warm.vectors
+        res = eigen_solve(op, window, warm=warm)
+        assert _same_bits(res, eigen_solve(op, window))
+        starts.append(res.start)
+
+    check()
+    # large perturbations move levels across the window ends, so only most
+    # of the draws resume
+    assert set(starts) <= {"resumed", "fallback"}
+    assert starts.count("resumed") >= len(starts) // 2
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda lo, hi: (lo + 0.05, hi + 0.05),        # beside every level
+    lambda lo, hi: (lo[::-1], hi[::-1]),          # levels swapped
+    lambda lo, hi: (np.full_like(lo, lo.min()),   # one interval for all
+                    np.full_like(hi, hi.max())),
+    lambda lo, hi: (np.full_like(lo, lo[0]),      # all at the first level
+                    np.full_like(hi, hi[0])),
+    lambda lo, hi: (hi + 1.0, lo - 1.0),          # inverted
+    lambda lo, hi: (lo * np.nan, hi * np.nan),
+])
+def test_wrong_enclosures_fall_back_with_the_same_bits(monkeypatch, wrong):
+    enclosures = dirac._enclosures
+    monkeypatch.setattr(dirac, "_enclosures",
+                        lambda op, warm: wrong(*enclosures(op, warm)))
+    for read in (False, True):
+        warm, op = _warm_pair()
+        if read:
+            warm.vectors
+        assert warm.eigenvalues.size >= 2
+        res = eigen_solve(op, warm=warm)
+        assert res.start == "fallback"
+        assert _same_bits(res, eigen_solve(op))
+
+
+def test_level_across_the_window_edge_falls_back():
+    # the top level sits just inside the window at the warm field and
+    # leaves it when the well gets shallower, then comes back
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, 300)
+    phi = random_bound_field(grid, m, g, np.random.default_rng(3), depth=0.9)
+    top = float(eigen_solve(assemble_hamiltonian(phi, g, m)).ladder[-1])
+    window = (0.0, top + 1e-4)
+    ops = [assemble_hamiltonian(RadialField(grid=grid, values=s * phi.values),
+                                g, m) for s in (1.0, 0.99, 1.0)]
+    solves = [eigen_solve(ops[0], window)]
+    for op in ops[1:]:
+        res = eigen_solve(op, window, warm=solves[-1])
+        cold = eigen_solve(op, window)
+        assert cold.eigenvalues.size != solves[-1].eigenvalues.size
+        assert res.start == "fallback" and _same_bits(res, cold)
+        solves.append(res)
+
+
+def test_window_past_the_gershgorin_bound_falls_back():
+    # stebz clips such a window to the Gershgorin interval before it
+    # bisects, so the window ends are not the ends of its midpoint tree
+    warm, op = _warm_pair(window=(0.0, 100.0))
+    assert float(np.max(op.diag) + 2 * np.max(np.abs(op.offdiag))) < 100.0
+    warm.vectors
+    res = eigen_solve(op, (0.0, 100.0), warm=warm)
+    assert res.start == "fallback"
+    assert _same_bits(res, eigen_solve(op, (0.0, 100.0)))
+
+
+def test_empty_window_falls_back():
+    for window in ((0.999, 0.9999), (-1e-3, 1e-3)):
+        warm, op = _warm_pair(window=window)
+        assert warm.eigenvalues.size == 0
+        res = eigen_solve(op, window, warm=warm)
+        assert res.start == "fallback"
+        assert _same_bits(res, eigen_solve(op, window))
+    with pytest.raises(ValueError, match="empty window"):
+        eigen_solve(op, (0.5, 0.5), warm=warm)
+
+
+def test_warm_solve_leaves_warm_vectors_unread(monkeypatch):
+    calls = []
+    stein = dirac.dstein
+    monkeypatch.setattr(dirac, "dstein",
+                        lambda *args: calls.append(1) or stein(*args))
+    warm, op = _warm_pair()
+    res = eigen_solve(op, warm=warm)
+    assert res.start == "resumed" and not calls
+    assert "_pairs" not in vars(warm)
+
+
+def test_warm_result_must_match():
+    warm, op = _warm_pair()
+    other, _ = _warm_pair(sector=+1)
+    coarse, _ = _warm_pair(n=200)
+    for bad, window in ((other, None), (coarse, None), (warm, (0.0, 0.9))):
+        with pytest.raises(ValueError, match="warm result"):
+            eigen_solve(op, window, warm=bad)
+
+
 def test_inverse_iteration_runs_once_on_first_read(monkeypatch):
     m, g = 1.0, 0.5
     grid = make_grid(25.0, 900)

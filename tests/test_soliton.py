@@ -117,25 +117,46 @@ def test_budget_cut_reports_gradient_of_returned_field():
     assert rep.grad_norm == pytest.approx(rep.el.field, rel=1e-9)
 
 
-@pytest.mark.parametrize("ks, bisections, inverse, iterations, E, lam1", [
-    # README soliton and its excited ladder, values as recorded
-    ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069),
-    ((1, 1, 2), 179, 107, 107, 2.1189172320272873, 0.3908284588805935),
-])
+@pytest.mark.parametrize(
+    "ks, solves, inverse, iterations, E, lam1, full, resumed", [
+        # README soliton and its excited ladder, values as recorded
+        ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069, 3, 159),
+        ((1, 1, 2), 179, 107, 107, 2.1189172320272873, 0.3908284588805935,
+         7, 172),
+    ])
 def test_descent_inverse_iteration_only_on_accepted_fields(
-        monkeypatch, ks, bisections, inverse, iterations, E, lam1):
-    # every energy evaluation bisects; only the fields whose gradient is
-    # taken (the start and each accepted step) run inverse iteration, and
-    # the final report reuses the last one
-    calls = {"dstebz": 0, "dstein": 0}
-    for name in calls:
-        def counted(*args, _orig=getattr(dirac, name), _name=name):
-            calls[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(dirac, name, counted)
+        monkeypatch, ks, solves, inverse, iterations, E, lam1, full,
+        resumed):
+    # every energy evaluation bisects: the start field over the whole
+    # window, each Armijo trial resumed from the accepted field's levels
+    # after a count-only stebz, or over the whole window when that fails.
+    # Only the fields whose gradient is taken (the start and each accepted
+    # step) run inverse iteration, and the final report reuses the last one
+    window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
+    calls = {"full": 0, "count": 0, "node": 0, "dstein": 0}
+
+    def stebz(d, e, rng, vl, vu, il, iu, tol, order):
+        kind = ("count" if tol > 0.0 else
+                "full" if (vl, vu) == window else "node")
+        calls[kind] += 1
+        return dirac_stebz(d, e, rng, vl, vu, il, iu, tol, order)
+
+    def stein(*args):
+        calls["dstein"] += 1
+        return dirac_stein(*args)
+
+    dirac_stebz, dirac_stein = dirac.dstebz, dirac.dstein
+    monkeypatch.setattr(dirac, "dstebz", stebz)
+    monkeypatch.setattr(dirac, "dstein", stein)
     rep = minimize(cfg_for(N=len(ks), ks=ks, n=800))
     assert rep.converged and rep.iterations == iterations
-    assert calls == {"dstebz": bisections, "dstein": inverse}
+    fallback = full - 1
+    assert rep.solves == {"full": 1, "resumed": resumed,
+                          "fallback": fallback}
+    assert sum(rep.solves.values()) == solves
+    # one node per level a resumed trial holds: the levels in the window
+    assert calls["full"] == full and calls["count"] == resumed + fallback
+    assert calls["node"] >= resumed and calls["dstein"] == inverse
     assert len(rep.history) == inverse
     assert repr(rep.energy) == repr(E)
     assert repr(float(rep.lambdas[0])) == repr(lam1)
