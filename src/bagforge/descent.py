@@ -17,8 +17,9 @@ quadrature sums.  Descent directions are preconditioned by the field
 metric (stiffness + curvature-adapted mass), i.e. an H^1-gradient flow; an
 Armijo line search guarantees a nonincreasing energy history.  Each trial
 field's eigen-solve resumes its bisection from the accepted field's levels
-(`dirac.eigen_solve`'s `warm`), which leaves every bit as a cold solve
-would; `DescentResult.solves` counts how each solve started.
+(`dirac.eigen_solve`'s `warm`) and resolves only the levels up to the
+highest used one (its `levels`), which leaves every bit of those levels as
+a cold solve would; `DescentResult.solves` counts how each solve started.
 
 A `FieldFunctional` is the whole description of a field model: besides the
 quark content it carries its potential's value, slope and curvature, so the
@@ -91,11 +92,13 @@ class FieldFunctional:
     def ladder(self, phi_vals: np.ndarray,
                warm: Optional[LadderSolve] = None) -> LadderSolve:
         """The ladder at phi_vals; `warm`, the solve at a nearby field, lets
-        the eigen-solve resume from its levels with the same bits."""
+        the eigen-solve resume from its levels with the same bits, and then
+        it may resolve no level above the highest used one."""
         phi = RadialField(grid=self.grid, values=phi_vals)
         op = assemble_hamiltonian(phi, g=self.g, m=self.m)
         res = eigen_solve(op, window=(0.0, self.m * (1.0 - WINDOW_SHAVE)),
-                          warm=None if warm is None else warm.spectral)
+                          warm=None if warm is None else warm.spectral,
+                          levels=max(self.k_indices))
         lam = res.eigenvalues
         values = np.empty(len(self.k_indices))
         for i, k in enumerate(self.k_indices):
@@ -104,7 +107,11 @@ class FieldFunctional:
                            k_indices=self.k_indices)
 
     def check_simple(self, solve: LadderSolve):
-        """Refuse first-order formulas when a used level is nearly degenerate."""
+        """Refuse first-order formulas when a used level is nearly degenerate.
+
+        A solve that holds only the levels up to the highest used one has
+        certified the next level more than the threshold above it, so the
+        gap this skips would pass."""
         lam = solve.spectral.eigenvalues
         thr = SIMPLE_GAP_RTOL * self.m
         for k in self.k_indices:
@@ -186,6 +193,7 @@ class DescentResult:
     iterations: int
     converged: bool
     history: list = field(default_factory=list)
+    #: the solve at `phi`; it may hold no level above the highest used one
     ladder: Optional[LadderSolve] = None
     #: eigen-solves by `SpectralResult.start`: "full", "resumed", "fallback"
     solves: dict = field(default_factory=dict)
@@ -207,20 +215,26 @@ def _metric_bands(fn: FieldFunctional, phi: np.ndarray):
 
 def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
                    max_iter: int = 2000,
-                   monitor: Optional[Callable] = None) -> DescentResult:
+                   monitor: Optional[Callable] = None,
+                   solve: Optional[LadderSolve] = None) -> DescentResult:
     """Preconditioned gradient descent with Armijo backtracking.
 
     The metric's mass term is sharpened by the functional's curvature, which
     matters for stiff wells (the diffuse-interface runs carry a 1/eps
     factor there).  Accepted steps never increase the energy; the returned
     history lists accepted energies, and the gradient norm is the one of the
-    returned field.
+    returned field.  `solve`, the ladder of phi0 under the same g, m, grid
+    and levels (a previous descent's `DescentResult.ladder`), is used as it
+    is instead of solving phi0 again.
     """
     phi = np.array(phi0, dtype=float)
     phi[-1] = 0.0
-    E, solve = fn.energy_and_ladder(phi)
     solves = {"full": 0, "resumed": 0, "fallback": 0}
-    solves[solve.spectral.start] += 1
+    if solve is None:
+        E, solve = fn.energy_and_ladder(phi)
+        solves[solve.spectral.start] += 1
+    else:       # the energy `energy_and_ladder` gives
+        E = float(np.sum(solve.values)) + fn.field_energy(phi)
     alpha = 1.0
     history = [E]
     gnorm = math.inf

@@ -37,8 +37,12 @@ A caller that solves a sequence of nearby fields, like the field descent,
 passes the previous result as `warm`: each level's bisection then resumes
 from a subinterval of stebz's own midpoint tree that holds the level alone,
 found from an enclosure of the level, and the output is bit-equal to the
-full bisection's.  A Sturm count over the whole window certifies the
-subintervals; where it or another check fails, the full bisection runs.
+full bisection's.  A Sturm count certifies the subintervals; where it or
+another check fails, the full bisection runs.  A caller that reads only
+the lowest few levels, like the descent's energy, passes `levels`: the
+resumed bisection then finds those levels alone, and the count also proves
+that the next level lies above a bound (`SpectralResult.above`) farther
+from the last one than the simplicity gap.
 """
 
 from __future__ import annotations
@@ -194,12 +198,20 @@ class SpectralResult:
     result; the vectors and their residual are computed on first read from
     the stored bisection output (`bisection`: stebz's block-ordered values,
     block indices and splits, and the permutation sorting the values).
+
+    A result holds every level of the window, or, when `eigen_solve` was
+    asked for the lowest `levels` only, possibly just those: `above` is a
+    certified lower bound of the next level, the window's top end when the
+    result holds them all.  Values, vectors and residual are then those of
+    the lowest levels of the complete result, bit for bit.
     """
 
     operator: RadialDiracOperator
     window: Tuple[float, float]
     eigenvalues: np.ndarray
     bisection: tuple = field(repr=False)
+    #: every level of the operator above the held ones lies above this
+    above: float
     #: "full" (no warm result given), "resumed" (bisection resumed from a
     #: warm result's enclosures) or "fallback" (a warm result was given but
     #: its enclosures failed a check, so the full bisection ran)
@@ -312,24 +324,29 @@ def _bisection(op: RadialDiracOperator,
     return window, w[order], (w, iblock, isplit, order)
 
 
-def _enclosures(op: RadialDiracOperator, warm: SpectralResult):
-    """(lower, upper) ends of one interval per level of `warm`, each meant
-    to hold the same level of `op`.
+def _enclosures(op: RadialDiracOperator, warm: SpectralResult,
+                j: Optional[int] = None):
+    """(lower, upper) ends of one interval for each of the lowest j levels
+    of `warm` (all of them by default), each meant to hold the same level
+    of `op`.
 
     With warm's vectors at hand: one step of shifted inverse iteration (a
     `dgtsv` solve at the warm eigenvalue) and the Rayleigh quotient of the
     result, widened by the Kato-Temple bound r^2/gap (the residual norm r
-    where the gap to the neighbouring levels and window ends is not larger
-    than r).  Without them (their inverse iteration never ran, and is not
-    run here): the warm eigenvalues widened by the Weyl bound, the largest
-    change of the diagonal.  The intervals only steer the resumed
-    bisection; a wrong one costs a fallback, never a bit.
+    where the gap to the neighbouring levels is not larger than r).  The
+    neighbours of the lowest level and of the top one are the window's
+    bottom end and warm's next level, or `warm.above` past its last one.
+    Without them (their inverse iteration never ran, and is not run here):
+    the warm eigenvalues widened by the Weyl bound, the largest change of
+    the diagonal.  The intervals only steer the resumed bisection; a wrong
+    one costs a fallback, never a bit.
     """
-    lam = warm.eigenvalues
+    lam = warm.eigenvalues[:j]
     if "_pairs" not in vars(warm):
         shift = float(np.max(np.abs(op.diag - warm.operator.diag)))
         return lam - shift, lam + shift
-    ys = (warm.vectors * np.sqrt(warm.operator.weights)[:, None]).T
+    ys = (warm.vectors[:, :lam.size]
+          * np.sqrt(warm.operator.weights)[:, None]).T
     rho = np.empty(lam.size)
     r = np.empty(lam.size)
     for i, y in enumerate(ys):
@@ -340,17 +357,20 @@ def _enclosures(op: RadialDiracOperator, warm: SpectralResult):
         tz = op.apply_bands(z)
         rho[i] = float(np.dot(z, tz))
         r[i] = float(np.linalg.norm(tz - rho[i] * z))
-    ends = np.concatenate(([warm.window[0]], rho, [warm.window[1]]))
+    nxt = (warm.eigenvalues[lam.size] if warm.eigenvalues.size > lam.size
+           else warm.above)
+    ends = np.concatenate(([warm.window[0]], rho, [nxt]))
     gap = np.minimum(rho - ends[:-2], ends[2:] - rho)
     half = np.where(gap > r, r * r / np.maximum(gap, r), r)
     return rho - half, rho + half
 
 
 def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
-                       warm: SpectralResult):
-    """(ascending eigenvalues, stein inputs) equal bit for bit to
-    `_bisection(op, window)`, from subintervals of its own bisection; None
-    where that equality is not certified.
+                       warm: SpectralResult, levels: Optional[int] = None):
+    """(ascending eigenvalues, stein inputs, `above`) equal bit for bit to
+    `_bisection(op, window)` or, given `levels`, possibly to its lowest
+    `levels` values and their stein inputs; None where that equality is not
+    certified.
 
     stebz bisects (vl, vu] at midpoints 0.5*(lo + hi), keeps every half
     holding an eigenvalue by its Sturm count and stops an interval when it
@@ -358,26 +378,30 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     one eigenvalue is therefore bisected from then on exactly as a stebz
     call over the node itself bisects it, down to the same last interval
     and midpoint (Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).
-    Each level's node is found by replaying the midpoints from the window
-    ends while they miss the level's enclosure, never below a width far
-    above stebz's stopping width.  The result is accepted when one
-    count-only stebz over the window finds as many eigenvalues as there
-    are nodes, the nodes are ordered and disjoint, and each holds exactly
-    one eigenvalue; with Sturm counts monotone in floating point (Demmel,
-    Dhillon & Ren, ETNA 3, 1995) every eigenvalue then sits alone in its
-    node, which the full bisection reaches.  A window that stebz would clip
-    to the Gershgorin interval, or a matrix that splits into blocks, is
-    left to the full bisection.
+    The lowest j levels, j = min(levels, warm's levels), are resumed.  Each
+    level's node is found by replaying the midpoints from the window ends
+    while they miss the level's enclosure, never below a width far above
+    stebz's stopping width; an enclosure holding the window's midpoint is
+    sent to the half that one Sturm count there gives.  The nodes must be
+    ordered and disjoint and hold one eigenvalue each, and one count-only
+    stebz over (vl, c] must find j: with Sturm counts monotone in floating
+    point (Demmel, Dhillon & Ren, ETNA 3, 1995) the nodes then hold the
+    lowest j eigenvalues, each alone, which the full bisection reaches, and
+    the next eigenvalue lies above c.  c is vu, so the window holds these j
+    levels only, unless j = levels and a level more may be left out: then
+    c is a guess from warm's gap to its next level, or, where the count
+    there fails, the last value plus the simplicity gap SIMPLE_GAP_RTOL*m,
+    which `check_simple` would refuse if the next level were closer.  A
+    window that stebz would clip to the Gershgorin interval, or a matrix
+    that splits into blocks, is left to the full bisection.
     """
     d = np.asarray_chkfinite(op.diag)
     e = np.asarray_chkfinite(op.offdiag)
-    if not warm.eigenvalues.size:       # nothing to resume from
+    held = warm.eigenvalues.size
+    if not held:                        # nothing to resume from
         return None
+    j = held if levels is None else min(levels, held)
     vl, vu = window
-    count, _, iblock, isplit, info = dstebz(d, e, 1, vl, vu, 1, 1, vu - vl,
-                                            "B")
-    if info or count != warm.eigenvalues.size or isplit[0] != op.size:
-        return None
     ulp = np.finfo(float).eps                      # LAPACK dlamch("P")
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e)))
     ae = np.abs(e)
@@ -393,9 +417,11 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     # nodes stay this wide, and the enclosures are widened by as much to
     # cover their own rounding and the Sturm counts' backward error
     floor = 16.0 * (ulp * scale + pivmin)
-    lower, upper = _enclosures(op, warm)
+    lower, upper = (_enclosures(op, warm) if j == held
+                    else _enclosures(op, warm, j))
+    below = None                        # eigenvalues in (vl, window midpoint]
     nodes = []
-    for a, b in zip(lower - floor, upper + floor):
+    for i, (a, b) in enumerate(zip(lower - floor, upper + floor)):
         lo, hi = vl, vu
         while 0.5 * (hi - lo) >= floor:
             mid = 0.5 * (lo + hi)
@@ -403,25 +429,49 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
                 lo = mid
             elif mid > b:
                 hi = mid
+            elif (lo, hi) == (vl, vu) and a <= mid <= b:
+                if below is None:
+                    below = dstebz(d, e, 1, vl, mid, 1, 1, mid - vl, "B")[0]
+                lo, hi = (vl, mid) if i < below else (mid, vu)
             else:
                 break
         nodes.append((lo, hi))
     if (vl, vu) in nodes or any(hi > lo for (_, hi), (lo, _)
                                 in zip(nodes, nodes[1:])):
         return None
-    w = np.empty(count)
+    w = np.empty(j)
     for i, (lo, hi) in enumerate(nodes):
         one, wi, _, _, info = dstebz(d, e, 1, lo, hi, 1, 1, 0.0, "B")
         if info or one != 1:
             return None
         w[i] = wi[0]
-    order = np.argsort(w)
-    return w[order], (w, iblock, isplit, order)
+    ends = [vu]
+    if j == levels:
+        least = min(vu, w[-1] + SIMPLE_GAP_RTOL * op.m + floor)
+        top = warm.eigenvalues[j - 1]
+        if held > j:                    # halfway to warm's next level
+            guess = w[-1] + 0.5 * (warm.eigenvalues[j] - top)
+        elif warm.above < vu:           # warm's own bound, moved along
+            guess = w[-1] + (warm.above - top)
+        else:                           # warm held the window's levels
+            guess = vu
+        guess = min(vu, guess)
+        ends = [guess, least] if guess > least else [least]
+    for c in ends:
+        count, _, iblock, isplit, info = dstebz(d, e, 1, vl, c, 1, 1, c - vl,
+                                                "B")
+        if isplit[0] != op.size:
+            return None
+        if not info and count == j:
+            order = np.argsort(w)
+            return w[order], (w, iblock, isplit, order), c
+    return None
 
 
 def eigen_solve(op: RadialDiracOperator,
                 window: Optional[Tuple[float, float]] = None,
-                warm: Optional[SpectralResult] = None) -> SpectralResult:
+                warm: Optional[SpectralResult] = None,
+                levels: Optional[int] = None) -> SpectralResult:
     """All eigenpairs of the sector operator inside the window.
 
     Default window stops just short of the band edges +-m.  The call runs
@@ -433,7 +483,10 @@ def eigen_solve(op: RadialDiracOperator,
     `warm`, the result of the same sector and window at a nearby field,
     lets the bisection resume from its levels (`_resumed_bisection`); the
     values, vectors and residual are bit-equal to a solve without it, and
-    `start` tells which way they came.
+    `start` tells which way they came.  With `warm`, `levels` asks for the
+    lowest `levels` levels only: the result may then hold just those, with
+    the values, vectors and residual of the complete solve's lowest ones,
+    and `above` bounds the next level from below.
     """
     window = _spectral_window(op, window)
     resumed = None
@@ -442,15 +495,16 @@ def eigen_solve(op: RadialDiracOperator,
                 or warm.operator.size != op.size):
             raise ValueError(
                 "warm result is of another window, sector or grid")
-        resumed = _resumed_bisection(op, window, warm)
+        resumed = _resumed_bisection(op, window, warm, levels)
     if resumed is None:
         _, lam, stein_inputs = _bisection(op, window)
+        above = window[1]
     else:
-        lam, stein_inputs = resumed
+        lam, stein_inputs, above = resumed
     start = ("full" if warm is None else
              "fallback" if resumed is None else "resumed")
     return SpectralResult(operator=op, window=window, eigenvalues=lam,
-                          bisection=stein_inputs, start=start)
+                          bisection=stein_inputs, above=above, start=start)
 
 
 def window_eigenvalues(op: RadialDiracOperator,

@@ -238,7 +238,8 @@ def recovery_energy(sweep: GammaSweep, R: float, eps: float,
 
 def run_sweep(sweep: GammaSweep) -> GammaResult:
     """Minimize E_eps down the schedule, warm-starting each width from the
-    previous minimizer, and compare against the sharp-interface optimum.
+    previous minimizer and its ladder (the eigenvalue part does not depend
+    on eps), and compare against the sharp-interface optimum.
 
     Cold starts at small eps fall into the trivial vacuum; the warm start is
     a requirement, not an optimization.  A descent failure truncates the
@@ -248,6 +249,7 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
     a, ref = reference_bag(sweep)
     feasible = ref.energy < sweep.n_quarks * sweep.m and not ref.flagged
     phi = initial_profile(sweep, ref.R, sweep.eps_schedule[0], grid)
+    solve = None        # the ladder at phi, once a descent has solved it
     rows: List[GammaRow] = []
     worst_inline = math.inf
     for eps in sweep.eps_schedule:
@@ -260,8 +262,8 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
                           - tv_well_coordinate(sweep, phi_it, grid))
 
         res = minimize_field(fn, phi, tol=sweep.tol, max_iter=sweep.max_iter,
-                             monitor=monitor)
-        phi = res.phi
+                             monitor=monitor, solve=solve)
+        phi, solve = res.phi, res.ladder
         e_grad, e_well, e_mass = field_terms(sweep, eps, phi, grid)
         tv = tv_well_coordinate(sweep, phi, grid)
         rows.append(GammaRow(

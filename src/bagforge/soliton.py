@@ -13,7 +13,8 @@ The solver is damped gradient descent in an H^1 metric with Armijo
 backtracking (monotone energies by construction).  A converged
 minimizer is reported together with the residual of the coupled stationarity
 system: the field equation -Delta phi + U'(phi) + sum_i g (v_i^2 - u_i^2) = 0
-and the eigen-residuals of the occupied levels.
+and the eigen-residuals of the window's levels, from a solve of the whole
+window at the final field.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class SolitonConfig:
 @dataclass
 class ELResidual:
     field: float     # L^2(r^2 dr) norm of the field equation residual
-    eigen: float     # worst eigenpair residual of the occupied levels
+    eigen: float     # worst eigenpair residual over every window level
 
 
 @dataclass
@@ -148,6 +149,9 @@ def minimize(cfg: SolitonConfig,
     res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter)
     phi = RadialField(grid=grid, values=res.phi)
     solve = res.ladder
+    if solve.spectral.above < solve.spectral.window[1]:
+        # the report's pairs and residual cover every window level
+        solve = fn.ladder(res.phi)
     spinors = solve.spectral.ladder_spinors(cfg.model.k_indices)
     el = el_residual_from(cfg, phi, solve, spinors)
     m = cfg.model.m
@@ -166,7 +170,8 @@ def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,
 
     The field equation is evaluated from the discrete Laplacian of phi, the
     potential derivative and the quark densities of the freshly solved
-    eigenstates; the eigen-residual is the backward error of those pairs.
+    eigenstates; the eigen-residual is the worst backward error of the
+    solve's pairs.
     """
     grid = phi.grid
     nd = grid.n - 1

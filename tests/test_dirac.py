@@ -295,6 +295,120 @@ def test_warm_solve_bit_equal_to_cold():
     assert starts.count("resumed") >= len(starts) // 2
 
 
+def _cold_prefix(op, window, j):
+    """The cold solve and its lowest j levels as a result: stein on the
+    first j values of the full bisection, whose order is ascending."""
+    cold = eigen_solve(op, window)
+    w, iblock, isplit, _ = cold.bisection
+    prefix = dataclasses.replace(cold, eigenvalues=cold.eigenvalues[:j],
+                                 bisection=(w[:j], iblock, isplit,
+                                            np.arange(j)))
+    return cold, prefix
+
+
+def test_partial_warm_solve_bit_equal_to_cold_prefix():
+    # asked for the lowest `levels` levels, a warm solve gives the values,
+    # vectors and residual of the cold solve's lowest ones byte for byte,
+    # from a complete or a partial warm result, read or not; a partial
+    # result holds exactly `levels` levels, and the next level lies above
+    # `above`, more than the simplicity gap past the last held one
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
+    seen = {"partial": 0, "complete": 0, "partial warm": 0}
+
+    @hyp.settings(derandomize=True, max_examples=60, deadline=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), size=st.floats(1e-9, 0.1),
+               levels=st.integers(1, 6), read=st.booleans())
+    def check(seed, size, levels, read):
+        # two steps along a random bump: the second resumes from the first
+        m, g = 1.0, 0.5
+        grid = make_grid(25.0, 300)
+        rng = np.random.default_rng(seed)
+        phi = random_bound_field(grid, m, g, rng, depth=0.9)
+        bump = gaussian_field(grid, rng.uniform(0.0, 10.0),
+                              rng.uniform(0.5, 5.0))
+        warm = eigen_solve(assemble_hamiltonian(phi, g, m), window)
+        for step in (1, 2):
+            op = assemble_hamiltonian(RadialField(
+                grid=grid, values=phi.values + step * size * bump.values),
+                g, m)
+            if read:
+                warm.vectors
+            res = eigen_solve(op, window, warm=warm, levels=levels)
+            j = res.eigenvalues.size
+            cold, prefix = _cold_prefix(op, window, j)
+            assert res.eigenvalues.tobytes() == prefix.eigenvalues.tobytes()
+            assert res.vectors.tobytes() == cold.vectors[:, :j].tobytes()
+            assert res.vectors.tobytes() == prefix.vectors.tobytes()
+            assert res.residual == prefix.residual <= cold.residual
+            if res.above == window[1]:
+                assert j == cold.eigenvalues.size
+                seen["complete"] += 1
+            else:
+                assert res.start == "resumed" and j == levels
+                gap = dirac.SIMPLE_GAP_RTOL * m
+                assert cold.eigenvalues[j - 1] + gap < res.above
+                assert (j == cold.eigenvalues.size
+                        or res.above < cold.eigenvalues[j])
+                seen["partial"] += 1
+                seen["partial warm"] += int(warm.above < window[1])
+            warm = res
+
+    check()
+    assert min(seen.values()) > 0, seen
+
+
+def test_next_level_within_the_simplicity_gap_forces_the_full_bisection(
+        monkeypatch):
+    # a partial result must prove the next level farther than the
+    # simplicity gap; where it is not, the full bisection runs and the
+    # result holds the whole window, as without `levels`
+    window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
+    warm, op = _warm_pair(window=window)
+    cold = eigen_solve(op, window)
+    lam = cold.eigenvalues
+    assert lam.size >= 2
+    gap = float(lam[1] - lam[0]) / op.m
+    for rtol, start, held in ((1.01 * gap, "fallback", lam.size),
+                              (0.99 * gap, "resumed", 1)):
+        monkeypatch.setattr(dirac, "SIMPLE_GAP_RTOL", rtol)
+        res = eigen_solve(op, window, warm=warm, levels=1)
+        assert res.start == start and res.eigenvalues.size == held
+        assert res.eigenvalues.tobytes() == lam[:held].tobytes()
+        assert (res.above == window[1]) == (held == lam.size)
+
+
+def test_enclosure_holding_the_window_midpoint_resumes(monkeypatch):
+    # the lowest level sits at the window's midpoint, inside its
+    # enclosure: one Sturm count at the midpoint sends its node to the half
+    # that holds it, where the whole window as its node would fall back
+    m, g = 1.0, 0.5
+    grid = make_grid(25.0, 300)
+    rng = np.random.default_rng(0)
+    phi = random_bound_field(grid, m, g, rng, depth=0.9)
+    bump = gaussian_field(grid, 5.0, 2.0)
+    lam1 = float(eigen_solve(assemble_hamiltonian(phi, g, m)).ladder[0])
+    window = (0.0, 2.0 * lam1 + 1e-4)
+    warm = eigen_solve(assemble_hamiltonian(phi, g, m), window)
+    op = assemble_hamiltonian(
+        RadialField(grid=grid, values=phi.values + 1e-3 * bump.values), g, m)
+    mid = 0.5 * (window[0] + window[1])
+    lower, upper = dirac._enclosures(op, warm)
+    assert lower[0] < mid < upper[0]
+    counts = []
+    stebz = dirac.dstebz
+
+    def counted(d, e, rng, vl, vu, il, iu, tol, order):
+        counts.append((vl, vu) if tol > 0.0 else None)
+        return stebz(d, e, rng, vl, vu, il, iu, tol, order)
+
+    monkeypatch.setattr(dirac, "dstebz", counted)
+    res = eigen_solve(op, window, warm=warm)
+    assert res.start == "resumed" and (window[0], mid) in counts
+    assert _same_bits(res, eigen_solve(op, window))
+
+
 @pytest.mark.parametrize("wrong", [
     lambda lo, hi: (lo + 0.05, hi + 0.05),        # beside every level
     lambda lo, hi: (lo[::-1], hi[::-1]),          # levels swapped

@@ -120,18 +120,21 @@ def test_budget_cut_reports_gradient_of_returned_field():
 @pytest.mark.parametrize(
     "ks, solves, inverse, iterations, E, lam1, full, resumed", [
         # README soliton and its excited ladder, values as recorded
-        ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069, 3, 159),
+        ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069, 2, 161),
         ((1, 1, 2), 179, 107, 107, 2.1189172320272873, 0.3908284588805935,
-         7, 172),
+         4, 176),
     ])
 def test_descent_inverse_iteration_only_on_accepted_fields(
         monkeypatch, ks, solves, inverse, iterations, E, lam1, full,
         resumed):
     # every energy evaluation bisects: the start field over the whole
-    # window, each Armijo trial resumed from the accepted field's levels
-    # after a count-only stebz, or over the whole window when that fails.
-    # Only the fields whose gradient is taken (the start and each accepted
-    # step) run inverse iteration, and the final report reuses the last one
+    # window, each Armijo trial resumed from the accepted field's levels,
+    # one node per level up to the highest used one, certified by a
+    # count-only stebz, or over the whole window when that fails.  Only the
+    # fields whose gradient is taken (the start and each accepted step) run
+    # inverse iteration; the final report solves its field once more over
+    # the whole window, since the last descent solve holds the used levels
+    # only
     window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
     calls = {"full": 0, "count": 0, "node": 0, "dstein": 0}
 
@@ -150,16 +153,59 @@ def test_descent_inverse_iteration_only_on_accepted_fields(
     monkeypatch.setattr(dirac, "dstein", stein)
     rep = minimize(cfg_for(N=len(ks), ks=ks, n=800))
     assert rep.converged and rep.iterations == iterations
-    fallback = full - 1
+    fallback = full - 2
     assert rep.solves == {"full": 1, "resumed": resumed,
                           "fallback": fallback}
     assert sum(rep.solves.values()) == solves
-    # one node per level a resumed trial holds: the levels in the window
-    assert calls["full"] == full and calls["count"] == resumed + fallback
-    assert calls["node"] >= resumed and calls["dstein"] == inverse
+    # full-window bisections: the start, the fallbacks and the final solve;
+    # a warm solve counts once or twice (a guessed bound, then the least
+    # one) and at most once more at the window's midpoint
+    assert calls["full"] == full
+    assert resumed <= calls["count"] <= 3 * (resumed + fallback)
+    assert calls["node"] == resumed * max(ks)
+    assert calls["dstein"] == inverse + 1
     assert len(rep.history) == inverse
     assert repr(rep.energy) == repr(E)
     assert repr(float(rep.lambdas[0])) == repr(lam1)
+
+
+def test_near_degenerate_level_stops_the_descent_as_a_full_solve_does(
+        monkeypatch):
+    # the README descent's second level enters the window and then closes
+    # in on the first: with the simplicity threshold at 0.399 m the gap
+    # falls below it mid-descent.  A trial solve asked for the first level
+    # only cannot prove the second one farther than the threshold, runs the
+    # full bisection, and the descent refuses at the same accepted field,
+    # with the same message, as with every solve over the whole window
+    from bagforge import descent
+    monkeypatch.setattr(dirac, "SIMPLE_GAP_RTOL", 0.399)
+    monkeypatch.setattr(descent, "SIMPLE_GAP_RTOL", 0.399)
+    cfg = cfg_for(n=400)
+    fn = cfg.functional()
+    solve = descent.eigen_solve
+
+    def run(levels_read):
+        starts, seen = [], []
+
+        def eigen_solve(op, window=None, warm=None, levels=None):
+            res = solve(op, window, warm,
+                        levels if levels_read else None)
+            starts.append((res.start, res.above < res.window[1]))
+            return res
+
+        monkeypatch.setattr(descent, "eigen_solve", eigen_solve)
+        with pytest.raises(dirac.DegenerateEigenvalueError) as err:
+            descent.minimize_field(
+                fn, initial_guess(cfg), tol=cfg.tol, max_iter=cfg.max_iter,
+                monitor=lambda it, phi, E, gnorm: seen.append((it, E, gnorm)))
+        return str(err.value), seen, starts
+
+    message, seen, starts = run(True)
+    assert (message, seen) == run(False)[:2]
+    assert 10 < len(seen) < 80
+    # partial solves up to the last trial, which is a full one
+    assert starts[-1] == ("fallback", False)
+    assert starts.count(("resumed", True)) > len(seen)
 
 
 def test_minimize_weak_coupling_collapses():
