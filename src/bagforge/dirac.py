@@ -30,8 +30,8 @@ matrix tridiagonal, so eigenpairs in a window come from tridiagonal bisection
 only the bisection when called; inverse iteration, the residual certificate
 and the map back to grid-normalized vectors run on the first read of the
 result's vectors (or residual), once.  A caller that reads eigenvalues only,
-such as a rejected line-search trial, pays for the bisection alone, and
-`window_eigenvalues` returns the same values without a result object.
+such as a rejected line-search trial or the invariant battery, pays for the
+bisection alone.
 
 A caller that solves a sequence of nearby fields, like the field descent,
 passes the previous result as `warm`: each level's bisection then resumes
@@ -282,19 +282,6 @@ class SpectralResult:
         return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
-def _spectral_window(op: RadialDiracOperator,
-                     window: Optional[Tuple[float, float]]):
-    """The window itself, or the default one stopping just short of the
-    band edges +-m, where the truncated continuum starts."""
-    if window is None:
-        w = op.m * (1.0 - WINDOW_SHAVE)
-        window = (-w, w)
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"empty window {window}")
-    return window
-
-
 def _check_lapack(info: int, routine: str):
     # the error mapping of scipy's eigh_tridiagonal, with its LinAlgError
     # (no convergence) reported as RuntimeError
@@ -305,15 +292,13 @@ def _check_lapack(info: int, routine: str):
                            f"did not converge (LAPACK info={info})")
 
 
-def _bisection(op: RadialDiracOperator,
-               window: Optional[Tuple[float, float]]):
-    """(window, ascending eigenvalues, stein inputs) of the bisection.
+def _bisection(op: RadialDiracOperator, window: Tuple[float, float]):
+    """(ascending eigenvalues, stein inputs) of the bisection.
 
     The stebz call `eigh_tridiagonal(select="v")` makes when it computes
     vectors (range V, tol 0, block order), with its finiteness check, so
     values and, through `SpectralResult`, vectors are bit-equal to it.
     """
-    window = _spectral_window(op, window)
     d = np.asarray_chkfinite(op.diag)
     e = np.asarray_chkfinite(op.offdiag)
     count, w, iblock, isplit, info = dstebz(d, e, 1, window[0], window[1],
@@ -321,7 +306,7 @@ def _bisection(op: RadialDiracOperator,
     _check_lapack(info, "stebz")
     w = w[:count]
     order = np.argsort(w)
-    return window, w[order], (w, iblock, isplit, order)
+    return w[order], (w, iblock, isplit, order)
 
 
 def _enclosures(op: RadialDiracOperator, warm: SpectralResult,
@@ -417,8 +402,7 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     # nodes stay this wide, and the enclosures are widened by as much to
     # cover their own rounding and the Sturm counts' backward error
     floor = 16.0 * (ulp * scale + pivmin)
-    lower, upper = (_enclosures(op, warm) if j == held
-                    else _enclosures(op, warm, j))
+    lower, upper = _enclosures(op, warm, j)
     below = None                        # eigenvalues in (vl, window midpoint]
     nodes = []
     for i, (a, b) in enumerate(zip(lower - floor, upper + floor)):
@@ -488,7 +472,12 @@ def eigen_solve(op: RadialDiracOperator,
     the values, vectors and residual of the complete solve's lowest ones,
     and `above` bounds the next level from below.
     """
-    window = _spectral_window(op, window)
+    if window is None:      # the truncated continuum starts at the band edges
+        w = op.m * (1.0 - WINDOW_SHAVE)
+        window = (-w, w)
+    lo, hi = window
+    if not lo < hi:
+        raise ValueError(f"empty window {window}")
     resumed = None
     if warm is not None:
         if (warm.window != window or warm.operator.sector != op.sector
@@ -497,7 +486,7 @@ def eigen_solve(op: RadialDiracOperator,
                 "warm result is of another window, sector or grid")
         resumed = _resumed_bisection(op, window, warm, levels)
     if resumed is None:
-        _, lam, stein_inputs = _bisection(op, window)
+        lam, stein_inputs = _bisection(op, window)
         above = window[1]
     else:
         lam, stein_inputs, above = resumed
@@ -505,18 +494,6 @@ def eigen_solve(op: RadialDiracOperator,
              "fallback" if resumed is None else "resumed")
     return SpectralResult(operator=op, window=window, eigenvalues=lam,
                           bisection=stein_inputs, above=above, start=start)
-
-
-def window_eigenvalues(op: RadialDiracOperator,
-                       window: Optional[Tuple[float, float]] = None
-                       ) -> np.ndarray:
-    """Eigenvalues (ascending) of the sector operator inside the window,
-    for callers that read no eigenvector.
-
-    The bisection of `eigen_solve`, so the values are bit-equal to
-    `eigen_solve(op, window).eigenvalues`; same default window and errors.
-    """
-    return _bisection(op, window)[1]
 
 
 def density(psi: RadialSpinor) -> RadialField:
@@ -578,7 +555,7 @@ def hellmann_feynman(phi: RadialField, eigenpair: Tuple[float, RadialSpinor],
         raise ValueError(f"eigenstate must be normalized (norm^2 = {nrm})")
     op = assemble_hamiltonian(phi, g=g, m=m)
     delta = 4.0 * SIMPLE_GAP_RTOL * m
-    near = window_eigenvalues(op, window=(lam - delta, lam + delta))
+    near = eigen_solve(op, window=(lam - delta, lam + delta)).eigenvalues
     others = near[np.abs(near - lam) > 1e-12 * m]
     if others.size:
         gap = float(np.min(np.abs(others - lam)))

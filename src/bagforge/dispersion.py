@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import FOUR_PI, quad
+from .grid import FOUR_PI, quad  # quad: uncalled, perfbench's QUAD_HOMES
 
 #: bisection stops at this relative bracket width
 ROOT_RTOL = 1e-12
@@ -44,6 +44,8 @@ ROOT_RTOL = 1e-12
 ENDPOINT_GUARD = 1e-9
 #: samples per pole-free bracket when hunting for sign changes
 BRACKET_SAMPLES = 128
+#: `_ball_integral` sums its Taylor series below this x = kR
+BALL_SERIES_X = 2.0
 
 
 def _j0(x: float) -> float:
@@ -278,8 +280,8 @@ class TwoZoneState:
     Profiles are exact; the exterior is carried relative to the wall value
     v(R) (exponentials shifted by kappa*R), so arbitrarily stiff exterior
     masses neither overflow nor underflow.  The normalization integral
-    4 pi int (u^2+v^2) r^2 dr over [0, inf) is computed by adaptive
-    quadrature.
+    4 pi int (u^2+v^2) r^2 dr over [0, inf) is elementary in both zones and
+    taken in closed form (`two_zone_state`).
     """
 
     problem: TwoZoneProblem
@@ -349,31 +351,50 @@ class TwoZoneState:
         return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))
 
 
+def _ball_integral(x: float, s2: float) -> float:
+    """int_0^x (j0(t)^2 + s2 j1(t)^2) t^2 dt, the interior normalization
+    integral over k^-3: x/2 - sin 2x/4 + s2 (x/2 + sin 2x/4 - sin^2 x/x).
+    That form cancels for small x (1e-9 relative error at x = 1e-2), so
+    below BALL_SERIES_X it is x^3 times the Taylor series sum_(n>=1)
+    (-4)^n x^(2n-2) (-1/(2 (2n+1)!) + s2 (n-1)/(2n+2)!), whose 20 terms
+    reach past the last one that changes a double.
+    """
+    if x >= BALL_SERIES_X:
+        sin2x, sinx = math.sin(2.0 * x), math.sin(x)
+        return (0.5 * x - 0.25 * sin2x
+                + s2 * (0.5 * x + 0.25 * sin2x - sinx * sinx / x))
+    x2 = x * x
+    j0_part = j1_part = 0.0
+    a, b = 1.0 / 3.0, x2 / 45.0          # the j0 series from n = 1, j1 from 2
+    for n in range(1, 21):
+        j0_part, j1_part = j0_part + a, j1_part + b
+        a *= -4.0 * x2 / ((2 * n + 2) * (2 * n + 3))
+        b *= -4.0 * x2 * (n + 1) / (n * (2 * n + 5) * (2 * n + 6))
+    return x**3 * (j0_part + s2 * j1_part)
+
+
 def two_zone_state(p: TwoZoneProblem, lam: float) -> TwoZoneState:
     """Normalize the bound-state profile at eigenvalue lam.
 
     lam need not be an exact root; v is matched continuously at R and the
     whole profile normalized, which is what the wall-balance evaluation and
-    the hard-wall limit diagnostics require.
+    the hard-wall limit diagnostics require.  Raises RuntimeError where the
+    normalization, of order R^3, leaves double range (R below ~1e-103).
     """
     k, kap, s_in, s_out = _wavenumbers(p, lam)
-    yR = kap * p.R
-    v_wall = _j0(k * p.R)
-
-    def dens_in(r):
-        x = k * r
-        return (_j0(x) ** 2 + (s_in * _j1(x)) ** 2) * r * r
-
-    def dens_out(r):
-        y = kap * r
-        decay = math.exp(-(y - yR))
-        v = v_wall * (yR / y) * decay
-        u = v_wall * s_out * (1.0 + y) * yR / (y * y) * decay
-        return (v * v + u * u) * r * r
-
-    inner, _ = quad(dens_in, 0.0, p.R, epsabs=1e-13, epsrel=1e-11, limit=200)
-    outer, _ = quad(dens_out, p.R, p.R + 50.0 / kap,
-                    epsabs=1e-13, epsrel=1e-11, limit=200)
+    x, yR = k * p.R, kap * p.R
+    v_wall = _j0(x)
+    try:
+        k3 = k**3
+    except OverflowError:       # past double range, where 1/k^3 underflows
+        k3 = math.inf
+    inner = _ball_integral(x, s_in * s_in) / k3
+    # int_yR^inf e^(-2(y-yR)) (1 + s_out^2 (1 + 1/y)^2) dy, y = kap r
+    outer = (v_wall * v_wall * p.R * p.R / kap
+             * (0.5 + s_out * s_out * (0.5 + 1.0 / yR)))
     norm = math.sqrt(FOUR_PI * (inner + outer))
+    if not 0.0 < norm < math.inf:
+        raise RuntimeError(f"two-zone state at lam={lam:.6g}, R={p.R:.6g}: "
+                           "its normalization leaves double range")
     return TwoZoneState(problem=p, lam=lam, c_in=1.0 / norm,
                         v_wall=v_wall / norm)

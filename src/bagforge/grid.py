@@ -16,9 +16,9 @@ staggered difference and midpoint average of a primal field (both land on
 the n-1 inner staggered nodes) and the adjoint scatters of the two, which
 carry staggered-node sensitivities back to the free primal nodes.
 
-Adaptive quadrature of closed-form integrands (`quad`) is imported from
-scipy.integrate on its first call, so a process that never normalizes a
-closed-form state or integrates a potential does not load it.
+No solver calls adaptive quadrature (`quad`): the state normalization and
+the surface constant are closed forms.  It stays because the benchmark
+tracer counts calls through it (`perfbench/spans.py`, QUAD_HOMES).
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def tanh_step(z):
 
 
 def quad(func, a: float, b: float, **kwargs):
-    """`scipy.integrate.quad`, imported on first call (the module costs
-    about a third of the package's import time)."""
+    """`scipy.integrate.quad`, imported on first call; kept, uncalled, for
+    the benchmark tracer's QUAD_HOMES (`perfbench/spans.py`)."""
     from scipy.integrate import quad as adaptive_quad
     return adaptive_quad(func, a, b, **kwargs)

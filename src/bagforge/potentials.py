@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import quad
+from .grid import quad  # uncalled, for perfbench's QUAD_HOMES
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ class PotentialSpec:
 def surface_constant(spec: PotentialSpec) -> float:
     """Interface energy per unit area, a = 2 * int_{-1}^{0} sqrt(W(s)) ds.
 
-    For the quartic family this is sqrt(kappa)/3; computed by adaptive
-    quadrature so the identity can be asserted independently in tests.
+    For the quartic family sqrt(W(s)) = sqrt(kappa) |s (1+s)|, so
+    a = sqrt(kappa)/3.
     """
-    val, err = quad(lambda s: 2.0 * np.sqrt(spec.w(s)), -1.0, 0.0,
-                    epsabs=1e-13, epsrel=1e-12)
-    return float(val)
+    return math.sqrt(spec.kappa) / 3.0

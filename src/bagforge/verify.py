@@ -10,12 +10,12 @@ formula against finite differences, agreement between the matrix
 eigensolver and the closed-form two-zone oracle, and the confined-cavity
 monotonicity.
 
-Most measurements read eigenvalues only and take them from
-`window_eigenvalues`, with no eigenvectors: both sectors of the mirror
-pairing, the finite-difference legs of `hf_mismatch` (and the simplicity
-window of `hellmann_feynman`), and the matrix level of `oracle_gap`.  Only
-the ground state of `hf_mismatch` and of `normalization_errors` needs its
-eigenvector, from `eigen_solve`; `supercharge_svd_error` reads full spectra.
+Most measurements read eigenvalues only, and `eigen_solve` computes no
+eigenvector until one is read: both sectors of the mirror pairing, the
+finite-difference legs of `hf_mismatch` (and the simplicity window of
+`hellmann_feynman`), and the matrix level of `oracle_gap`.  Only the ground
+state of `hf_mismatch` and of `normalization_errors` reads its eigenvector;
+`supercharge_svd_error` reads full spectra.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .dirac import (WINDOW_SHAVE, RadialField, assemble_hamiltonian, density,
-                    eigen_solve, hellmann_feynman, supercharge_singular_values,
-                    window_eigenvalues)
+                    eigen_solve, hellmann_feynman, supercharge_singular_values)
 from .dispersion import TwoZoneProblem, eigenvalues, mit_eigenvalue
 from .grid import make_grid
 
@@ -79,8 +78,8 @@ def mirror_pairing(phi: RadialField, g: float,
     sectors in the window +-0.99 m; min |lambda| is inf when there are none."""
     w = 0.99 * m
     both = np.concatenate([
-        window_eigenvalues(assemble_hamiltonian(phi, g, m, sector=s),
-                           window=(-w, w))
+        eigen_solve(assemble_hamiltonian(phi, g, m, sector=s),
+                    window=(-w, w)).eigenvalues
         for s in (-1, +1)])
     pair = max((float(np.min(np.abs(both + lam))) for lam in both),
                default=0.0)
@@ -114,7 +113,7 @@ def hf_mismatch(phi: RadialField, g: float, m: float,
         for s in (+t, -t):
             shifted = RadialField(grid=phi.grid,
                                   values=phi.values + s * d.values)
-            ev = window_eigenvalues(assemble_hamiltonian(shifted, g, m))
+            ev = eigen_solve(assemble_hamiltonian(shifted, g, m)).eigenvalues
             lams.append(float(ev[np.argmin(np.abs(ev - lam0))]))
         fd = (lams[0] - lams[1]) / (2.0 * t)
         worst = max(worst, abs(hf - fd) / max(abs(fd), 1e-12))
@@ -133,8 +132,9 @@ def oracle_gap(problem: TwoZoneProblem, n: int,
         return None
     phi = square_well(make_grid(r_max, n), mu_out - problem.mu_in, problem.R)
     # the positive part of the default window holds the ladder
-    ladder = window_eigenvalues(assemble_hamiltonian(phi, g=1.0, m=mu_out),
-                                window=(0.0, mu_out * (1.0 - WINDOW_SHAVE)))
+    op = assemble_hamiltonian(phi, g=1.0, m=mu_out)
+    ladder = eigen_solve(op, window=(0.0, mu_out * (1.0 - WINDOW_SHAVE))
+                         ).eigenvalues
     if ladder.size == 0:
         return math.inf
     return abs(float(ladder[0]) - lad.values[0])

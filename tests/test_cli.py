@@ -241,7 +241,12 @@ def test_solver_failure_is_one_line(tmp_path):
     # lam_lo**2 of the bound-state window, and R**2 of the bag energy over
     # the default interval up to 1e2/m, leave double range
     (["mit-limit", "--masses", "1e200"], ["mit-limit", "overflow"]),
-    (["bag", "--g", "1e-200", "--m", "2e-200"], ["bag", "overflow"])])
+    (["bag", "--g", "1e-200", "--m", "2e-200"], ["bag", "overflow"]),
+    # the two-zone normalization integral, of order R^3, underflows to 0
+    # at radii near 1e-150 and 1e-120
+    (["bag", "--m", "1e150", "--g", "5e149"], ["normalization"]),
+    (["mit-limit", "--m", "1e120", "--masses", "4e120,8e120"],
+     ["normalization"])])
 def test_unrepresentable_solve_is_one_line(tmp_path, args, names):
     proc = run_entry_point(args + ["--out", str(tmp_path / "r")])
     assert proc.returncode == 2
@@ -397,25 +402,24 @@ def test_readme_commands_parse():
         assert parse(argv)["subcommand"] == argv[0]
 
 
-#: README `bag` result table, as written before the quadrature was imported
-#: lazily
+#: README `bag` result table, as written when the cavity states were
+#: normalized by adaptive quadrature
 README_BAG_CSV = (
     "N,g,m,a,b,k,R_opt,lambda,energy,curvature_residual,flagged\n"
     "1,0.8,1.0,0.001,0.001,1,2.75185397850765,0.7066969195998102,"
     "0.8891483329285179,3.133127438048611e-14,false\n")
 
 
-def test_quadrature_module_loads_on_first_use(tmp_path):
-    # scipy.integrate is about a third of `import bagforge.cli`; soliton and
-    # verify never call it, the bag normalizes its state with it
-    readme = {argv[0]: argv for argv in readme_commands()}
-    runs = [readme[sub] for sub in ("soliton", "verify", "bag")]
+def test_no_readme_command_loads_quadrature_module(tmp_path):
+    # the library normalizes in closed form: no command imports
+    # scipy.integrate, about a third of `import bagforge.cli`
+    runs = readme_commands()
     script = ("import json, sys\n"
               "from bagforge.cli import main\n"
-              "seen = ['scipy.integrate' in sys.modules]\n"
+              "seen = []\n"
               "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
               "    code = main(argv + ['--out', sys.argv[2] + str(i)])\n"
-              "    seen.append((code, 'scipy.integrate' in sys.modules))\n"
+              "    seen.append([code, 'scipy.integrate' in sys.modules])\n"
               "print(json.dumps(seen))\n")
     src = str(Path(bagforge.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -424,8 +428,9 @@ def test_quadrature_module_loads_on_first_use(tmp_path):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == [False, [0, False], [0, False], [0, True]]
-    assert (tmp_path / "r2.csv").read_text() == README_BAG_CSV
+    assert seen == [[0, False]] * len(cli._SUBCOMMANDS)
+    bag = [argv[0] for argv in runs].index("bag")
+    assert (tmp_path / f"r{bag}.csv").read_text() == README_BAG_CSV
 
 
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))

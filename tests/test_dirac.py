@@ -10,7 +10,7 @@ from bagforge import (DegenerateEigenvalueError, RadialField, RadialSpinor,
                       TwoZoneProblem, assemble_hamiltonian, density,
                       dirichlet_ball_eigenvalue, eigen_solve,
                       hellmann_feynman, integrate, make_grid,
-                      supercharge_singular_values, window_eigenvalues)
+                      supercharge_singular_values)
 from bagforge.verify import (gaussian_field, hf_mismatch, mirror_pairing,
                              normalization_errors, oracle_gap,
                              random_bound_field, square_well,
@@ -205,25 +205,11 @@ def test_supercharge_singular_values_at_battery_size():
 
 
 @pytest.mark.parametrize("sector", [-1, +1])
-def test_window_eigenvalues_bit_equal_to_eigen_solve(sector):
-    m, g = 1.0, 0.5
-    grid = make_grid(25.0, 900)
-    for seed in range(3):
-        phi = random_bound_field(grid, m, g, np.random.default_rng(seed))
-        op = assemble_hamiltonian(phi, g, m, sector=sector)
-        for window in (None, (-0.99, 0.99), (0.0, 0.8)):
-            ev = window_eigenvalues(op, window)
-            assert ev.size > 0
-            assert ev.tobytes() == eigen_solve(op, window).eigenvalues.tobytes()
-    with pytest.raises(ValueError, match="empty window"):
-        window_eigenvalues(op, (0.5, 0.5))
-
-
-@pytest.mark.parametrize("sector", [-1, +1])
 def test_eigen_solve_bit_equal_to_scipy(sector):
     # the bisection at call and the inverse iteration on first read give the
     # pairs of eigh_tridiagonal(select="v") bit for bit, mapped to grid
-    # normalization as before; the last window holds no level
+    # normalization as before, and the values of eigvalsh_tridiagonal; the
+    # last window holds no level, and an empty one is refused
     m, g = 1.0, 0.5
     grid = make_grid(25.0, 900)
     for seed in range(3):
@@ -241,10 +227,11 @@ def test_eigen_solve_bit_equal_to_scipy(sector):
             assert res.vectors.tobytes() == x.tobytes()
             values_only = eigvalsh_tridiagonal(op.diag, op.offdiag,
                                                select="v", select_range=window)
-            assert (window_eigenvalues(op, window).tobytes()
-                    == values_only.tobytes())
+            assert res.eigenvalues.tobytes() == values_only.tobytes()
             counts.append(lam.size)
         assert min(counts[:3]) > 0 and counts[3] == 0
+    with pytest.raises(ValueError, match="empty window"):
+        eigen_solve(op, (0.5, 0.5))
 
 
 def _warm_pair(size=1e-3, seed=0, sector=-1, window=None, n=300):
@@ -422,7 +409,7 @@ def test_enclosure_holding_the_window_midpoint_resumes(monkeypatch):
 def test_wrong_enclosures_fall_back_with_the_same_bits(monkeypatch, wrong):
     enclosures = dirac._enclosures
     monkeypatch.setattr(dirac, "_enclosures",
-                        lambda op, warm: wrong(*enclosures(op, warm)))
+                        lambda op, warm, j: wrong(*enclosures(op, warm, j)))
     for read in (False, True):
         warm, op = _warm_pair()
         if read:
@@ -547,8 +534,6 @@ def test_nonfinite_operator_rejected_like_scipy():
                              select_range=(-0.5, 0.5))
         with pytest.raises(ValueError, match="infs or NaNs"):
             eigen_solve(broken)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            window_eigenvalues(broken)
 
 
 def test_orthonormality_and_normalization():

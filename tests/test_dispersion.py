@@ -3,11 +3,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bagforge import (TwoZoneProblem, dirichlet_ball_eigenvalue, eigenvalues,
                       matching_function, mit_eigenvalue, two_zone_state)
-from bagforge.dispersion import (_bisect, _j0, _j1, _scan_roots, j1_zero,
-                                 mit_matching, spherical_j0, spherical_j1)
+from bagforge.dispersion import (BALL_SERIES_X, _bisect, _j0, _j1,
+                                 _scan_roots, j1_zero, mit_matching,
+                                 spherical_j0, spherical_j1)
 from bagforge.verify import cavity_reference_root
 
 # independent oracle for the massless confined cavity: tan x = x/(1-x)
@@ -200,6 +202,63 @@ def test_state_ode_residual_and_normalization():
     vin, uin = state.profiles(p.R - eps)
     vout, uout = state.profiles(p.R + eps)
     assert uin / vin == pytest.approx(uout / vout, rel=1e-5)
+
+
+def _stable_j1(t):
+    # sin t/t^2 - cos t/t cancels for small t: its Taylor series
+    # t sum_n (-t^2/2)^n / (n! (2n+3)!!) below t = 0.5
+    if t >= 0.5:
+        return math.sin(t) / (t * t) - math.cos(t) / t
+    return t * math.fsum((-t * t / 2.0) ** n / (
+        math.factorial(n) * math.prod(range(3, 2 * n + 4, 2)))
+        for n in range(10))
+
+
+def _quadrature_norm(p, lam):
+    """sqrt(4 pi int (v^2 + u^2) r^2 dr) of the profile with v = j0(kr)
+    inside, by adaptive quadrature: the interior in t = kr, in pieces of
+    10, the exterior in z = kap (r - R)."""
+    k = math.sqrt(lam**2 - p.mu_in**2)
+    kap = math.sqrt(p.mu_out**2 - lam**2)
+    s_in2 = (lam - p.mu_in) / (lam + p.mu_in)
+    s_out2 = (p.mu_out - lam) / (p.mu_out + lam)
+    x, yR = k * p.R, kap * p.R
+    ball = lambda t: math.sin(t) ** 2 + s_in2 * (t * _stable_j1(t)) ** 2
+    edges = np.linspace(0.0, x, int(x / 10.0) + 2)
+    inner = math.fsum(quad(ball, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                      for a, b in zip(edges, edges[1:])) / k**3
+    # v = v(R) (yR/y) e^-z and u = s_out v (1 + 1/y), y = yR + z; the
+    # 1/y^2 peak is yR wide, so decades of z up to 1, then the tail
+    tail = lambda z: math.exp(-2.0 * z) * (
+        1.0 + s_out2 * (1.0 + 1.0 / (yR + z)) ** 2)
+    cuts = ([0.0] + [yR * 10.0**j for j in
+                     range(max(0, math.ceil(-math.log10(yR))))] + [math.inf])
+    outer = (math.sin(x) / x) ** 2 * yR**2 / kap**3 * math.fsum(
+        quad(tail, a, b, epsabs=0.0, epsrel=1e-13)[0]
+        for a, b in zip(cuts, cuts[1:]))
+    return math.sqrt(4.0 * math.pi * (inner + outer))
+
+
+@pytest.mark.parametrize("mu_in, mu_out", [
+    (-0.5, 1.0), (0.0, 1.0), (0.5, 1.0), (-1.0, 1e6), (1.0, 1e6),
+    (0.0, 3e3)])
+def test_state_normalization_matches_quadrature(mu_in, mu_out):
+    # the closed-form normalization at levels across the window, none of
+    # them a root, with x = kR from 1e-6 to 1e3 on both sides of the
+    # series threshold
+    lo = abs(mu_in)
+    for frac in (1e-3, 0.5, 0.99):
+        lam = lo + frac * (mu_out - lo)
+        k = math.sqrt(lam * lam - mu_in * mu_in)
+        for x in (1e-6, 1e-2, 1.5, 0.99 * BALL_SERIES_X,
+                  1.01 * BALL_SERIES_X, 30.0, 1e3):
+            p = TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=x / k)
+            state = two_zone_state(p, lam)
+            norm = _quadrature_norm(p, lam)
+            assert state.c_in == pytest.approx(1.0 / norm, rel=1e-12,
+                                               abs=0.0)
+            assert state.v_wall == pytest.approx(_j0(k * p.R) / norm,
+                                                 rel=1e-12, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")     # no inf/inf at r = inf

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bagforge import PotentialSpec, surface_constant
 
@@ -37,6 +38,16 @@ def test_surface_constant_sqrt_scaling():
         val = surface_constant(PotentialSpec(kappa=kappa))
         assert val == pytest.approx(np.sqrt(kappa) * base, abs=1e-10)
         assert val > 0
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 0.3, 1.0, 1.4, 7.5])
+def test_surface_constant_is_twice_the_integral_of_sqrt_w(kappa):
+    # the closed form sqrt(kappa)/3 against adaptive quadrature of 2 sqrt(W)
+    # over the interval between the wells
+    spec = PotentialSpec(kappa=kappa)
+    val, _ = quad(lambda s: 2.0 * np.sqrt(spec.w(s)), -1.0, 0.0,
+                  epsabs=0.0, epsrel=1e-13)
+    assert surface_constant(spec) == pytest.approx(val, rel=1e-13, abs=0.0)
 
 
 def test_derivative_consistency():
