@@ -11,15 +11,19 @@ ansatz-sector Dirac operator; levels missing from the bound-state window
 phi and reproduces E(0) = N*m.
 
 The gradient is *exact* for the discrete functional: the eigenvalue part is
-first-order perturbation of the assembled matrix (valid while each used
-level is simple), the field part is the algebraic derivative of the
-quadrature sums.  Descent directions are preconditioned by the field
-metric (stiffness + curvature-adapted mass), i.e. an H^1-gradient flow; an
-Armijo line search guarantees a nonincreasing energy history.  Each trial
-field's eigen-solve resumes its bisection from the accepted field's levels
-(`dirac.eigen_solve`'s `warm`) and resolves only the levels up to the
-highest used one (its `levels`), which leaves every bit of those levels as
-a cold solve would; `DescentResult.solves` counts how each solve started.
+first-order perturbation of the assembled matrix, the field part is the
+algebraic derivative of the quadrature sums.  The eigen-solve's
+`dirac.SpectralResult` is the ladder the descent holds: it refuses the
+perturbation formula when a used level is not simple (`check_simple`) and
+gives the used levels' vectors in the tridiagonal basis that
+`density_partials` reads.  Descent directions are preconditioned by the
+field metric (stiffness + curvature-adapted mass), i.e. an H^1-gradient
+flow; an Armijo line search guarantees a nonincreasing energy history.
+Each trial field's eigen-solve resumes its bisection from the accepted
+field's levels (`dirac.eigen_solve`'s `warm`) and resolves only the levels
+up to the highest used one (its `levels`), which leaves every bit of those
+levels as a cold solve would; `DescentResult.solves` counts how each solve
+started.
 
 A `FieldFunctional` is the whole description of a field model: besides the
 quark content it carries its potential's value, slope and curvature, so the
@@ -30,38 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .dirac import (DegenerateEigenvalueError, RadialField, SIMPLE_GAP_RTOL,
-                    WINDOW_SHAVE, SpectralResult, assemble_hamiltonian,
-                    density_partials, eigen_solve)
+from .dirac import (RadialField, WINDOW_SHAVE, SpectralResult,
+                    assemble_hamiltonian, density_partials, eigen_solve)
 from .grid import (FOUR_PI, RadialGrid, forward_diff, midpoints, scatter_diff,
                    scatter_mid)
 
 #: Armijo sufficient-decrease constant
 ARMIJO_C1 = 1e-4
-
-
-@dataclass
-class LadderSolve:
-    values: np.ndarray            # lam^{k_i} with band-edge padding
-    spectral: SpectralResult      # the positive window
-    k_indices: Sequence[int]
-
-    @property
-    def vectors(self) -> List[Optional[np.ndarray]]:
-        """Tridiagonal-basis eigenvectors of the used levels (None for a
-        padded level), for perturbation formulas.  The first read runs the
-        inverse iteration of `spectral`, so an energy evaluation that is
-        never differentiated (a rejected line-search trial) skips it."""
-        res = self.spectral
-        y = (res.vectors * np.sqrt(res.operator.weights)[:, None]
-             * math.sqrt(FOUR_PI))
-        return [y[:, k - 1] if k <= res.eigenvalues.size else None
-                for k in self.k_indices]
 
 
 @dataclass
@@ -90,42 +74,24 @@ class FieldFunctional:
     # -- eigenvalue ladder -------------------------------------------------
 
     def ladder(self, phi_vals: np.ndarray,
-               warm: Optional[LadderSolve] = None) -> LadderSolve:
-        """The ladder at phi_vals; `warm`, the solve at a nearby field, lets
-        the eigen-solve resume from its levels with the same bits, and then
+               warm: Optional[SpectralResult] = None) -> SpectralResult:
+        """The eigen-solve of the bound-state window (0, m) at phi_vals, so
+        ladder level k is eigenvalue k - 1; `warm`, the ladder at a nearby
+        field, lets it resume from its levels with the same bits, and then
         it may resolve no level above the highest used one."""
         phi = RadialField(grid=self.grid, values=phi_vals)
         op = assemble_hamiltonian(phi, g=self.g, m=self.m)
-        res = eigen_solve(op, window=(0.0, self.m * (1.0 - WINDOW_SHAVE)),
-                          warm=None if warm is None else warm.spectral,
-                          levels=max(self.k_indices))
-        lam = res.eigenvalues
+        return eigen_solve(op, window=(0.0, self.m * (1.0 - WINDOW_SHAVE)),
+                           warm=warm, levels=max(self.k_indices))
+
+    def occupied(self, solve: SpectralResult) -> np.ndarray:
+        """lam^{k_i} of the used levels, a level missing from the ladder
+        padded with the band edge m."""
+        lam = solve.eigenvalues
         values = np.empty(len(self.k_indices))
         for i, k in enumerate(self.k_indices):
             values[i] = lam[k - 1] if k <= lam.size else self.m
-        return LadderSolve(values=values, spectral=res,
-                           k_indices=self.k_indices)
-
-    def check_simple(self, solve: LadderSolve):
-        """Refuse first-order formulas when a used level is nearly degenerate.
-
-        A solve that holds only the levels up to the highest used one has
-        certified the next level more than the threshold above it, so the
-        gap this skips would pass."""
-        lam = solve.spectral.eigenvalues
-        thr = SIMPLE_GAP_RTOL * self.m
-        for k in self.k_indices:
-            if k > lam.size:
-                continue
-            gaps = []
-            if k >= 2:
-                gaps.append(lam[k - 1] - lam[k - 2])
-            if k < lam.size:
-                gaps.append(lam[k] - lam[k - 1])
-            if gaps and min(gaps) <= thr:
-                raise DegenerateEigenvalueError(
-                    f"ladder level {k} gap {min(gaps):.3e} below simplicity "
-                    f"threshold {thr:.3e}")
+        return values
 
     # -- field terms ---------------------------------------------------------
 
@@ -145,25 +111,30 @@ class FieldFunctional:
         return FOUR_PI * sum(self.term_sums(phi_vals))
 
     def energy_and_ladder(self, phi_vals: np.ndarray,
-                          warm: Optional[LadderSolve] = None):
+                          warm: Optional[SpectralResult] = None):
         solve = self.ladder(phi_vals, warm)
-        return float(np.sum(solve.values)) + self.field_energy(phi_vals), solve
+        return (float(np.sum(self.occupied(solve)))
+                + self.field_energy(phi_vals), solve)
 
     # -- exact gradient ------------------------------------------------------
 
     def gradient_partials(self, phi_vals: np.ndarray,
-                          solve: Optional[LadderSolve] = None) -> np.ndarray:
+                          solve: Optional[SpectralResult] = None
+                          ) -> np.ndarray:
         """dE/dphi_a for the free nodes a = 0..n-2 (phi_n is pinned);
-        refuses on near-degenerate levels."""
+        refuses on near-degenerate levels.  Reading `solve`'s vectors runs
+        its inverse iteration, so an energy evaluation that is never
+        differentiated (a rejected line-search trial) skips it."""
         gr = self.grid
         nd = gr.n - 1
         if solve is None:
             solve = self.ladder(phi_vals)
-        self.check_simple(solve)
+        solve.check_simple(self.k_indices)
         dE = np.zeros(nd)
-        for y in solve.vectors:
-            if y is not None:
-                dE += density_partials(y, self.g)
+        y = solve.basis_vectors
+        for k in self.k_indices:
+            if k <= solve.eigenvalues.size:
+                dE += density_partials(y[:, k - 1], self.g)
         vol_s = gr.vol_staggered[1:]
         t = vol_s * self.c_grad * 2.0 * forward_diff(gr, phi_vals) / gr.h
         scatter_diff(dE, FOUR_PI * t)
@@ -194,7 +165,7 @@ class DescentResult:
     converged: bool
     history: list = field(default_factory=list)
     #: the solve at `phi`; it may hold no level above the highest used one
-    ladder: Optional[LadderSolve] = None
+    ladder: Optional[SpectralResult] = None
     #: eigen-solves by `SpectralResult.start`: "full", "resumed", "fallback"
     solves: dict = field(default_factory=dict)
 
@@ -216,7 +187,7 @@ def _metric_bands(fn: FieldFunctional, phi: np.ndarray):
 def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
                    max_iter: int = 2000,
                    monitor: Optional[Callable] = None,
-                   solve: Optional[LadderSolve] = None) -> DescentResult:
+                   solve: Optional[SpectralResult] = None) -> DescentResult:
     """Preconditioned gradient descent with Armijo backtracking.
 
     The metric's mass term is sharpened by the functional's curvature, which
@@ -232,9 +203,9 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
     solves = {"full": 0, "resumed": 0, "fallback": 0}
     if solve is None:
         E, solve = fn.energy_and_ladder(phi)
-        solves[solve.spectral.start] += 1
+        solves[solve.start] += 1
     else:       # the energy `energy_and_ladder` gives
-        E = float(np.sum(solve.values)) + fn.field_energy(phi)
+        E = float(np.sum(fn.occupied(solve))) + fn.field_energy(phi)
     alpha = 1.0
     history = [E]
     gnorm = math.inf
@@ -258,7 +229,7 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
             trial = phi.copy()
             trial[:-1] -= alpha * d
             E_t, solve_t = fn.energy_and_ladder(trial, warm=solve)
-            solves[solve_t.spectral.start] += 1
+            solves[solve_t.start] += 1
             if E_t <= E - ARMIJO_C1 * alpha * slope:
                 phi, E, solve = trial, E_t, solve_t
                 history.append(E)

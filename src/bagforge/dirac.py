@@ -36,13 +36,15 @@ bisection alone.
 A caller that solves a sequence of nearby fields, like the field descent,
 passes the previous result as `warm`: each level's bisection then resumes
 from a subinterval of stebz's own midpoint tree that holds the level alone,
-found from an enclosure of the level, and the output is bit-equal to the
-full bisection's.  A Sturm count certifies the subintervals; where it or
-another check fails, the full bisection runs.  A caller that reads only
-the lowest few levels, like the descent's energy, passes `levels`: the
-resumed bisection then finds those levels alone, and the count also proves
-that the next level lies above a bound (`SpectralResult.above`) farther
-from the last one than the simplicity gap.
+found from an enclosure of the level that one inverse-iteration step from
+warm's vector gives, and the output is bit-equal to the full bisection's.
+A Sturm count certifies the subintervals; where it or another check fails,
+the full bisection runs.  A caller that reads only the lowest few levels,
+like the descent's energy, passes `levels`: the resumed bisection then
+finds those levels alone, and the count also proves that the next level
+lies above a bound (`SpectralResult.above`) farther from the last one than
+the simplicity gap, under which `SpectralResult.check_simple` refuses
+first-order perturbation.
 """
 
 from __future__ import annotations
@@ -269,13 +271,48 @@ class SpectralResult:
         u[1:] = x[1::2]
         return RadialSpinor(grid=grid, u=u, v=v)
 
-    def ladder_spinors(self, indices: Sequence[int]) -> List[Optional[RadialSpinor]]:
+    @cached_property
+    def basis_vectors(self) -> np.ndarray:
+        """Eigenvector columns in the tridiagonal basis, W^(1/2) sqrt(4 pi)
+        times `vectors`, for perturbation formulas (`density_partials`) and
+        for the enclosures of a solve that starts from this one."""
+        return (self.vectors * np.sqrt(self.operator.weights)[:, None]
+                * math.sqrt(FOUR_PI))
+
+    def _ladder_positions(self, indices: Sequence[int]) -> List[Optional[int]]:
+        """Index into `eigenvalues` of each ladder level k >= 1 (None past
+        the ladder levels held)."""
         lam = self.eigenvalues
         lad_pos = np.where((lam > 0.0) & (lam < self.operator.m))[0]
         out = []
         for k in indices:
-            out.append(self.spinor(int(lad_pos[k - 1])) if k <= lad_pos.size else None)
+            if k < 1:
+                raise ValueError(f"ladder levels count from 1, got {k}")
+            out.append(int(lad_pos[k - 1]) if k <= lad_pos.size else None)
         return out
+
+    def ladder_spinors(self, indices: Sequence[int]) -> List[Optional[RadialSpinor]]:
+        return [None if i is None else self.spinor(i)
+                for i in self._ladder_positions(indices)]
+
+    def check_simple(self, indices: Sequence[int]):
+        """Refuse first-order formulas when one of the ladder levels k of
+        `indices` lies within the simplicity gap SIMPLE_GAP_RTOL*m of a
+        neighbouring level.
+
+        A result that holds only the lowest levels has certified the next
+        one farther than that gap above its last (`_resumed_bisection`), so
+        the gap this skips would pass."""
+        lam = self.eigenvalues
+        thr = SIMPLE_GAP_RTOL * self.operator.m
+        for k, i in zip(indices, self._ladder_positions(indices)):
+            # the gaps to the held neighbours below and above
+            gap = (math.inf if i is None else
+                   min(np.diff(lam[max(i - 1, 0):i + 2]), default=math.inf))
+            if gap <= thr:
+                raise DegenerateEigenvalueError(
+                    f"ladder level {k} gap {gap:.3e} below simplicity "
+                    f"threshold {thr:.3e}")
 
     def gram_deviation(self) -> float:
         G = FOUR_PI * (self.vectors.T * self.operator.weights[None, :]) @ self.vectors
@@ -315,23 +352,19 @@ def _enclosures(op: RadialDiracOperator, warm: SpectralResult,
     of `warm` (all of them by default), each meant to hold the same level
     of `op`.
 
-    With warm's vectors at hand: one step of shifted inverse iteration (a
-    `dgtsv` solve at the warm eigenvalue) and the Rayleigh quotient of the
+    One step of shifted inverse iteration from warm's vector (a `dgtsv`
+    solve at the warm eigenvalue) and the Rayleigh quotient of the
     result, widened by the Kato-Temple bound r^2/gap (the residual norm r
     where the gap to the neighbouring levels is not larger than r).  The
     neighbours of the lowest level and of the top one are the window's
     bottom end and warm's next level, or `warm.above` past its last one.
-    Without them (their inverse iteration never ran, and is not run here):
-    the warm eigenvalues widened by the Weyl bound, the largest change of
-    the diagonal.  The intervals only steer the resumed bisection; a wrong
-    one costs a fallback, never a bit.
+    Warm's vectors are read here if no one has read them; the descent's
+    warm result is a field whose gradient it took, so they are at hand.
+    The intervals only steer the resumed bisection; a wrong one costs a
+    fallback, never a bit.
     """
     lam = warm.eigenvalues[:j]
-    if "_pairs" not in vars(warm):
-        shift = float(np.max(np.abs(op.diag - warm.operator.diag)))
-        return lam - shift, lam + shift
-    ys = (warm.vectors[:, :lam.size]
-          * np.sqrt(warm.operator.weights)[:, None]).T
+    ys = warm.basis_vectors[:, :lam.size].T
     rho = np.empty(lam.size)
     r = np.empty(lam.size)
     for i, y in enumerate(ys):
@@ -517,7 +550,8 @@ def density(psi: RadialSpinor) -> RadialField:
 
 def density_partials(y: np.ndarray, g: float) -> np.ndarray:
     """d lam / d phi_a at the free primal nodes for a tridiagonal-basis
-    eigenvector y of the ansatz sector (any normalization).
+    eigenvector y of the ansatz sector (any normalization), such as a
+    column of `SpectralResult.basis_vectors`.
 
     The v-rows carry the mass m + g phi directly, the u-rows its midpoint
     average with the opposite sign, so the midpoint scatter returns their

@@ -149,13 +149,13 @@ def minimize(cfg: SolitonConfig,
     res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter)
     phi = RadialField(grid=grid, values=res.phi)
     solve = res.ladder
-    if solve.spectral.above < solve.spectral.window[1]:
+    if solve.above < solve.window[1]:
         # the report's pairs and residual cover every window level
         solve = fn.ladder(res.phi)
-    spinors = solve.spectral.ladder_spinors(cfg.model.k_indices)
+    spinors = solve.ladder_spinors(cfg.model.k_indices)
     el = el_residual_from(cfg, phi, solve, spinors)
     m = cfg.model.m
-    lam = solve.values
+    lam = fn.occupied(solve)
     return SolitonReport(config=cfg, phi=phi, lambdas=lam, spinors=spinors,
                          energy=res.energy, history=res.history,
                          grad_norm=res.grad_norm, iterations=res.iterations,
@@ -186,12 +186,12 @@ def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,
             continue
         resid = resid + cfg.model.g * density(psi).values[:nd]
     norm = math.sqrt(FOUR_PI * float(np.dot(grid.vol_primal[:nd], resid**2)))
-    return ELResidual(field=norm, eigen=float(solve.spectral.residual))
+    return ELResidual(field=norm, eigen=float(solve.residual))
 
 
 def el_residual(cfg: SolitonConfig, report: SolitonReport) -> ELResidual:
     """Recompute both stationarity residuals for a finished report."""
     fn = cfg.functional(report.phi.grid)
     solve = fn.ladder(report.phi.values)
-    spinors = solve.spectral.ladder_spinors(cfg.model.k_indices)
+    spinors = solve.ladder_spinors(cfg.model.k_indices)
     return el_residual_from(cfg, report.phi, solve, spinors)

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from bagforge import dirac
+from bagforge.grid import FOUR_PI
 from bagforge import (DegenerateEigenvalueError, RadialField, RadialSpinor,
                       TwoZoneProblem, assemble_hamiltonian, density,
                       dirichlet_ball_eigenvalue, eigen_solve,
@@ -255,9 +256,9 @@ def _same_bits(res, cold):
 
 def test_warm_solve_bit_equal_to_cold():
     # resumed or refused, a warm solve gives the cold solve's values,
-    # inverse-iteration vectors and residual byte for byte; the warm result
-    # may or may not have its vectors (Rayleigh-quotient or Weyl
-    # enclosures), and the window is the descent's or the default one
+    # inverse-iteration vectors and residual byte for byte; the warm result's
+    # vectors are read before the warm solve or by it, and the window is the
+    # descent's or the default one
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     starts = []
@@ -375,11 +376,11 @@ def test_enclosure_holding_the_window_midpoint_resumes(monkeypatch):
     rng = np.random.default_rng(0)
     phi = random_bound_field(grid, m, g, rng, depth=0.9)
     bump = gaussian_field(grid, 5.0, 2.0)
-    lam1 = float(eigen_solve(assemble_hamiltonian(phi, g, m)).ladder[0])
-    window = (0.0, 2.0 * lam1 + 1e-4)
-    warm = eigen_solve(assemble_hamiltonian(phi, g, m), window)
     op = assemble_hamiltonian(
         RadialField(grid=grid, values=phi.values + 1e-3 * bump.values), g, m)
+    window = (0.0, 2.0 * float(eigen_solve(op).ladder[0]))
+    warm = eigen_solve(assemble_hamiltonian(phi, g, m), window)
+    warm.vectors
     mid = 0.5 * (window[0] + window[1])
     lower, upper = dirac._enclosures(op, warm)
     assert lower[0] < mid < upper[0]
@@ -461,15 +462,37 @@ def test_empty_window_falls_back():
         eigen_solve(op, (0.5, 0.5), warm=warm)
 
 
-def test_warm_solve_leaves_warm_vectors_unread(monkeypatch):
+def test_warm_solve_leaves_its_own_vectors_unread(monkeypatch):
+    # the enclosures read the warm result's vectors (inverse iteration runs
+    # there if it has not), never the new result's
     calls = []
     stein = dirac.dstein
     monkeypatch.setattr(dirac, "dstein",
                         lambda *args: calls.append(1) or stein(*args))
-    warm, op = _warm_pair()
-    res = eigen_solve(op, warm=warm)
-    assert res.start == "resumed" and not calls
-    assert "_pairs" not in vars(warm)
+    for read in (True, False):
+        warm, op = _warm_pair()
+        if read:
+            warm.vectors
+        calls.clear()
+        res = eigen_solve(op, warm=warm)
+        assert res.start == "resumed" and len(calls) == int(not read)
+        assert "_pairs" in vars(warm) and "_pairs" not in vars(res)
+
+
+def test_ladder_levels_count_from_one():
+    # an index below 1 would wrap around to the top of the ladder: on this
+    # well level 0 would be level 2, and its simplicity check that level's
+    m, g = 1.0, 1.0
+    grid = make_grid(25.0, 400)
+    res = eigen_solve(assemble_hamiltonian(square_well(grid, 1.0, 5.0), g, m))
+    assert res.ladder.size == 2
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="count from 1"):
+            res.ladder_spinors([k])
+        with pytest.raises(ValueError, match="count from 1"):
+            res.check_simple([1, k])
+    res.check_simple([1, 2, 3])
+    assert res.ladder_spinors([3]) == [None]
 
 
 def test_warm_result_must_match():
@@ -610,6 +633,23 @@ def test_density_integrates_to_scalar_charge():
     v_part = integrate(grid, psi.v**2)
     u_part = integrate(grid, psi.u**2, "staggered")
     assert charge == pytest.approx(v_part - u_part, abs=1e-10)
+
+
+@pytest.mark.parametrize("well", ["square", "random"])
+def test_density_partials_match_the_density(well):
+    # the descent's gradient form on tridiagonal-basis vectors and the
+    # Hellmann-Feynman density of the grid-normalized spinor, node by node
+    m, g = 1.0, 1.0
+    grid = make_grid(25.0, 400)
+    phi = (square_well(grid, 1.0, 5.0) if well == "square" else
+           random_bound_field(grid, m, g, np.random.default_rng(0)))
+    res = eigen_solve(assemble_hamiltonian(phi, g, m))
+    assert res.eigenvalues.size >= 2
+    weight = g * FOUR_PI * grid.vol_primal[:-1]
+    for i in range(res.eigenvalues.size):
+        got = dirac.density_partials(res.basis_vectors[:, i], g)
+        want = weight * density(res.spinor(i)).values[:-1]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_hellmann_feynman_against_finite_differences():

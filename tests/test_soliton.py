@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bagforge import dirac
-from bagforge import (ModelParams, PotentialSpec, RadialField, SolitonConfig,
-                      dirichlet_ball_eigenvalue, el_residual, energy,
-                      gradient, initial_guess, integrate, make_grid, minimize)
+from bagforge import (GammaSweep, ModelParams, PotentialSpec, RadialField,
+                      SolitonConfig, dirichlet_ball_eigenvalue, el_residual,
+                      energy, gradient, initial_guess, integrate, make_grid,
+                      minimize, run_sweep)
 from bagforge.verify import gaussian_field
 
 
@@ -179,7 +180,6 @@ def test_near_degenerate_level_stops_the_descent_as_a_full_solve_does(
     # with the same message, as with every solve over the whole window
     from bagforge import descent
     monkeypatch.setattr(dirac, "SIMPLE_GAP_RTOL", 0.399)
-    monkeypatch.setattr(descent, "SIMPLE_GAP_RTOL", 0.399)
     cfg = cfg_for(n=400)
     fn = cfg.functional()
     solve = descent.eigen_solve
@@ -206,6 +206,30 @@ def test_near_degenerate_level_stops_the_descent_as_a_full_solve_does(
     # partial solves up to the last trial, which is a full one
     assert starts[-1] == ("fallback", False)
     assert starts.count(("resumed", True)) > len(seen)
+
+
+def test_every_warm_solve_starts_from_a_read_result(monkeypatch):
+    # the descent hands a solve to the next one as `warm` only at a field
+    # whose gradient it took, so the warm result's vectors are always read
+    # before its enclosures need them: README soliton with its excited
+    # ladder, and a two-width README gamma-sweep
+    from bagforge import descent
+    solve = descent.eigen_solve
+    warm_read = []
+
+    def eigen_solve(op, window=None, warm=None, levels=None):
+        if warm is not None:
+            warm_read.append("_pairs" in vars(warm))
+        return solve(op, window, warm, levels)
+
+    monkeypatch.setattr(descent, "eigen_solve", eigen_solve)
+    for ks in ((1,), (1, 1, 2)):
+        assert minimize(cfg_for(N=len(ks), ks=ks, n=400)).converged
+    sweep = GammaSweep(eps_schedule=[0.4, 0.2],
+                       potential=PotentialSpec(kappa=1.0, b=0.02),
+                       n_quarks=1, g=6.8, m=8.0, r_max=3.0, n=640)
+    assert all(row.converged for row in run_sweep(sweep).rows)
+    assert len(warm_read) > 100 and all(warm_read)
 
 
 def test_minimize_weak_coupling_collapses():
@@ -235,7 +259,7 @@ def test_el_residual_increases_under_perturbation():
     from bagforge.soliton import el_residual_from
     fn = cfg.functional(grid)
     solve = fn.ladder(rep.phi.values + bump)
-    spin = solve.spectral.ladder_spinors(cfg.model.k_indices)
+    spin = solve.ladder_spinors(cfg.model.k_indices)
     res1 = el_residual_from(cfg, RadialField(grid=grid,
                                              values=rep.phi.values + bump),
                             solve, spin)

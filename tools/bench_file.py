@@ -7,8 +7,11 @@ For each workload that BENCHMARK.json gates, runs the benchmark command
 given seed, from the root of the checkout holding this script.  The file
 keeps, per workload, the last stdout line (the JSON result: correctness,
 failed ops and the end-to-end metrics) and the environment record that
-run.py leaves in .bench_out/.  Two such files made with the same seed on
-the same machine compare a change with its parent.
+run.py leaves in .bench_out/, and a `tree` record: `head`, the commit the
+checkout is at, and `dirty`, whether `src/` or `tests/` differ from it (a
+file from an uncommitted tree measures code that `head` does not hold).
+Two such files made with the same seed on the same machine compare a change
+with its parent.
 """
 
 from __future__ import annotations
@@ -20,6 +23,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def tree() -> dict:
+    """The checkout's commit and whether its code differs from that commit."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    return {"head": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--", "src", "tests"))}
 
 
 def main() -> int:
@@ -45,7 +57,8 @@ def main() -> int:
             "environment": json.loads(record.read_text())["environment"]}
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({"seed": args.seed, "seconds": seconds,
-                               "workloads": runs}, indent=1) + "\n")
+                               "tree": tree(), "workloads": runs},
+                              indent=1) + "\n")
     print(f"wrote {out}")
     return 0
 
