@@ -38,13 +38,13 @@ passes the previous result as `warm`: each level's bisection then resumes
 from a subinterval of stebz's own midpoint tree that holds the level alone,
 found from an enclosure of the level that one inverse-iteration step from
 warm's vector gives, and the output is bit-equal to the full bisection's.
-A Sturm count certifies the subintervals; where it or another check fails,
-the full bisection runs.  A caller that reads only the lowest few levels,
-like the descent's energy, passes `levels`: the resumed bisection then
-finds those levels alone, and the count also proves that the next level
-lies above a bound (`SpectralResult.above`) farther from the last one than
-the simplicity gap, under which `SpectralResult.check_simple` refuses
-first-order perturbation.
+A single count-only Sturm count certifies the subintervals; where it or
+another check fails, the full bisection runs.  A caller that reads only the
+lowest few levels, like the descent's energy, passes `levels`: the resumed
+bisection then finds those levels alone, and the same count proves the next
+level farther from the last one than the simplicity gap, under which
+`SpectralResult.check_simple` refuses first-order perturbation; such a
+result is not `complete`.
 """
 
 from __future__ import annotations
@@ -201,19 +201,19 @@ class SpectralResult:
     the stored bisection output (`bisection`: stebz's block-ordered values,
     block indices and splits, and the permutation sorting the values).
 
-    A result holds every level of the window, or, when `eigen_solve` was
-    asked for the lowest `levels` only, possibly just those: `above` is a
-    certified lower bound of the next level, the window's top end when the
-    result holds them all.  Values, vectors and residual are then those of
-    the lowest levels of the complete result, bit for bit.
+    A result holds every level of the window (`complete`), or, when
+    `eigen_solve` was asked for the lowest `levels` only, possibly just
+    those, with the next level certified farther from the last one than the
+    simplicity gap.  Values, vectors and residual are then those of the
+    lowest levels of the complete result, bit for bit.
     """
 
     operator: RadialDiracOperator
     window: Tuple[float, float]
     eigenvalues: np.ndarray
     bisection: tuple = field(repr=False)
-    #: every level of the operator above the held ones lies above this
-    above: float
+    #: whether every level of the window is held
+    complete: bool
     #: "full" (no warm result given), "resumed" (bisection resumed from a
     #: warm result's enclosures) or "fallback" (a warm result was given but
     #: its enclosures failed a check, so the full bisection ran)
@@ -281,13 +281,17 @@ class SpectralResult:
 
     def _ladder_positions(self, indices: Sequence[int]) -> List[Optional[int]]:
         """Index into `eigenvalues` of each ladder level k >= 1 (None past
-        the ladder levels held)."""
+        the ladder of a complete result; a partial result refuses a level
+        it does not hold)."""
         lam = self.eigenvalues
         lad_pos = np.where((lam > 0.0) & (lam < self.operator.m))[0]
         out = []
         for k in indices:
             if k < 1:
                 raise ValueError(f"ladder levels count from 1, got {k}")
+            if k > lad_pos.size and not self.complete:
+                raise ValueError(f"ladder level {k} is above the "
+                                 f"{lad_pos.size} held by a partial result")
             out.append(int(lad_pos[k - 1]) if k <= lad_pos.size else None)
         return out
 
@@ -300,9 +304,9 @@ class SpectralResult:
         `indices` lies within the simplicity gap SIMPLE_GAP_RTOL*m of a
         neighbouring level.
 
-        A result that holds only the lowest levels has certified the next
-        one farther than that gap above its last (`_resumed_bisection`), so
-        the gap this skips would pass."""
+        A partial result has certified the level after its last one
+        farther than that gap (`_resumed_bisection`), so the gap this skips
+        would pass."""
         lam = self.eigenvalues
         thr = SIMPLE_GAP_RTOL * self.operator.m
         for k, i in zip(indices, self._ladder_positions(indices)):
@@ -357,7 +361,7 @@ def _enclosures(op: RadialDiracOperator, warm: SpectralResult,
     result, widened by the Kato-Temple bound r^2/gap (the residual norm r
     where the gap to the neighbouring levels is not larger than r).  The
     neighbours of the lowest level and of the top one are the window's
-    bottom end and warm's next level, or `warm.above` past its last one.
+    bottom end and warm's next held level, or the window's top end.
     Warm's vectors are read here if no one has read them; the descent's
     warm result is a field whose gradient it took, so they are at hand.
     The intervals only steer the resumed bisection; a wrong one costs a
@@ -376,7 +380,7 @@ def _enclosures(op: RadialDiracOperator, warm: SpectralResult,
         rho[i] = float(np.dot(z, tz))
         r[i] = float(np.linalg.norm(tz - rho[i] * z))
     nxt = (warm.eigenvalues[lam.size] if warm.eigenvalues.size > lam.size
-           else warm.above)
+           else warm.window[1])
     ends = np.concatenate(([warm.window[0]], rho, [nxt]))
     gap = np.minimum(rho - ends[:-2], ends[2:] - rho)
     half = np.where(gap > r, r * r / np.maximum(gap, r), r)
@@ -385,7 +389,7 @@ def _enclosures(op: RadialDiracOperator, warm: SpectralResult,
 
 def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
                        warm: SpectralResult, levels: Optional[int] = None):
-    """(ascending eigenvalues, stein inputs, `above`) equal bit for bit to
+    """(ascending eigenvalues, stein inputs, complete) equal bit for bit to
     `_bisection(op, window)` or, given `levels`, possibly to its lowest
     `levels` values and their stein inputs; None where that equality is not
     certified.
@@ -399,19 +403,19 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     The lowest j levels, j = min(levels, warm's levels), are resumed.  Each
     level's node is found by replaying the midpoints from the window ends
     while they miss the level's enclosure, never below a width far above
-    stebz's stopping width; an enclosure holding the window's midpoint is
-    sent to the half that one Sturm count there gives.  The nodes must be
-    ordered and disjoint and hold one eigenvalue each, and one count-only
-    stebz over (vl, c] must find j: with Sturm counts monotone in floating
-    point (Demmel, Dhillon & Ren, ETNA 3, 1995) the nodes then hold the
-    lowest j eigenvalues, each alone, which the full bisection reaches, and
-    the next eigenvalue lies above c.  c is vu, so the window holds these j
-    levels only, unless j = levels and a level more may be left out: then
-    c is a guess from warm's gap to its next level, or, where the count
-    there fails, the last value plus the simplicity gap SIMPLE_GAP_RTOL*m,
-    which `check_simple` would refuse if the next level were closer.  A
-    window that stebz would clip to the Gershgorin interval, or a matrix
-    that splits into blocks, is left to the full bisection.
+    stebz's stopping width; an enclosure holding the window's midpoint
+    leaves the whole window as its node, which falls back.  The nodes must
+    be ordered and disjoint and hold one eigenvalue each, and one
+    count-only stebz over (vl, c] must find j: with Sturm counts monotone
+    in floating point (Demmel, Dhillon & Ren, ETNA 3, 1995) the nodes then
+    hold the lowest j eigenvalues, each alone, which the full bisection
+    reaches, and the next eigenvalue lies above c.  c is vu, so the window
+    holds these j levels only, unless j = levels and a level more may be
+    left out: then c is the last value plus the simplicity gap
+    SIMPLE_GAP_RTOL*m (at most vu), which `check_simple` would refuse if
+    the next level were closer.  A window that stebz would clip to the
+    Gershgorin interval, or a matrix that splits into blocks, is left to
+    the full bisection.
     """
     d = np.asarray_chkfinite(op.diag)
     e = np.asarray_chkfinite(op.offdiag)
@@ -436,9 +440,8 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     # cover their own rounding and the Sturm counts' backward error
     floor = 16.0 * (ulp * scale + pivmin)
     lower, upper = _enclosures(op, warm, j)
-    below = None                        # eigenvalues in (vl, window midpoint]
     nodes = []
-    for i, (a, b) in enumerate(zip(lower - floor, upper + floor)):
+    for a, b in zip(lower - floor, upper + floor):
         lo, hi = vl, vu
         while 0.5 * (hi - lo) >= floor:
             mid = 0.5 * (lo + hi)
@@ -446,10 +449,6 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
                 lo = mid
             elif mid > b:
                 hi = mid
-            elif (lo, hi) == (vl, vu) and a <= mid <= b:
-                if below is None:
-                    below = dstebz(d, e, 1, vl, mid, 1, 1, mid - vl, "B")[0]
-                lo, hi = (vl, mid) if i < below else (mid, vu)
             else:
                 break
         nodes.append((lo, hi))
@@ -462,27 +461,12 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
         if info or one != 1:
             return None
         w[i] = wi[0]
-    ends = [vu]
-    if j == levels:
-        least = min(vu, w[-1] + SIMPLE_GAP_RTOL * op.m + floor)
-        top = warm.eigenvalues[j - 1]
-        if held > j:                    # halfway to warm's next level
-            guess = w[-1] + 0.5 * (warm.eigenvalues[j] - top)
-        elif warm.above < vu:           # warm's own bound, moved along
-            guess = w[-1] + (warm.above - top)
-        else:                           # warm held the window's levels
-            guess = vu
-        guess = min(vu, guess)
-        ends = [guess, least] if guess > least else [least]
-    for c in ends:
-        count, _, iblock, isplit, info = dstebz(d, e, 1, vl, c, 1, 1, c - vl,
-                                                "B")
-        if isplit[0] != op.size:
-            return None
-        if not info and count == j:
-            order = np.argsort(w)
-            return w[order], (w, iblock, isplit, order), c
-    return None
+    c = vu if j != levels else min(vu, w[-1] + SIMPLE_GAP_RTOL * op.m + floor)
+    count, _, iblock, isplit, info = dstebz(d, e, 1, vl, c, 1, 1, c - vl, "B")
+    if info or count != j or isplit[0] != op.size:
+        return None
+    order = np.argsort(w)
+    return w[order], (w, iblock, isplit, order), c == vu
 
 
 def eigen_solve(op: RadialDiracOperator,
@@ -503,7 +487,7 @@ def eigen_solve(op: RadialDiracOperator,
     `start` tells which way they came.  With `warm`, `levels` asks for the
     lowest `levels` levels only: the result may then hold just those, with
     the values, vectors and residual of the complete solve's lowest ones,
-    and `above` bounds the next level from below.
+    and is not `complete`.
     """
     if window is None:      # the truncated continuum starts at the band edges
         w = op.m * (1.0 - WINDOW_SHAVE)
@@ -520,13 +504,14 @@ def eigen_solve(op: RadialDiracOperator,
         resumed = _resumed_bisection(op, window, warm, levels)
     if resumed is None:
         lam, stein_inputs = _bisection(op, window)
-        above = window[1]
+        complete = True
     else:
-        lam, stein_inputs, above = resumed
+        lam, stein_inputs, complete = resumed
     start = ("full" if warm is None else
              "fallback" if resumed is None else "resumed")
     return SpectralResult(operator=op, window=window, eigenvalues=lam,
-                          bisection=stein_inputs, above=above, start=start)
+                          bisection=stein_inputs, complete=complete,
+                          start=start)
 
 
 def density(psi: RadialSpinor) -> RadialField:

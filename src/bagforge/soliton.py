@@ -148,10 +148,9 @@ def minimize(cfg: SolitonConfig,
     start = initial_guess(cfg, grid) if phi0 is None else np.asarray(phi0, float)
     res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter)
     phi = RadialField(grid=grid, values=res.phi)
-    solve = res.ladder
-    if solve.above < solve.window[1]:
-        # the report's pairs and residual cover every window level
-        solve = fn.ladder(res.phi)
+    # one cold solve of the final field: the report's pairs and residual
+    # cover every window level, which the descent's last solve may not hold
+    solve = fn.ladder(res.phi)
     spinors = solve.ladder_spinors(cfg.model.k_indices)
     el = el_residual_from(cfg, phi, solve, spinors)
     m = cfg.model.m

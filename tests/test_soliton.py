@@ -119,23 +119,24 @@ def test_budget_cut_reports_gradient_of_returned_field():
 
 
 @pytest.mark.parametrize(
-    "ks, solves, inverse, iterations, E, lam1, full, resumed", [
+    "ks, solves, inverse, iterations, E, lam1, full, resumed, nodes", [
         # README soliton and its excited ladder, values as recorded
-        ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069, 2, 161),
+        ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069, 2, 161,
+         161),
         ((1, 1, 2), 179, 107, 107, 2.1189172320272873, 0.3908284588805935,
-         4, 176),
+         5, 175, 351),
     ])
 def test_descent_inverse_iteration_only_on_accepted_fields(
         monkeypatch, ks, solves, inverse, iterations, E, lam1, full,
-        resumed):
+        resumed, nodes):
     # every energy evaluation bisects: the start field over the whole
     # window, each Armijo trial resumed from the accepted field's levels,
-    # one node per level up to the highest used one, certified by a
+    # one node per level up to the highest used one, certified by one
     # count-only stebz, or over the whole window when that fails.  Only the
     # fields whose gradient is taken (the start and each accepted step) run
-    # inverse iteration; the final report solves its field once more over
-    # the whole window, since the last descent solve holds the used levels
-    # only
+    # inverse iteration; the final report solves its field once more, cold,
+    # over the whole window, since the last descent solve may hold the used
+    # levels only
     window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
     calls = {"full": 0, "count": 0, "node": 0, "dstein": 0}
 
@@ -159,11 +160,13 @@ def test_descent_inverse_iteration_only_on_accepted_fields(
                           "fallback": fallback}
     assert sum(rep.solves.values()) == solves
     # full-window bisections: the start, the fallbacks and the final solve;
-    # a warm solve counts once or twice (a guessed bound, then the least
-    # one) and at most once more at the window's midpoint
+    # a warm solve makes at most one Sturm count, and a resumed one exactly
+    # one.  A node per level the warm result holds, up to the highest used
+    # one: while the excited ladder holds one level, a solve bisects one
+    # node, and a fallback may bisect some before its count fails
     assert calls["full"] == full
-    assert resumed <= calls["count"] <= 3 * (resumed + fallback)
-    assert calls["node"] == resumed * max(ks)
+    assert resumed <= calls["count"] <= resumed + fallback
+    assert calls["node"] == nodes <= (resumed + fallback) * max(ks)
     assert calls["dstein"] == inverse + 1
     assert len(rep.history) == inverse
     assert repr(rep.energy) == repr(E)
@@ -190,7 +193,7 @@ def test_near_degenerate_level_stops_the_descent_as_a_full_solve_does(
         def eigen_solve(op, window=None, warm=None, levels=None):
             res = solve(op, window, warm,
                         levels if levels_read else None)
-            starts.append((res.start, res.above < res.window[1]))
+            starts.append((res.start, not res.complete))
             return res
 
         monkeypatch.setattr(descent, "eigen_solve", eigen_solve)
@@ -206,6 +209,22 @@ def test_near_degenerate_level_stops_the_descent_as_a_full_solve_does(
     # partial solves up to the last trial, which is a full one
     assert starts[-1] == ("fallback", False)
     assert starts.count(("resumed", True)) > len(seen)
+
+
+def test_partial_descent_result_refuses_levels_it_does_not_hold():
+    # the README descent's last solve holds its one used level: it refuses
+    # the second one, which the cold solve of the same field holds
+    from bagforge import descent
+    cfg = cfg_for(n=400)
+    fn = cfg.functional()
+    res = descent.minimize_field(fn, initial_guess(cfg), tol=cfg.tol)
+    assert not res.ladder.complete and res.ladder.eigenvalues.size == 1
+    assert res.ladder.ladder_spinors([1])[0] is not None
+    for read in (res.ladder.ladder_spinors, res.ladder.check_simple):
+        with pytest.raises(ValueError, match="partial result"):
+            read([1, 2])
+    cold = fn.ladder(res.phi)
+    assert cold.complete and cold.ladder_spinors([2])[0] is not None
 
 
 def test_every_warm_solve_starts_from_a_read_result(monkeypatch):
