@@ -14,8 +14,10 @@ returns its result rows; `run` alone writes them, as CSV or JSON, plus an
 optional long-format profile CSV and a `run.json` manifest recording
 parameters, version, wall time and, for the field descents (`soliton`,
 `gamma-sweep`), a `telemetry` block counting their eigen-solves by how the
-bisection started.  Identical configuration and seed produce byte-identical
-result files (the manifest holds the only timestamp-like field).
+bisection started and listing each descent's rejected line-search trials
+(`backtracks`, one per coupling or width).  Identical configuration and
+seed produce byte-identical result files (the manifest holds the only
+timestamp-like field).
 
 Exit codes: 0 success, 1 usage error (including a problem too large to
 allocate), 2 flagged non-convergence or solver failure, 3 I/O.
@@ -269,11 +271,12 @@ def _unconverged(res, tol: float) -> str:
 def _solve_telemetry(results) -> dict:
     """The descents' eigen-solves summed by start (`DescentResult.solves`):
     full bisections without a warm result, resumed ones, and fallbacks to
-    the full bisection."""
+    the full bisection; and each descent's rejected Armijo trials."""
     total = Counter()
     for res in results:
         total.update(res.solves)
-    return {"eigen_solves": dict(total)}
+    return {"eigen_solves": dict(total),
+            "backtracks": [res.backtracks for res in results]}
 
 
 def _run_soliton(p):

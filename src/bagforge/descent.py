@@ -37,18 +37,30 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dptsv
 
 from .dirac import (RadialField, WINDOW_SHAVE, SpectralResult,
                     assemble_hamiltonian, density_partials, eigen_solve)
-from .grid import (FOUR_PI, RadialGrid, forward_diff, midpoints, scatter_diff,
-                   scatter_mid)
+from .grid import (FOUR_PI, RadialGrid, forward_diff, midpoints, read_only,
+                   scatter_diff, scatter_mid)
 
 #: Armijo sufficient-decrease constant
 ARMIJO_C1 = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
+class FieldTerms:
+    """The field part of the energy at one field: its staggered differences
+    `dph`, its midpoints `mid` (None without V_stag) and the (gradient,
+    staggered, primal) quadrature sums `sums`, without the 4 pi."""
+
+    dph: np.ndarray = field(repr=False)
+    mid: Optional[np.ndarray] = field(repr=False)
+    sums: tuple
+
+
+@dataclass(frozen=True, eq=False)
 class FieldFunctional:
     """Discrete energy of quarks on ladder levels k_indices in a radial field.
 
@@ -57,7 +69,8 @@ class FieldFunctional:
     midpoints, and `curvature` gives the potential's curvature at the free
     primal nodes (or a bound on its modulus), which the descent metric
     reads.  The model configs (`SolitonConfig`, `GammaSweep`) validate the
-    parameters.
+    parameters.  The weights that depend on the grid and c_grad alone are
+    built once, with the functional, and refuse assignment.
     """
 
     grid: RadialGrid
@@ -70,6 +83,19 @@ class FieldFunctional:
     curvature: Callable
     v_stag: Optional[Callable] = None
     v_stag_d: Optional[Callable] = None
+
+    def __post_init__(self):
+        gr = self.grid
+        vol_s = gr.vol_staggered[1:]
+        stiff = FOUR_PI * vol_s * max(self.c_grad, 1e-12) / gr.h**2
+        cached = {
+            "_mass": FOUR_PI * gr.vol_primal[:-1],   # free-node mass weights
+            "_grad_w": vol_s * self.c_grad * 2.0,    # gradient term's weights
+            "_half_w": 0.5 * vol_s,                  # well term's weights
+            "_stiff": stiff, "_stiff_off": -stiff[:-1]}   # metric stiffness
+        for name, a in cached.items():
+            read_only(a)
+            object.__setattr__(self, name, a)
 
     # -- eigenvalue ladder -------------------------------------------------
 
@@ -95,65 +121,96 @@ class FieldFunctional:
 
     # -- field terms ---------------------------------------------------------
 
-    def term_sums(self, phi_vals: np.ndarray) -> tuple:
-        """(gradient, staggered, primal) quadrature sums of the field energy,
-        without the 4 pi; the staggered sum is 0 without V_stag."""
-        gr = self.grid
-        dph = forward_diff(gr, phi_vals)
-        vol_s = gr.vol_staggered[1:]
+    def terms(self, phi_vals: np.ndarray) -> FieldTerms:
+        """The field terms at phi_vals; the staggered sum is 0 without
+        V_stag."""
+        dph = forward_diff(self.grid, phi_vals)
+        vol_s = self.grid.vol_staggered[1:]
         grad = float(np.dot(vol_s, self.c_grad * dph**2))
-        stag = (0.0 if self.v_stag is None else
-                float(np.dot(vol_s, self.v_stag(midpoints(phi_vals)))))
-        prim = float(np.dot(gr.vol_primal, self.v_prim(phi_vals)))
-        return grad, stag, prim
+        if self.v_stag is None:
+            mid, stag = None, 0.0
+        else:
+            mid = midpoints(phi_vals)
+            stag = float(np.dot(vol_s, self.v_stag(mid)))
+        prim = float(np.dot(self.grid.vol_primal, self.v_prim(phi_vals)))
+        return FieldTerms(dph=dph, mid=mid, sums=(grad, stag, prim))
 
     def field_energy(self, phi_vals: np.ndarray) -> float:
-        return FOUR_PI * sum(self.term_sums(phi_vals))
+        return FOUR_PI * sum(self.terms(phi_vals).sums)
+
+    def energy(self, solve: SpectralResult, terms: FieldTerms) -> float:
+        """The energy of the field whose ladder and field terms these are."""
+        return float(np.sum(self.occupied(solve))) + FOUR_PI * sum(terms.sums)
 
     def energy_and_ladder(self, phi_vals: np.ndarray,
-                          warm: Optional[SpectralResult] = None):
+                          warm: Optional[SpectralResult] = None) -> tuple:
+        """(energy, ladder, field terms) at phi_vals."""
         solve = self.ladder(phi_vals, warm)
-        return (float(np.sum(self.occupied(solve)))
-                + self.field_energy(phi_vals), solve)
+        terms = self.terms(phi_vals)
+        return self.energy(solve, terms), solve, terms
 
     # -- exact gradient ------------------------------------------------------
 
     def gradient_partials(self, phi_vals: np.ndarray,
-                          solve: Optional[SpectralResult] = None
-                          ) -> np.ndarray:
+                          solve: Optional[SpectralResult] = None,
+                          terms: Optional[FieldTerms] = None) -> np.ndarray:
         """dE/dphi_a for the free nodes a = 0..n-2 (phi_n is pinned);
-        refuses on near-degenerate levels.  Reading `solve`'s vectors runs
-        its inverse iteration, so an energy evaluation that is never
-        differentiated (a rejected line-search trial) skips it."""
+        refuses on near-degenerate levels.  `solve` and `terms` are the
+        ladder and field terms at phi_vals where the caller has them.
+        Reading `solve`'s vectors runs its inverse iteration, so an energy
+        evaluation that is never differentiated (a rejected line-search
+        trial) skips it."""
         gr = self.grid
         nd = gr.n - 1
         if solve is None:
             solve = self.ladder(phi_vals)
+        if terms is None:
+            terms = self.terms(phi_vals)
         solve.check_simple(self.k_indices)
         dE = np.zeros(nd)
         y = solve.basis_vectors
         for k in self.k_indices:
             if k <= solve.eigenvalues.size:
                 dE += density_partials(y[:, k - 1], self.g)
-        vol_s = gr.vol_staggered[1:]
-        t = vol_s * self.c_grad * 2.0 * forward_diff(gr, phi_vals) / gr.h
+        t = self._grad_w * terms.dph / gr.h
         scatter_diff(dE, FOUR_PI * t)
         if self.v_stag_d is not None:
-            half = 0.5 * vol_s * self.v_stag_d(midpoints(phi_vals))
+            half = self._half_w * self.v_stag_d(terms.mid)
             scatter_mid(dE, FOUR_PI * half)
-        dE += FOUR_PI * gr.vol_primal[:nd] * self.v_prim_d(phi_vals[:nd])
+        dE += self._mass * self.v_prim_d(phi_vals[:nd])
         return dE
 
     def as_field(self, dE: np.ndarray) -> np.ndarray:
         """L^2(r^2 dr) representation of the free-node partials dE, padded
         with the pinned boundary zero so it is a RadialField-shaped array."""
         out = np.zeros(self.grid.n)
-        out[:-1] = dE / (FOUR_PI * self.grid.vol_primal[:-1])
+        out[:-1] = dE / self._mass
         return out
 
     def grad_norm(self, grad_field: np.ndarray) -> float:
         return math.sqrt(FOUR_PI * float(np.dot(self.grid.vol_primal,
                                                 grad_field**2)))
+
+    # -- descent metric ------------------------------------------------------
+
+    def metric_step(self, phi: np.ndarray, dE: np.ndarray) -> np.ndarray:
+        """The preconditioned direction M^-1 dE of the field metric at phi:
+        stiffness plus the mass weights sharpened by the curvature, a
+        symmetric positive definite tridiagonal matrix, solved by LAPACK's
+        dptsv, the routine `solveh_banded` runs on a two-row band.  A
+        non-finite dE or metric raises ValueError, as `solveh_banded`'s
+        check does."""
+        diag = (self._mass * (1.0 + np.abs(self.curvature(phi[:-1])))
+                + self._stiff)
+        diag[1:] += self._stiff[:-1]
+        np.asarray_chkfinite(dE)
+        np.asarray_chkfinite(diag)
+        _, _, d, info = dptsv(diag, self._stiff_off, dE, overwrite_d=1)
+        if info > 0:
+            raise LinAlgError(f"{info}th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of dptsv")
+        return d
 
 
 @dataclass
@@ -168,20 +225,8 @@ class DescentResult:
     ladder: Optional[SpectralResult] = None
     #: eigen-solves by `SpectralResult.start`: "full", "resumed", "fallback"
     solves: dict = field(default_factory=dict)
-
-
-def _metric_bands(fn: FieldFunctional, phi: np.ndarray):
-    gr = fn.grid
-    nd = gr.n - 1
-    mass = (FOUR_PI * gr.vol_primal[:nd]
-            * (1.0 + np.abs(fn.curvature(phi[:-1]))))
-    stiff = FOUR_PI * gr.vol_staggered[1:] * max(fn.c_grad, 1e-12) / gr.h**2
-    diag = mass + stiff
-    diag[1:] += stiff[:-1]
-    ab = np.zeros((2, nd))
-    ab[0, 1:] = -stiff[:-1]
-    ab[1] = diag
-    return ab
+    #: line-search trials the Armijo test rejected
+    backtracks: int = 0
 
 
 def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
@@ -196,30 +241,35 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
     history lists accepted energies, and the gradient norm is the one of the
     returned field.  `solve`, the ladder of phi0 under the same g, m, grid
     and levels (a previous descent's `DescentResult.ladder`), is used as it
-    is instead of solving phi0 again.
+    is instead of solving phi0 again.  `monitor(it, phi, E, gnorm, terms)`
+    is called with each iterate before its step, `terms` its `FieldTerms`.
+    Each trial is one `energy_and_ladder` call; the accepted trial's ladder
+    and field terms serve its gradient and the monitor as they are.
     """
     phi = np.array(phi0, dtype=float)
     phi[-1] = 0.0
     solves = {"full": 0, "resumed": 0, "fallback": 0}
     if solve is None:
-        E, solve = fn.energy_and_ladder(phi)
+        E, solve, terms = fn.energy_and_ladder(phi)
         solves[solve.start] += 1
     else:       # the energy `energy_and_ladder` gives
-        E = float(np.sum(fn.occupied(solve))) + fn.field_energy(phi)
+        terms = fn.terms(phi)
+        E = fn.energy(solve, terms)
     alpha = 1.0
     history = [E]
     gnorm = math.inf
     converged = False
+    backtracks = 0
     it = 0
     for it in range(1, max_iter + 1):
-        dE = fn.gradient_partials(phi, solve=solve)
+        dE = fn.gradient_partials(phi, solve, terms)
         gnorm = fn.grad_norm(fn.as_field(dE))
         if monitor is not None:
-            monitor(it, phi, E, gnorm)
+            monitor(it, phi, E, gnorm, terms)
         if gnorm <= tol:
             converged = True
             break
-        d = solveh_banded(_metric_bands(fn, phi), dE, lower=False)
+        d = fn.metric_step(phi, dE)
         slope = float(np.dot(dE, d))
         if slope <= 0.0:          # metric is SPD, so this means dE ~ 0
             converged = gnorm <= tol
@@ -228,20 +278,22 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         while alpha > 1e-16:
             trial = phi.copy()
             trial[:-1] -= alpha * d
-            E_t, solve_t = fn.energy_and_ladder(trial, warm=solve)
+            E_t, solve_t, terms_t = fn.energy_and_ladder(trial, warm=solve)
             solves[solve_t.start] += 1
             if E_t <= E - ARMIJO_C1 * alpha * slope:
-                phi, E, solve = trial, E_t, solve_t
+                phi, E, solve, terms = trial, E_t, solve_t, terms_t
                 history.append(E)
                 alpha = min(alpha * 1.6, 64.0)
                 accepted = True
                 break
+            backtracks += 1
             alpha *= 0.5
         if not accepted:
             break
     else:   # out of budget after an accepted step: gnorm is the previous one
-        gnorm = fn.grad_norm(fn.as_field(fn.gradient_partials(phi, solve)))
+        gnorm = fn.grad_norm(fn.as_field(
+            fn.gradient_partials(phi, solve, terms)))
         converged = gnorm <= tol
     return DescentResult(phi=phi, energy=E, grad_norm=gnorm, iterations=it,
                          converged=converged, history=history, ladder=solve,
-                         solves=solves)
+                         solves=solves, backtracks=backtracks)

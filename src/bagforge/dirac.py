@@ -50,6 +50,7 @@ result is not `complete`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -58,12 +59,17 @@ import numpy as np
 from scipy.linalg import eigvals_banded
 from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
-from .grid import FOUR_PI, RadialGrid, integrate, midpoints, scatter_mid
+from .grid import (FOUR_PI, RadialGrid, integrate, midpoints, read_only,
+                   scatter_mid)
 
 #: spectral window default stops this fraction short of the band edge at m
 WINDOW_SHAVE = 1e-6
 #: relative eigenvalue gap below which first-order perturbation is refused
 SIMPLE_GAP_RTOL = 1e-6
+#: LAPACK dlamch("P") and the smallest normal number, as Python floats,
+#: which the resumed bisection's scalar loop runs on
+_ULP = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class DegenerateEigenvalueError(RuntimeError):
@@ -126,6 +132,10 @@ class RadialDiracOperator:
 
     `diag`/`offdiag` are the bands of W^(1/2) H W^(-1/2); `weights` is the
     interleaved quadrature-volume vector used to map eigenvectors back.
+    `offdiag`, `weights`, the Gershgorin radii `radii` of the off-diagonal
+    (|e_(i-1)| + |e_i| in row i) and `pivmin`, the pivot floor of stebz
+    (the smallest normal number times max(1, max e^2)), depend on the grid
+    alone; every operator on one grid shares them, read-only.
     """
 
     grid: RadialGrid
@@ -135,6 +145,8 @@ class RadialDiracOperator:
     diag: np.ndarray = field(repr=False)
     offdiag: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    radii: np.ndarray = field(repr=False)
+    pivmin: float = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -152,42 +164,63 @@ class RadialDiracOperator:
                 + np.diag(self.offdiag, -1))
 
 
+#: the field-independent arrays of each live grid's operators: a memo of
+#: read-only values that depend on the immutable grid alone, dropped with it
+_GRID_BANDS: "weakref.WeakKeyDictionary[RadialGrid, tuple]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _grid_bands(grid: RadialGrid) -> tuple:
+    """(offdiag, weights, radii, pivmin) of the operators on `grid`, built
+    on the first call for the grid."""
+    bands = _GRID_BANDS.get(grid)
+    if bands is None:
+        n = grid.n
+        rp = grid.r_primal[:n - 1]       # v-type nodes j=1..n-1
+        rs = grid.r_staggered[1:]        # u-type nodes r_{3/2}..r_{n-1/2}
+        h = grid.h
+        nd = n - 1
+        off = np.empty(2 * nd - 1)
+        weights = np.empty(2 * nd)
+        # symmetrized couplings reduce to +-(r_s / r_p) / h
+        off[0::2] = rs / (h * rp)             # v_j -- u_{j+1/2}
+        off[1::2] = -rs[:-1] / (h * rp[1:])   # u_{j+1/2} -- v_{j+1}
+        weights[0::2] = h * rp**2
+        weights[1::2] = h * rs**2
+        ae = np.abs(off)
+        radii = np.append(ae, 0.0)
+        radii[1:] += ae
+        read_only(off, weights, radii)
+        bands = (off, weights, radii,
+                 _TINY * max(1.0, float(np.max(off * off))))
+        _GRID_BANDS[grid] = bands
+    return bands
+
+
 def assemble_hamiltonian(phi: RadialField, g: float, m: float,
                          sector: int = -1) -> RadialDiracOperator:
     """Build one sector of the discrete Dirac operator with mass m + g*phi.
 
     sector=-1 is the ansatz sector (v primal, u staggered); sector=+1 is its
     supersymmetric partner with node roles swapped, whose spectrum mirrors
-    the ansatz sector exactly.
+    the ansatz sector exactly.  Only the mass diagonal depends on the
+    field; the rest comes from the grid's cache (`_grid_bands`).
     """
     if not m > 0.0:
         raise ValueError(f"mass must be positive, got {m}")
     if sector not in (-1, +1):
         raise ValueError("sector must be -1 or +1")
     grid = phi.grid
-    n = grid.n
-    rp = grid.r_primal[:n - 1]       # v-type nodes j=1..n-1
-    rs = grid.r_staggered[1:]        # u-type nodes r_{3/2}..r_{n-1/2}
-    h = grid.h
-    mu_p = m + g * phi.values[:n - 1]
-    mu_s = m + g * midpoints(phi.values)
-    wp = h * rp**2
-    ws = h * rs**2
-    nd = n - 1
-    diag = np.empty(2 * nd)
-    off = np.empty(2 * nd - 1)
-    weights = np.empty(2 * nd)
-    # symmetrized couplings reduce to +-(r_s / r_p) / h
-    off[0::2] = rs / (h * rp)             # v_j -- u_{j+1/2}
-    off[1::2] = -rs[:-1] / (h * rp[1:])   # u_{j+1/2} -- v_{j+1}
-    weights[0::2] = wp
-    weights[1::2] = ws
+    vals = phi.values
+    diag = np.empty(2 * grid.n - 2)
     # the partner sector swaps the node roles, which flips the sign pattern
     # of the mass diagonal and nothing else
-    diag[0::2] = -sector * mu_p
-    diag[1::2] = sector * mu_s
+    diag[0::2] = -sector * (m + g * vals[:-1])
+    diag[1::2] = sector * (m + g * midpoints(vals))
+    off, weights, radii, pivmin = _grid_bands(grid)
     return RadialDiracOperator(grid=grid, m=m, g=g, sector=sector,
-                               diag=diag, offdiag=off, weights=weights)
+                               diag=diag, offdiag=off, weights=weights,
+                               radii=radii, pivmin=pivmin)
 
 
 @dataclass
@@ -255,6 +288,11 @@ class SpectralResult:
 
     @property
     def ladder(self) -> np.ndarray:
+        """The eigenvalues in (0, m); a partial result refuses, since it
+        may not hold them all."""
+        if not self.complete:
+            raise ValueError("a partial result does not hold the whole "
+                             "ladder; solve without `levels` to list it")
         lam = self.eigenvalues
         return lam[(lam > 0.0) & (lam < self.operator.m)]
 
@@ -424,12 +462,8 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
         return None
     j = held if levels is None else min(levels, held)
     vl, vu = window
-    ulp = np.finfo(float).eps                      # LAPACK dlamch("P")
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e)))
-    ae = np.abs(e)
-    radius = np.append(ae, 0.0)
-    radius[1:] += ae
-    gl, gu = float(np.min(d - radius)), float(np.max(d + radius))
+    ulp, pivmin = _ULP, op.pivmin
+    gl, gu = float(np.min(d - op.radii)), float(np.max(d + op.radii))
     scale = max(-gl, gu, abs(vl), abs(vu))
     # stebz widens the Gershgorin interval by ~2 n ulp scale before it clips
     # the window to it; its stopping width is at most 2 ulp scale + pivmin
@@ -441,7 +475,7 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     floor = 16.0 * (ulp * scale + pivmin)
     lower, upper = _enclosures(op, warm, j)
     nodes = []
-    for a, b in zip(lower - floor, upper + floor):
+    for a, b in zip((lower - floor).tolist(), (upper + floor).tolist()):
         lo, hi = vl, vu
         while 0.5 * (hi - lo) >= floor:
             mid = 0.5 * (lo + hi)

@@ -122,7 +122,7 @@ def eps_energy(sweep: GammaSweep, eps: float, phi: RadialField) -> float:
 def field_terms(sweep: GammaSweep, eps: float, phi_vals: np.ndarray,
                 grid: Optional[RadialGrid] = None):
     """(gradient term, well term, mass term) of the field energy."""
-    sums = sweep.functional(eps, grid).term_sums(phi_vals)
+    sums = sweep.functional(eps, grid).terms(phi_vals).sums
     return tuple(FOUR_PI * s for s in sums)
 
 
@@ -131,8 +131,14 @@ def tv_well_coordinate(sweep: GammaSweep, phi_vals: np.ndarray,
     """Weighted total variation 4 pi int 2 |phi'| sqrt(W(phi)) r^2 dr,
     evaluated with the same staggered sampling as the field energy."""
     grid = grid or sweep.grid()
-    dph = forward_diff(grid, phi_vals)
-    well = sweep.potential.w(midpoints(phi_vals))
+    return _weighted_tv(sweep, grid, forward_diff(grid, phi_vals),
+                        midpoints(phi_vals))
+
+
+def _weighted_tv(sweep: GammaSweep, grid: RadialGrid, dph: np.ndarray,
+                 mid: np.ndarray) -> float:
+    # `tv_well_coordinate` of the field with these differences and midpoints
+    well = sweep.potential.w(mid)
     return FOUR_PI * float(np.dot(grid.vol_staggered[1:],
                                   2.0 * np.abs(dph) * np.sqrt(well)))
 
@@ -185,6 +191,7 @@ class GammaRow:
     grad_norm: float
     converged: bool
     solves: dict              # the descent's eigen-solves, by start
+    backtracks: int           # the descent's rejected Armijo trials
     phi: np.ndarray = field(repr=False, default=None)
 
 
@@ -256,10 +263,12 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
         fn = sweep.functional(eps, grid)
         inline = []
 
-        def monitor(it, phi_it, E_it, gnorm_it):
-            e_grad, e_well, _ = field_terms(sweep, eps, phi_it, grid)
+        def monitor(it, phi_it, E_it, gnorm_it, terms):
+            # `field_terms` and `tv_well_coordinate` of the iterate, from
+            # the terms its energy evaluation computed
+            e_grad, e_well, _ = (FOUR_PI * s for s in terms.sums)
             inline.append(e_grad + e_well
-                          - tv_well_coordinate(sweep, phi_it, grid))
+                          - _weighted_tv(sweep, grid, terms.dph, terms.mid))
 
         res = minimize_field(fn, phi, tol=sweep.tol, max_iter=sweep.max_iter,
                              monitor=monitor, solve=solve)
@@ -273,7 +282,8 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
             equipartition_ratio=e_grad / e_well if e_well > 0 else math.inf,
             liminf_margin=(e_grad + e_well) - tv,
             iterations=res.iterations, grad_norm=res.grad_norm,
-            converged=res.converged, solves=res.solves, phi=phi.copy()))
+            converged=res.converged, solves=res.solves,
+            backtracks=res.backtracks, phi=phi.copy()))
         worst_inline = min(worst_inline, min(inline) if inline else math.inf)
         if not res.converged:
             break

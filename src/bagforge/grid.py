@@ -32,11 +32,14 @@ FOUR_PI = 4.0 * np.pi
 MIN_NODES = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Uniform radial mesh with primal/staggered nodes and quadrature weights.
 
-    Immutable after construction; safe to share across parallel solves.
+    Immutable after construction, its arrays included (they refuse
+    assignment); safe to share across parallel solves.  The volume weights
+    are built once, with the grid.  Grids compare by identity, so a grid
+    can key a cache of arrays derived from it.
     """
 
     r_max: float
@@ -46,15 +49,23 @@ class RadialGrid:
     r_staggered: np.ndarray = field(repr=False)   # (n,)  (j+1/2)*h, j=0..n-1
     w_primal: np.ndarray = field(repr=False)      # trapezoid weights (dr)
     w_staggered: np.ndarray = field(repr=False)   # midpoint weights (dr)
+    #: volume weights w_j * r_j^2 of the primal quadrature (without 4*pi)
+    vol_primal: np.ndarray = field(init=False, repr=False)
+    vol_staggered: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def vol_primal(self) -> np.ndarray:
-        """Volume weights w_j * r_j^2 of the primal quadrature (without 4*pi)."""
-        return self.w_primal * self.r_primal**2
+    def __post_init__(self):
+        object.__setattr__(self, "vol_primal",
+                           self.w_primal * self.r_primal**2)
+        object.__setattr__(self, "vol_staggered",
+                           self.w_staggered * self.r_staggered**2)
+        read_only(self.r_primal, self.r_staggered, self.w_primal,
+                  self.w_staggered, self.vol_primal, self.vol_staggered)
 
-    @property
-    def vol_staggered(self) -> np.ndarray:
-        return self.w_staggered * self.r_staggered**2
+
+def read_only(*arrays: np.ndarray) -> None:
+    """Make arrays that are built once and then shared refuse assignment."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def make_grid(r_max: float, n: int) -> RadialGrid:

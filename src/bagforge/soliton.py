@@ -111,6 +111,7 @@ class SolitonReport:
     el: ELResidual
     all_bound: bool        # every occupied level strictly inside (0, m)
     solves: dict           # the descent's eigen-solves, `DescentResult.solves`
+    backtracks: int        # its rejected Armijo trials
 
 
 def initial_guess(cfg: SolitonConfig, grid: Optional[RadialGrid] = None) -> np.ndarray:
@@ -160,7 +161,7 @@ def minimize(cfg: SolitonConfig,
                          grad_norm=res.grad_norm, iterations=res.iterations,
                          converged=res.converged, el=el,
                          all_bound=bool(np.all((lam > 0.0) & (lam < m))),
-                         solves=res.solves)
+                         solves=res.solves, backtracks=res.backtracks)
 
 
 def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,

@@ -79,10 +79,13 @@ def test_soliton_run_and_profiles(tmp_path):
     assert any(ln.startswith("phi_g") for ln in prof[1:])
     assert any(ln.startswith("density_g") for ln in prof[1:])
     # the start field of each descent is solved cold, every trial warm
-    solves = json.loads((tmp_path / "run.json").read_text()
-                        )["telemetry"]["eigen_solves"]
+    telemetry = json.loads((tmp_path / "run.json").read_text())["telemetry"]
+    solves = telemetry["eigen_solves"]
     assert sorted(solves) == ["fallback", "full", "resumed"]
     assert solves["full"] == 1 and solves["resumed"] > solves["fallback"]
+    # one count of rejected line-search trials per descent
+    assert len(telemetry["backtracks"]) == 1
+    assert 0 < telemetry["backtracks"][0] < sum(solves.values())
 
 
 def test_soliton_nonconvergence_exit_code(tmp_path):
@@ -326,9 +329,12 @@ def test_gamma_sweep_run(tmp_path):
     assert any(ln.startswith("phi_eps0.2") for ln in prof)
     # one cold solve starts the first width's descent; each later width
     # starts from the ladder the previous one ended on
-    solves = json.loads((tmp_path / "run.json").read_text()
-                        )["telemetry"]["eigen_solves"]
+    telemetry = json.loads((tmp_path / "run.json").read_text())["telemetry"]
+    solves = telemetry["eigen_solves"]
     assert solves["full"] == 1 and solves["resumed"] > solves["fallback"]
+    # one count of rejected line-search trials per width
+    assert len(telemetry["backtracks"]) == 2
+    assert all(b > 0 for b in telemetry["backtracks"])
 
 
 def accepted(sub):

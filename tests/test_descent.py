@@ -1,0 +1,104 @@
+"""The descent's per-trial path: the metric step straight to LAPACK, the
+functional's cached weights and the count of rejected Armijo trials."""
+
+import numpy as np
+import pytest
+from scipy.linalg import solveh_banded
+
+from bagforge import (GammaSweep, ModelParams, PotentialSpec, SolitonConfig,
+                      descent, initial_guess)
+from bagforge.gamma import initial_profile
+from bagforge.grid import FOUR_PI
+
+README_SOLITON = SolitonConfig(
+    model=ModelParams(n_quarks=1, g=10.0, m=1.0),
+    potential=PotentialSpec(kappa=0.05, b=0.01), r_max=20.0, n=800)
+README_SWEEP = GammaSweep(eps_schedule=[0.4, 0.2, 0.1, 0.05],
+                          potential=PotentialSpec(kappa=1.0, b=0.02),
+                          n_quarks=1, g=6.8, m=8.0, r_max=3.0, n=640)
+
+
+def _per_call_metric_bands(fn, phi):
+    """The metric's two-row upper band as the descent built it on every
+    step before its constant pieces were cached per functional."""
+    gr = fn.grid
+    nd = gr.n - 1
+    mass = (FOUR_PI * gr.vol_primal[:nd]
+            * (1.0 + np.abs(fn.curvature(phi[:-1]))))
+    stiff = FOUR_PI * gr.vol_staggered[1:] * max(fn.c_grad, 1e-12) / gr.h**2
+    diag = mass + stiff
+    diag[1:] += stiff[:-1]
+    ab = np.zeros((2, nd))
+    ab[0, 1:] = -stiff[:-1]
+    ab[1] = diag
+    return ab
+
+
+def _start_fields():
+    """(functional, field) of the README soliton's start and of the README
+    sweep's start at its second width."""
+    fn = README_SOLITON.functional()
+    yield fn, initial_guess(README_SOLITON, fn.grid)
+    grid = README_SWEEP.grid()
+    yield (README_SWEEP.functional(0.2, grid),
+           initial_profile(README_SWEEP, 0.6, 0.2, grid))
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["soliton", "gamma-eps0.2"])
+def test_metric_step_is_the_banded_solve_bit_for_bit(case):
+    fn, phi = list(_start_fields())[case]
+    # the start field and the field a few descent steps on
+    res = descent.minimize_field(fn, phi, max_iter=4)
+    for field in (phi, res.phi):
+        dE = fn.gradient_partials(field)
+        ref = solveh_banded(_per_call_metric_bands(fn, field), dE,
+                            lower=False)
+        step = fn.metric_step(field, dE)
+        assert step.tobytes() == ref.tobytes()
+
+
+def test_non_finite_gradient_raises_before_a_step(monkeypatch):
+    fn, phi = next(_start_fields())
+    dE = fn.gradient_partials(phi)
+    for bad in (np.nan, np.inf):
+        broken = dE.copy()
+        broken[7] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fn.metric_step(phi, broken)
+    # in the descent: no trial is evaluated after the start field
+    calls = []
+    energy_and_ladder = descent.FieldFunctional.energy_and_ladder
+    monkeypatch.setattr(descent.FieldFunctional, "gradient_partials",
+                        lambda self, *a, **k: np.full(fn.grid.n - 1, np.nan))
+    monkeypatch.setattr(descent.FieldFunctional, "energy_and_ladder",
+                        lambda self, *a, **k: calls.append(1)
+                        or energy_and_ladder(self, *a, **k))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        descent.minimize_field(fn, phi)
+    assert len(calls) == 1
+
+
+def test_functional_weights_refuse_assignment():
+    for fn, _ in _start_fields():
+        cached = [a for a in vars(fn).values() if isinstance(a, np.ndarray)]
+        assert len(cached) == 5
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+def test_trials_are_accepted_steps_plus_backtracks(monkeypatch):
+    # README soliton: every energy evaluation after the start field is a
+    # line-search trial, accepted or rejected
+    calls = []
+    energy_and_ladder = descent.FieldFunctional.energy_and_ladder
+    monkeypatch.setattr(descent.FieldFunctional, "energy_and_ladder",
+                        lambda self, *a, **k: calls.append(1)
+                        or energy_and_ladder(self, *a, **k))
+    fn = README_SOLITON.functional()
+    res = descent.minimize_field(fn, initial_guess(README_SOLITON, fn.grid),
+                                 tol=README_SOLITON.tol)
+    trials = len(calls) - 1
+    assert res.converged and res.backtracks > 0
+    assert trials == len(res.history) - 1 + res.backtracks
+    assert sum(res.solves.values()) == len(calls)

@@ -116,6 +116,68 @@ def test_zero_diagonal_inside_cancelled_well():
     assert np.max(np.abs(op.diag[0::2][inside_v])) <= 1e-12
 
 
+def _per_call_bands(phi, g, m, sector):
+    """The bands, Gershgorin radii and stebz pivot floor as the assembly and
+    the resumed bisection computed them on every call, before the
+    field-independent ones were cached per grid."""
+    grid = phi.grid
+    n = grid.n
+    rp = grid.r_primal[:n - 1]
+    rs = grid.r_staggered[1:]
+    h = grid.h
+    mu_p = m + g * phi.values[:n - 1]
+    mu_s = m + g * (0.5 * (phi.values[:-1] + phi.values[1:]))
+    nd = n - 1
+    diag = np.empty(2 * nd)
+    off = np.empty(2 * nd - 1)
+    weights = np.empty(2 * nd)
+    off[0::2] = rs / (h * rp)
+    off[1::2] = -rs[:-1] / (h * rp[1:])
+    weights[0::2] = h * rp**2
+    weights[1::2] = h * rs**2
+    diag[0::2] = -sector * mu_p
+    diag[1::2] = sector * mu_s
+    ae = np.abs(off)
+    radius = np.append(ae, 0.0)
+    radius[1:] += ae
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off)))
+    return diag, off, weights, radius, pivmin
+
+
+@pytest.mark.parametrize("n", [16, 640, 1600])
+@pytest.mark.parametrize("sector", [-1, +1])
+def test_assembly_bands_equal_the_per_call_expressions(n, sector):
+    # the cached field-independent arrays and the field-dependent diagonal
+    # hold the bits the per-call assembly computed
+    grid = make_grid(20.0, n)
+    m, g = 1.0, 10.0
+    for phi in (gaussian_field(grid, 2.0, 1.5, height=-0.09),
+                square_well(grid, 0.05, 3.0), RadialField.zero(grid)):
+        op = assemble_hamiltonian(phi, g=g, m=m, sector=sector)
+        diag, off, weights, radius, pivmin = _per_call_bands(phi, g, m,
+                                                             sector)
+        assert np.array_equal(op.diag, diag)
+        assert np.array_equal(op.offdiag, off)
+        assert np.array_equal(op.weights, weights)
+        assert np.array_equal(op.radii, radius)
+        assert op.pivmin == pivmin
+
+
+def test_operator_arrays_are_shared_per_grid_and_refuse_assignment():
+    grid = make_grid(20.0, 64)
+    ops = [assemble_hamiltonian(gaussian_field(grid, 2.0, 1.0, h), g=1.0,
+                                m=1.0, sector=s)
+           for h, s in ((-0.5, -1), (-0.2, +1))]
+    for name in ("offdiag", "weights", "radii"):
+        assert getattr(ops[0], name) is getattr(ops[1], name)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ops[0], name)[0] = 0.0
+    # another grid of the same size gets its own arrays
+    other = assemble_hamiltonian(RadialField.zero(make_grid(10.0, 64)),
+                                 g=1.0, m=1.0)
+    assert not np.array_equal(other.offdiag, ops[0].offdiag)
+
+
 # ---------------------------------------------------------------- spectra
 
 

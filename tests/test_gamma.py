@@ -60,7 +60,7 @@ def test_field_terms_are_the_functional_sums():
     fn = sweep.functional(0.2, grid)
     phi = initial_profile(sweep, 0.6, 0.2, grid)
     terms = field_terms(sweep, 0.2, phi, grid)
-    assert terms == tuple(FOUR_PI * s for s in fn.term_sums(phi))
+    assert terms == tuple(FOUR_PI * s for s in fn.terms(phi).sums)
     assert sum(terms) == pytest.approx(fn.field_energy(phi), rel=1e-14)
 
 
@@ -139,6 +139,39 @@ def test_run_sweep_converges_to_sharp_bag():
     ratios = [r.equipartition_ratio for r in result.rows]
     assert abs(ratios[-1] - 1.0) <= abs(ratios[0] - 1.0) + 0.05
     assert 0.3 <= ratios[-1] <= 3.0
+
+
+#: a two-width sweep's rows and worst inline margin, as the sweep computed
+#: them when the monitor and the gradient re-evaluated each accepted field's
+#: terms: reusing them moves no bit
+TWO_WIDTHS = dict(
+    min_inline_liminf=0.02550949774070599,
+    rows=[dict(eps=0.4, l_s=6.515123951346351,
+               interface_width=0.70795384161623, l2_dist=0.523835863999142,
+               equipartition_ratio=4.585874917219413,
+               liminf_margin=0.5614920084600037, iterations=17,
+               grad_norm=4.046366978803771e-06, converged=True,
+               solves={"full": 1, "resumed": 27, "fallback": 0}),
+          dict(eps=0.2, l_s=5.741861363691864,
+               interface_width=0.4763411400684344, l2_dist=0.44299288652449587,
+               equipartition_ratio=2.8544077264149155,
+               liminf_margin=0.3707814723743337, iterations=23,
+               grad_norm=5.976665592690961e-06, converged=True,
+               solves={"full": 0, "resumed": 37, "fallback": 0})])
+
+
+def test_two_width_sweep_keeps_its_bits():
+    sweep = GammaSweep(eps_schedule=[0.4, 0.2], **dict(CAL, n=320))
+    result = run_sweep(sweep)
+    assert result.min_inline_liminf == TWO_WIDTHS["min_inline_liminf"]
+    assert [{k: getattr(r, k) for k in want}
+            for r, want in zip(result.rows, TWO_WIDTHS["rows"])
+            ] == TWO_WIDTHS["rows"]
+    assert len(result.rows) == 2
+    # each width's trials: its accepted steps and its rejected ones
+    for r in result.rows:
+        assert sum(r.solves.values()) - r.solves["full"] == (
+            r.iterations - 1 + r.backtracks)
 
 
 def test_cold_start_at_small_eps_collapses():

@@ -80,3 +80,14 @@ def test_length_mismatch_and_family():
         integrate(g, np.ones(31))
     with pytest.raises(ValueError):
         integrate(g, np.ones(32), "nodal")
+
+
+def test_grid_arrays_are_built_once_and_refuse_assignment():
+    g = make_grid(1.0, 16)
+    assert g.vol_primal is g.vol_primal
+    assert np.array_equal(g.vol_primal, g.w_primal * g.r_primal**2)
+    assert np.array_equal(g.vol_staggered, g.w_staggered * g.r_staggered**2)
+    for name in ("r_primal", "r_staggered", "w_primal", "w_staggered",
+                 "vol_primal", "vol_staggered"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1.0

@@ -200,7 +200,8 @@ def test_near_degenerate_level_stops_the_descent_as_a_full_solve_does(
         with pytest.raises(dirac.DegenerateEigenvalueError) as err:
             descent.minimize_field(
                 fn, initial_guess(cfg), tol=cfg.tol, max_iter=cfg.max_iter,
-                monitor=lambda it, phi, E, gnorm: seen.append((it, E, gnorm)))
+                monitor=lambda it, phi, E, gnorm, terms: seen.append(
+                    (it, E, gnorm)))
         return str(err.value), seen, starts
 
     message, seen, starts = run(True)
@@ -223,8 +224,12 @@ def test_partial_descent_result_refuses_levels_it_does_not_hold():
     for read in (res.ladder.ladder_spinors, res.ladder.check_simple):
         with pytest.raises(ValueError, match="partial result"):
             read([1, 2])
+    # nor does it list its ladder, which would drop level 2 silently
+    with pytest.raises(ValueError, match="partial result"):
+        res.ladder.ladder
     cold = fn.ladder(res.phi)
     assert cold.complete and cold.ladder_spinors([2])[0] is not None
+    assert cold.ladder.size == 2
 
 
 def test_every_warm_solve_starts_from_a_read_result(monkeypatch):
