@@ -62,6 +62,9 @@ class BagConfig:
             raise ValueError(
                 f"bag model requires 0 < g < m (got g={self.g}, m={self.m}); "
                 "the coupling must not close the mass gap")
+        if self.m - self.g == self.m:
+            raise ValueError(f"coupling g={self.g!r} is below the resolution "
+                             f"of m={self.m!r}: m - g rounds to m")
         if self.a < 0.0 or self.b < 0.0 or max(self.a, self.b) <= 0.0:
             raise ValueError("need a, b >= 0 with max(a, b) > 0")
         if self.k < 1:

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dptsv
 
-from .dirac import (RadialField, WINDOW_SHAVE, SpectralResult,
+from .dirac import (NonFiniteError, RadialField, WINDOW_SHAVE, SpectralResult,
                     assemble_hamiltonian, density_partials, eigen_solve)
 from .grid import (FOUR_PI, RadialGrid, forward_diff, midpoints, read_only,
                    scatter_diff, scatter_mid)
@@ -245,6 +245,8 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
     is called with each iterate before its step, `terms` its `FieldTerms`.
     Each trial is one `energy_and_ladder` call; the accepted trial's ladder
     and field terms serve its gradient and the monitor as they are.
+    A trial whose operator or energy is not finite is rejected; an iterate
+    whose energy or gradient norm is not finite raises RuntimeError.
     """
     phi = np.array(phi0, dtype=float)
     phi[-1] = 0.0
@@ -264,6 +266,10 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
     for it in range(1, max_iter + 1):
         dE = fn.gradient_partials(phi, solve, terms)
         gnorm = fn.grad_norm(fn.as_field(dE))
+        if not (math.isfinite(E) and math.isfinite(gnorm)):
+            raise RuntimeError(f"field descent at coupling g={fn.g!r} left "
+                               f"double range at iteration {it}: energy "
+                               f"{E!r}, gradient norm {gnorm!r}")
         if monitor is not None:
             monitor(it, phi, E, gnorm, terms)
         if gnorm <= tol:
@@ -278,9 +284,13 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         while alpha > 1e-16:
             trial = phi.copy()
             trial[:-1] -= alpha * d
-            E_t, solve_t, terms_t = fn.energy_and_ladder(trial, warm=solve)
-            solves[solve_t.start] += 1
-            if E_t <= E - ARMIJO_C1 * alpha * slope:
+            try:
+                E_t, solve_t, terms_t = fn.energy_and_ladder(trial, solve)
+            except NonFiniteError:      # g * trial left double range
+                E_t = math.inf
+            else:
+                solves[solve_t.start] += 1
+            if math.isfinite(E_t) and E_t <= E - ARMIJO_C1 * alpha * slope:
                 phi, E, solve, terms = trial, E_t, solve_t, terms_t
                 history.append(E)
                 alpha = min(alpha * 1.6, 64.0)

@@ -44,7 +44,9 @@ lowest few levels, like the descent's energy, passes `levels`: the resumed
 bisection then finds those levels alone, and the same count proves the next
 level farther from the last one than the simplicity gap, under which
 `SpectralResult.check_simple` refuses first-order perturbation; such a
-result is not `complete`.
+result is not `complete`.  That check is the one simplicity rule: the
+descent's gradient and `hellmann_feynman(solve, k, d)` both read a solve
+and refuse through it, without solving again.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ class DegenerateEigenvalueError(RuntimeError):
     spectral gap is below the simplicity threshold."""
 
 
+class NonFiniteError(ValueError):
+    """Raised for a field, or an operator to solve, with a non-finite entry."""
+
+
 @dataclass(frozen=True)
 class RadialField:
     """Scalar field phi(r) sampled at primal nodes; phi(r_max) = 0."""
@@ -89,7 +95,7 @@ class RadialField:
         if vals.shape != (self.grid.n,):
             raise ValueError(f"field needs {self.grid.n} primal samples")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field has non-finite samples")
+            raise NonFiniteError("field has non-finite samples")
         scale = max(1.0, float(np.max(np.abs(vals))))
         if abs(vals[-1]) > 1e-8 * scale:
             raise ValueError(
@@ -293,8 +299,11 @@ class SpectralResult:
         if not self.complete:
             raise ValueError("a partial result does not hold the whole "
                              "ladder; solve without `levels` to list it")
-        lam = self.eigenvalues
-        return lam[(lam > 0.0) & (lam < self.operator.m)]
+        return self.eigenvalues[self._in_ladder]
+
+    @property
+    def _in_ladder(self) -> np.ndarray:     # mask of the eigenvalues in (0, m)
+        return (self.eigenvalues > 0.0) & (self.eigenvalues < self.operator.m)
 
     def spinor(self, i: int) -> RadialSpinor:
         """Eigenvector i as a RadialSpinor (ansatz sector only)."""
@@ -321,8 +330,7 @@ class SpectralResult:
         """Index into `eigenvalues` of each ladder level k >= 1 (None past
         the ladder of a complete result; a partial result refuses a level
         it does not hold)."""
-        lam = self.eigenvalues
-        lad_pos = np.where((lam > 0.0) & (lam < self.operator.m))[0]
+        lad_pos = np.flatnonzero(self._in_ladder)
         out = []
         for k in indices:
             if k < 1:
@@ -375,13 +383,11 @@ def _bisection(op: RadialDiracOperator, window: Tuple[float, float]):
     """(ascending eigenvalues, stein inputs) of the bisection.
 
     The stebz call `eigh_tridiagonal(select="v")` makes when it computes
-    vectors (range V, tol 0, block order), with its finiteness check, so
-    values and, through `SpectralResult`, vectors are bit-equal to it.
+    vectors (range V, tol 0, block order), so values and, through
+    `SpectralResult`, vectors are bit-equal to it.
     """
-    d = np.asarray_chkfinite(op.diag)
-    e = np.asarray_chkfinite(op.offdiag)
-    count, w, iblock, isplit, info = dstebz(d, e, 1, window[0], window[1],
-                                            1, 1, 0.0, "B")
+    count, w, iblock, isplit, info = dstebz(op.diag, op.offdiag, 1, window[0],
+                                            window[1], 1, 1, 0.0, "B")
     _check_lapack(info, "stebz")
     w = w[:count]
     order = np.argsort(w)
@@ -455,8 +461,7 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     Gershgorin interval, or a matrix that splits into blocks, is left to
     the full bisection.
     """
-    d = np.asarray_chkfinite(op.diag)
-    e = np.asarray_chkfinite(op.offdiag)
+    d, e = op.diag, op.offdiag
     held = warm.eigenvalues.size
     if not held:                        # nothing to resume from
         return None
@@ -521,7 +526,8 @@ def eigen_solve(op: RadialDiracOperator,
     `start` tells which way they came.  With `warm`, `levels` asks for the
     lowest `levels` levels only: the result may then hold just those, with
     the values, vectors and residual of the complete solve's lowest ones,
-    and is not `complete`.
+    and is not `complete`.  An operator with a non-finite entry raises
+    NonFiniteError.
     """
     if window is None:      # the truncated continuum starts at the band edges
         w = op.m * (1.0 - WINDOW_SHAVE)
@@ -529,6 +535,8 @@ def eigen_solve(op: RadialDiracOperator,
     lo, hi = window
     if not lo < hi:
         raise ValueError(f"empty window {window}")
+    if not (np.isfinite(op.diag).all() and np.isfinite(op.offdiag).all()):
+        raise NonFiniteError("array must not contain infs or NaNs")
     resumed = None
     if warm is not None:
         if (warm.window != window or warm.operator.sector != op.sector
@@ -564,7 +572,9 @@ def density(psi: RadialSpinor) -> RadialField:
     avg = np.empty(n)
     avg[:n - 1] = (usq[:n - 1] + usq[1:]) / (2.0 * vol_p[:n - 1])
     avg[n - 1] = usq[n - 1] / (2.0 * vol_p[n - 1])
-    return RadialField(grid=grid, values=_zero_tail(psi.v**2 - avg))
+    rho = psi.v**2 - avg
+    rho[-1] = 0.0   # v(r_max) = 0 holds only approximately; pin the last node
+    return RadialField(grid=grid, values=rho)
 
 
 def density_partials(y: np.ndarray, g: float) -> np.ndarray:
@@ -583,41 +593,21 @@ def density_partials(y: np.ndarray, g: float) -> np.ndarray:
     return d
 
 
-def _zero_tail(vals: np.ndarray) -> np.ndarray:
-    # densities inherit v(r_max) = 0 only approximately; pin the last node
-    out = np.array(vals, dtype=float)
-    out[-1] = 0.0
-    return out
-
-
-def hellmann_feynman(phi: RadialField, eigenpair: Tuple[float, RadialSpinor],
-                     direction: RadialField, g: float, m: float) -> float:
-    """Derivative of a simple eigenvalue along a field perturbation.
-
-    Equals g * 4 pi int phi'(r) (v^2 - u^2) r^2 dr for the normalized
-    eigenstate.  Refuses when the eigenvalue is not isolated by the
-    simplicity threshold, where the first-order formula breaks down.
-    """
-    lam, psi = eigenpair
-    mesh = (phi.grid.n, phi.grid.r_max)
-    if any((o.grid.n, o.grid.r_max) != mesh for o in (direction, psi)):
-        raise ValueError("field, direction and eigenstate live on "
-                         "different grids")
-    nrm = psi.norm_sq()
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"eigenstate must be normalized (norm^2 = {nrm})")
-    op = assemble_hamiltonian(phi, g=g, m=m)
-    delta = 4.0 * SIMPLE_GAP_RTOL * m
-    near = eigen_solve(op, window=(lam - delta, lam + delta)).eigenvalues
-    others = near[np.abs(near - lam) > 1e-12 * m]
-    if others.size:
-        gap = float(np.min(np.abs(others - lam)))
-        if gap <= SIMPLE_GAP_RTOL * m:
-            raise DegenerateEigenvalueError(
-                f"eigenvalue gap {gap:.3e} below simplicity threshold "
-                f"{SIMPLE_GAP_RTOL * m:.3e}")
-    rho = density(psi)
-    return g * integrate(phi.grid, direction.values * rho.values, "primal")
+def hellmann_feynman(solve: SpectralResult, k: int,
+                     direction: RadialField) -> float:
+    """Derivative g * 4 pi int phi'(r) (v^2 - u^2) r^2 dr of ladder level k
+    of `solve` along a field perturbation, from the level's state; refuses
+    through `solve.check_simple` a level that is not simple and (ValueError)
+    one not bound or held, or a direction on another mesh."""
+    op = solve.operator
+    if (direction.grid.n, direction.grid.r_max) != (op.grid.n, op.grid.r_max):
+        raise ValueError("solve and direction live on different grids")
+    solve.check_simple([k])
+    psi = solve.ladder_spinors([k])[0]
+    if psi is None:
+        raise ValueError(f"ladder level {k} is not bound")
+    rho = density(psi).values
+    return op.g * integrate(op.grid, direction.values * rho, "primal")
 
 
 def supercharge_singular_values(phi: RadialField, g: float, m: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .descent import FieldFunctional, minimize_field
-from .dirac import RadialField, RadialSpinor, density
+from .dirac import RadialField, RadialSpinor, SpectralResult, density
 from .grid import (FOUR_PI, RadialGrid, forward_diff, make_grid, scatter_diff,
                    tanh_step)
 from .potentials import PotentialSpec
@@ -152,25 +152,25 @@ def minimize(cfg: SolitonConfig,
     # one cold solve of the final field: the report's pairs and residual
     # cover every window level, which the descent's last solve may not hold
     solve = fn.ladder(res.phi)
-    spinors = solve.ladder_spinors(cfg.model.k_indices)
-    el = el_residual_from(cfg, phi, solve, spinors)
     m = cfg.model.m
     lam = fn.occupied(solve)
-    return SolitonReport(config=cfg, phi=phi, lambdas=lam, spinors=spinors,
+    return SolitonReport(config=cfg, phi=phi, lambdas=lam,
+                         spinors=solve.ladder_spinors(cfg.model.k_indices),
                          energy=res.energy, history=res.history,
                          grad_norm=res.grad_norm, iterations=res.iterations,
-                         converged=res.converged, el=el,
+                         converged=res.converged,
+                         el=el_residual_from(cfg, phi, solve),
                          all_bound=bool(np.all((lam > 0.0) & (lam < m))),
                          solves=res.solves, backtracks=res.backtracks)
 
 
-def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,
-                     spinors: List[Optional[RadialSpinor]]) -> ELResidual:
-    """Stationarity residuals reassembled from the final (phi, psi_i, lam_i).
+def el_residual_from(cfg: SolitonConfig, phi: RadialField,
+                     solve: SpectralResult) -> ELResidual:
+    """Stationarity residuals reassembled from phi and its solve.
 
     The field equation is evaluated from the discrete Laplacian of phi, the
-    potential derivative and the quark densities of the freshly solved
-    eigenstates; the eigen-residual is the worst backward error of the
+    potential derivative and the quark densities of the solve's occupied
+    ladder states; the eigen-residual is the worst backward error of the
     solve's pairs.
     """
     grid = phi.grid
@@ -181,17 +181,14 @@ def el_residual_from(cfg: SolitonConfig, phi: RadialField, solve,
     lap = np.zeros(nd)
     scatter_diff(lap, t)
     resid = lap / grid.vol_primal[:nd] + pot.u_prime(vals[:nd])
-    for psi in spinors:
-        if psi is None:
-            continue
-        resid = resid + cfg.model.g * density(psi).values[:nd]
+    for psi in solve.ladder_spinors(cfg.model.k_indices):
+        if psi is not None:
+            resid = resid + cfg.model.g * density(psi).values[:nd]
     norm = math.sqrt(FOUR_PI * float(np.dot(grid.vol_primal[:nd], resid**2)))
     return ELResidual(field=norm, eigen=float(solve.residual))
 
 
 def el_residual(cfg: SolitonConfig, report: SolitonReport) -> ELResidual:
     """Recompute both stationarity residuals for a finished report."""
-    fn = cfg.functional(report.phi.grid)
-    solve = fn.ladder(report.phi.values)
-    spinors = solve.ladder_spinors(cfg.model.k_indices)
-    return el_residual_from(cfg, report.phi, solve, spinors)
+    solve = cfg.functional(report.phi.grid).ladder(report.phi.values)
+    return el_residual_from(cfg, report.phi, solve)

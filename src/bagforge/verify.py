@@ -12,10 +12,10 @@ monotonicity.
 
 Most measurements read eigenvalues only, and `eigen_solve` computes no
 eigenvector until one is read: both sectors of the mirror pairing, the
-finite-difference legs of `hf_mismatch` (and the simplicity window of
-`hellmann_feynman`), and the matrix level of `oracle_gap`.  Only the ground
-state of `hf_mismatch` and of `normalization_errors` reads its eigenvector;
-`supercharge_svd_error` reads full spectra.
+finite-difference legs of `hf_mismatch` and the matrix level of
+`oracle_gap`.  Only the ground state of `hf_mismatch`, which
+`hellmann_feynman` reads, and of `normalization_errors` reads its
+eigenvector; `supercharge_svd_error` reads full spectra.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ def hf_mismatch(phi: RadialField, g: float, m: float,
     if res.ladder.size == 0:
         return None
     lam0 = float(res.ladder[0])
-    psi = res.ladder_spinors([1])[0]
 
     def level(d, s):
         # the shift moves each level by at most g |s| max|d| (Weyl), so a
@@ -119,7 +118,7 @@ def hf_mismatch(phi: RadialField, g: float, m: float,
 
     worst = 0.0
     for d in directions:
-        hf = hellmann_feynman(phi, (lam0, psi), d, g, m)
+        hf = hellmann_feynman(res, 1, d)
         coarse, fine = ((level(d, t) - level(d, -t)) / (2.0 * t)
                         for t in (1e-3, 5e-4))
         fd = (4.0 * fine - coarse) / 3.0

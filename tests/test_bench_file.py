@@ -1,6 +1,8 @@
-"""The verdict rule of tools/bench_file.py on synthetic paired samples."""
+"""The verdict rule and the within-pair ratios of tools/bench_file.py on
+synthetic paired samples."""
 
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ _spec = importlib.util.spec_from_file_location("bench_file", _TOOL)
 bench_file = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_file)
 verdict = bench_file.verdict
+pair_ratios = bench_file.pair_ratios
 
 # a parent's op times: median 0.30, quartile spread 0.02
 PARENT = [0.29, 0.31, 0.30, 0.28, 0.32, 0.30, 0.29, 0.31, 0.30, 0.30]
@@ -50,3 +53,26 @@ def test_needs_paired_samples():
         verdict([0.3], [0.2], "lower")
     with pytest.raises(ValueError):
         verdict(PARENT, PARENT[:-1], "lower")
+
+
+def test_ratios_show_a_gain_the_noisy_parent_hides():
+    # shaped like a noisy gamma-sweep comparison: the parent's quartile
+    # spread is 23% of its median, and the tree wins all 10 pairs by 2-34%
+    # for a -21.7% median shift, which the quartile rule reads as within
+    # spread; every quartile of the pairs' ratios sits below 1
+    parent = [0.223, 0.235, 0.245, 0.255, 0.275, 0.285, 0.300, 0.316, 0.335,
+              0.343]
+    tree = [0.2185, 0.1645, 0.2082, 0.1913, 0.22, 0.1881, 0.246, 0.2465,
+            0.3015, 0.271]
+    q1, med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    assert (q3 - q1) / med == pytest.approx(0.23, abs=5e-3)
+    assert verdict(parent, tree, "lower") == {
+        "verdict": "within spread", "agree": 10, "pairs": 10}
+    r = pair_ratios(parent, tree)
+    assert r["q1"] < r["median"] < r["q3"] < 1.0
+    assert r["median"] == pytest.approx(0.795, abs=1e-3)
+
+
+def test_ratios_of_same_samples_are_one():
+    assert pair_ratios(PARENT, list(PARENT)) == {
+        "median": 1.0, "q1": 1.0, "q3": 1.0}

@@ -211,6 +211,40 @@ def test_out_of_range_input_rejected(tmp_path, capsys, args):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("args", [["bag", "--m", "1", "--g", "1e-17"],
+                                  ["gamma-sweep", "--g", "1e-300"]],
+                         ids=["bag", "gamma-sweep"])
+def test_coupling_below_the_mass_resolution_rejected(tmp_path, capsys, args):
+    # m - g == m in floating point: the message names the coupling and the
+    # mass, not the two-zone problem's internal masses
+    assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    m = "1.0" if args[0] == "bag" else "8.0"
+    assert f"g={float(args[-1])!r}" in err[0] and f"m={m}" in err[0]
+    assert "mu_" not in err[0]
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("g, what", [
+    # the start gradient's norm overflows, and a step along it would take
+    # g * phi past double range
+    ("1e200", "gradient norm inf"),
+    # the start well m/g squares past double range
+    ("1e-300", "energy inf"),
+    ("1e-100", "energy inf")])
+def test_descent_out_of_double_range_exits_2(tmp_path, capsys, g, what):
+    code = run_cli(["soliton", "--g", g, "--n", "64",
+                    "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"coupling g={float(g)!r}" in err[0]
+    assert "iteration 1:" in err[0] and what in err[0]
+    # no row is written, so none holds a non-finite value
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_negative_cavity_mass_rejected(tmp_path, capsys):
     assert run_cli(["mit", "--m", "-1", "--out", str(tmp_path / "m")]) == 1
     err = capsys.readouterr().err.splitlines()

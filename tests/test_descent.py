@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solveh_banded
 
 from bagforge import (GammaSweep, ModelParams, PotentialSpec, SolitonConfig,
-                      descent, initial_guess)
+                      descent, dirac, initial_guess)
 from bagforge.gamma import initial_profile
 from bagforge.grid import FOUR_PI
 
@@ -65,7 +65,8 @@ def test_non_finite_gradient_raises_before_a_step(monkeypatch):
         broken[7] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             fn.metric_step(phi, broken)
-    # in the descent: no trial is evaluated after the start field
+    # in the descent the start field's gradient is not finite, a solver
+    # failure naming the coupling: no trial is evaluated after the start
     calls = []
     energy_and_ladder = descent.FieldFunctional.energy_and_ladder
     monkeypatch.setattr(descent.FieldFunctional, "gradient_partials",
@@ -73,9 +74,51 @@ def test_non_finite_gradient_raises_before_a_step(monkeypatch):
     monkeypatch.setattr(descent.FieldFunctional, "energy_and_ladder",
                         lambda self, *a, **k: calls.append(1)
                         or energy_and_ladder(self, *a, **k))
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(RuntimeError,
+                       match=r"g=10\.0 .* iteration 1: .*gradient norm nan"):
         descent.minimize_field(fn, phi)
     assert len(calls) == 1
+
+
+def test_start_energy_out_of_range_is_a_solver_failure():
+    # a start well of depth m/g = 1e300 squares past double range
+    cfg = SolitonConfig(model=ModelParams(n_quarks=1, g=1e-300, m=1.0),
+                        potential=PotentialSpec(kappa=1.0, b=0.01),
+                        r_max=20.0, n=64)
+    fn = cfg.functional()
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match=r"g=1e-300 .* iteration 1: energy inf"):
+        descent.minimize_field(fn, initial_guess(cfg, fn.grid))
+
+
+def test_trial_out_of_double_range_is_rejected(monkeypatch):
+    # a step so long that g * trial overflows: each such trial's operator
+    # is not finite and its eigen-solve refuses it, or its field energy is
+    # inf; the line search rejects them all and ends the descent
+    # unconverged at the start field, which keeps its finite energy
+    fn, phi = next(_start_fields())
+    step = descent.FieldFunctional.metric_step      # max |step| ~ 0.07
+    monkeypatch.setattr(descent.FieldFunctional, "metric_step",
+                        lambda self, *a: step(self, *a) * 1e300 * 3e8)
+    refused = []
+    eigen_solve = descent.eigen_solve
+
+    def solve(op, *a, **k):
+        try:
+            return eigen_solve(op, *a, **k)
+        except dirac.NonFiniteError:
+            refused.append(op)
+            raise
+
+    monkeypatch.setattr(descent, "eigen_solve", solve)
+    with np.errstate(all="ignore"):
+        start = fn.energy_and_ladder(phi)[0]
+        res = descent.minimize_field(fn, phi)
+    assert not res.converged and res.iterations == 1
+    assert res.history == [start] and res.energy == start
+    assert len(refused) == 1 and res.backtracks == 54   # alpha 1 .. 2^-53
+    # refused trials made no solve
+    assert sum(res.solves.values()) == 1 + res.backtracks - len(refused)
 
 
 def test_functional_weights_refuse_assignment():

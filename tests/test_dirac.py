@@ -34,25 +34,17 @@ def test_field_validation():
 
 
 def test_grid_mismatch_rejected():
-    """A normalized simple ground state on g1 passes every other check, so
-    only the grid comparison can refuse a direction or a state living on a
+    """A simple bound ground level of a solve on g1 passes every other
+    check, so only the grid comparison can refuse a direction living on a
     grid with another r_max or another cell count."""
     g1 = make_grid(10.0, 64)
-
-    def ground(grid):
-        phi = square_well(grid, 1.0, 4.0)
-        res = eigen_solve(assemble_hamiltonian(phi, g=1.0, m=1.0))
-        return phi, (float(res.ladder[0]), res.ladder_spinors([1])[0])
-
-    phi, pair = ground(g1)
-    assert pair[1].norm_sq() == pytest.approx(1.0, abs=1e-10)
+    res = eigen_solve(assemble_hamiltonian(square_well(g1, 1.0, 4.0),
+                                           g=1.0, m=1.0))
     bump = lambda grid: gaussian_field(grid, 2.0, 1.0)
-    assert math.isfinite(hellmann_feynman(phi, pair, bump(g1), 1.0, 1.0))
+    assert math.isfinite(hellmann_feynman(res, 1, bump(g1)))
     for other in (make_grid(12.0, 64), make_grid(10.0, 65)):
         with pytest.raises(ValueError, match="different grids"):
-            hellmann_feynman(phi, pair, bump(other), 1.0, 1.0)
-        with pytest.raises(ValueError, match="different grids"):
-            hellmann_feynman(phi, ground(other)[1], bump(g1), 1.0, 1.0)
+            hellmann_feynman(res, 1, bump(other))
 
 
 def test_free_operator_squares_to_radial_laplacians():
@@ -770,32 +762,95 @@ def test_hellmann_feynman_check_resolves_a_flat_direction():
     assert name == "hellmann-feynman" and passed, detail
 
 
-def test_hellmann_feynman_requires_normalized_simple_state():
-    grid = make_grid(20.0, 600)
-    phi = gaussian_field(grid, 2.0, 1.5, -0.9)
-    res = eigen_solve(assemble_hamiltonian(phi, 1.0, 1.0))
-    psi = res.ladder_spinors([1])[0]
-    lam0 = float(res.ladder[0])
-    bad = RadialSpinor(grid=grid, u=2 * psi.u, v=2 * psi.v)
-    with pytest.raises(ValueError):
-        hellmann_feynman(phi, (lam0, bad), RadialField.zero(grid), 1.0, 1.0)
-
-
-def test_near_degenerate_refusal():
+def _well_solve():
     grid = make_grid(20.0, 400)
-    phi = gaussian_field(grid, 2.0, 1.5, -0.9)
-    res = eigen_solve(assemble_hamiltonian(phi, 1.0, 1.0))
-    psi = res.ladder_spinors([1])[0]
-    lam0 = float(res.ladder[0])
-    # shrink the simplicity threshold's meaning by faking a nearby level:
-    # solve in a window centered on lam0 +- below-threshold and check the
-    # guard path via monkeypatched threshold
-    import bagforge.dirac as dirac_mod
-    old = dirac_mod.SIMPLE_GAP_RTOL
-    dirac_mod.SIMPLE_GAP_RTOL = 10.0       # everything looks degenerate
-    try:
+    return eigen_solve(assemble_hamiltonian(
+        gaussian_field(grid, 2.0, 1.5, -0.9), 1.0, 1.0))
+
+
+def test_near_degenerate_refusal(monkeypatch):
+    # the derivative refuses exactly where the solve's own simplicity test
+    # does: nowhere at the default threshold, everywhere at 10 m
+    res = _well_solve()
+    zero = RadialField.zero(res.operator.grid)
+    res.check_simple([1])
+    assert math.isfinite(hellmann_feynman(res, 1, zero))
+    monkeypatch.setattr(dirac, "SIMPLE_GAP_RTOL", 10.0)
+    for read in (lambda: res.check_simple([1]),
+                 lambda: hellmann_feynman(res, 1, zero)):
         with pytest.raises(DegenerateEigenvalueError):
-            hellmann_feynman(phi, (lam0, psi), RadialField.zero(grid),
-                             1.0, 1.0)
-    finally:
-        dirac_mod.SIMPLE_GAP_RTOL = old
+            read()
+
+
+def _criterion_05_case():
+    """The field and directions of acceptance criterion 05."""
+    rng = np.random.default_rng(11)
+    grid = make_grid(25.0, 1500)
+    phi = gaussian_field(grid, 2.0, 2.0, -0.95)
+    return phi, [gaussian_field(grid, rng.uniform(1.0, 6.0),
+                                rng.uniform(0.4, 1.5)) for _ in range(5)]
+
+
+def _battery_case():
+    """The random well and directions of the Hellmann-Feynman check at its
+    default seed."""
+    rng = np.random.default_rng(2)
+    grid = make_grid(25.0, 1200)
+    phi = random_bound_field(grid, 1.0, 1.0, rng, depth=0.9)
+    return phi, [gaussian_field(grid, rng.uniform(5.0, 15.0),
+                                rng.uniform(1.25, 3.75)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("case", [_criterion_05_case, _battery_case],
+                         ids=["criterion-05", "battery-well"])
+def test_hellmann_feynman_is_the_solve_state_formula(case):
+    # g times the quadrature of direction * density of the solve's own
+    # state, bit for bit, for every bound level
+    phi, directions = case()
+    g = 1.0
+    res = eigen_solve(assemble_hamiltonian(phi, g, 1.0))
+    assert res.ladder.size >= 1
+    for k in range(1, res.ladder.size + 1):
+        psi = res.ladder_spinors([k])[0]
+        for d in directions:
+            want = g * integrate(phi.grid, d.values * density(psi).values,
+                                 "primal")
+            assert hellmann_feynman(res, k, d) == want
+
+
+def test_hellmann_feynman_refuses_a_level_a_partial_result_lacks():
+    # the README descent's last solve is partial and holds level 1 only:
+    # the derivative refuses level 2 as the solve's simplicity test does
+    from bagforge.descent import minimize_field
+    from bagforge.soliton import initial_guess
+    cfg = SolitonConfig(model=ModelParams(n_quarks=1, g=10.0, m=1.0),
+                        potential=PotentialSpec(kappa=0.05, b=0.01),
+                        r_max=20.0, n=400)
+    part = minimize_field(cfg.functional(), initial_guess(cfg),
+                          tol=cfg.tol).ladder
+    assert not part.complete
+    zero = RadialField.zero(part.operator.grid)
+    assert math.isfinite(hellmann_feynman(part, 1, zero))
+    for read in (lambda: part.check_simple([2]),
+                 lambda: hellmann_feynman(part, 2, zero)):
+        with pytest.raises(ValueError, match="partial result"):
+            read()
+
+
+def test_hellmann_feynman_refuses_an_unbound_level():
+    res = _well_solve()
+    k = res.ladder.size + 1
+    with pytest.raises(ValueError, match=f"level {k} is not bound"):
+        hellmann_feynman(res, k, RadialField.zero(res.operator.grid))
+
+
+def test_hellmann_feynman_solves_nothing(monkeypatch):
+    # the derivative reads the solve it is given: it assembles no operator
+    # and runs no eigen-solve
+    res = _well_solve()
+    calls = []
+    for name in ("eigen_solve", "assemble_hamiltonian"):
+        monkeypatch.setattr(dirac, name,
+                            lambda *a, _name=name, **kw: calls.append(_name))
+    hf = hellmann_feynman(res, 1, gaussian_field(res.operator.grid, 2.0, 1.0))
+    assert math.isfinite(hf) and calls == []

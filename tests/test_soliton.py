@@ -283,12 +283,23 @@ def test_el_residual_increases_under_perturbation():
     from bagforge.soliton import el_residual_from
     fn = cfg.functional(grid)
     solve = fn.ladder(rep.phi.values + bump)
-    spin = solve.ladder_spinors(cfg.model.k_indices)
     res1 = el_residual_from(cfg, RadialField(grid=grid,
                                              values=rep.phi.values + bump),
-                            solve, spin)
+                            solve)
     assert res1.field > 10 * res0.field
     assert perturbed.energy <= rep.energy + 1e-8
+
+
+def test_el_residual_from_reads_the_solve():
+    # README soliton: the certificate from the cold solve of the final
+    # field alone, equal to its README CSV's el_residual and eigen_residual
+    from bagforge.soliton import ELResidual, el_residual_from
+    cfg = cfg_for(n=800)
+    rep = minimize(cfg)
+    solve = cfg.functional(rep.phi.grid).ladder(rep.phi.values)
+    assert el_residual_from(cfg, rep.phi, solve) == ELResidual(
+        field=7.675360654036206e-07, eigen=6.879453252982006e-15)
+    assert el_residual(cfg, rep) == rep.el
 
 
 def test_energy_stable_under_refinement():

@@ -19,9 +19,11 @@ side; the two runs of a pair follow each other, and the side that goes
 first alternates from pair to pair, so slow drifts of the host's load fall
 on both sides alike.  Per workload and side, the file keeps every end-to-end
 metric's samples, median and quartiles, and, per metric, the `verdict` of
-the paired samples with the count of pairs that agree.  Single-run files
-made with the same seed on the same machine can be compared too, but a
-single run does not show the host's noise.
+the paired samples with the count of pairs that agree, next to the median
+and quartiles of the pairs' tree/parent ratios (`ratio`), which the summary
+lines print too.  Single-run files made with the same seed on the same
+machine can be compared too, but a single run does not show the host's
+noise.
 """
 
 from __future__ import annotations
@@ -72,6 +74,16 @@ def verdict(parent, tree, better: str) -> dict:
     if abs(shift) > q3 - q1 and agree >= math.ceil(AGREE * len(gains)):
         word = "faster" if shift > 0 else "slower"
     return {"verdict": word, "agree": agree, "pairs": len(gains)}
+
+
+def pair_ratios(parent, tree) -> dict:
+    """Median and quartiles of the ratios tree[i] / parent[i] of the pairs.
+    The two runs of a pair share the host's load of the moment, so these
+    ratios scatter less than either side's samples, and show a change the
+    verdict's quartile rule may read as "within spread"."""
+    ratios = [t / p for p, t in zip(parent, tree)]
+    q1, q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
 
 
 def summary(samples) -> dict:
@@ -135,8 +147,10 @@ def compare(spec: dict, parent_root: Path, seed: int, pairs: int) -> dict:
                       "metrics": {name: summary(v) for name, v in
                                   values[side].items()}}
                for side, side_runs in sides.items()},
-            "verdicts": {name: verdict(values["parent"][name],
-                                       values["tree"][name], better[name])
+            "verdicts": {name: {**verdict(values["parent"][name],
+                                          values["tree"][name], better[name]),
+                                "ratio": pair_ratios(values["parent"][name],
+                                                     values["tree"][name])}
                          for name in better},
             "environment": sides["tree"][-1]["environment"]}
     return out
@@ -174,10 +188,13 @@ def main() -> int:
             for name, v in res["verdicts"].items():
                 p, t = (res[side]["metrics"][name] for side in
                         ("parent", "tree"))
+                r = v["ratio"]
                 print(f"{workload:<16} {name:<12} "
                       f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                       f"{t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
-                      f"{v['verdict']} ({v['agree']} of {v['pairs']})")
+                      f"{v['verdict']} ({v['agree']} of {v['pairs']}), "
+                      f"tree/parent {r['median']:.3f} "
+                      f"[{r['q1']:.3f}, {r['q3']:.3f}]")
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({**head, **body}, indent=1) + "\n")
     print(f"wrote {out}")
