@@ -13,11 +13,11 @@ cleanly; command-line flags override file keys.  Each runner solves and
 returns its result rows; `run` alone writes them, as CSV or JSON, plus an
 optional long-format profile CSV and a `run.json` manifest recording
 parameters, version, wall time and, for the field descents (`soliton`,
-`gamma-sweep`), a `telemetry` block counting their eigen-solves by how the
-bisection started and listing each descent's rejected line-search trials
-(`backtracks`, one per coupling or width).  Identical configuration and
-seed produce byte-identical result files (the manifest holds the only
-timestamp-like field).
+`gamma-sweep`), a `telemetry` block read from each result's `descent`:
+eigen-solves by how the bisection started and each descent's rejected
+line-search trials (`backtracks`).  A `soliton` comma list keeps the rows
+it solved when a coupling fails.  Identical configuration and seed give
+byte-identical result files (the manifest's wall time aside).
 
 Exit codes: 0 success, 1 usage error (including a problem too large to
 allocate), 2 flagged non-convergence or solver failure, 3 I/O.
@@ -263,20 +263,20 @@ def parse(argv) -> dict:
 # or None, failure message or "", run.json telemetry or None)
 
 
-def _unconverged(res, tol: float) -> str:
-    return (f"after {res.iterations} iterations (gradient norm "
-            f"{res.grad_norm:.3e} > tol {tol:g})")
+def _unconverged(rep, tol: float) -> str:
+    return (f"after {rep.descent.iterations} iterations (gradient norm "
+            f"{rep.descent.grad_norm:.3e} > tol {tol:g})")
 
 
-def _solve_telemetry(results) -> dict:
+def _solve_telemetry(reports) -> dict:
     """The descents' eigen-solves summed by start (`DescentResult.solves`):
     full bisections without a warm result, resumed ones, and fallbacks to
     the full bisection; and each descent's rejected Armijo trials."""
     total = Counter()
-    for res in results:
-        total.update(res.solves)
+    for rep in reports:
+        total.update(rep.descent.solves)
     return {"eigen_solves": dict(total),
-            "backtracks": [res.backtracks for res in results]}
+            "backtracks": [rep.descent.backtracks for rep in reports]}
 
 
 def _run_soliton(p):
@@ -286,17 +286,25 @@ def _run_soliton(p):
     m, N = p["model.m"], p["model.N"]
     ks = _numbers(p["model.k"], int, "ladder") if p["model.k"] else [1] * N
     pot = PotentialSpec(kappa=p["potential.kappa"], b=p["potential.b"])
-    reports = [minimize(SolitonConfig(
+    configs = [SolitonConfig(
         model=ModelParams(n_quarks=N, g=g, m=m, k_indices=tuple(ks)),
         potential=pot, r_max=p["grid.r_max"], n=p["grid.n"],
-        tol=p["solver.tol"], max_iter=p["solver.max_iter"])) for g in gs]
+        tol=p["solver.tol"], max_iter=p["solver.max_iter"]) for g in gs]
+    reports, errors = [], []
+    for cfg in configs:
+        try:
+            reports.append(minimize(cfg))
+        except RuntimeError as exc:     # a solver failure at this coupling
+            errors.append(str(exc))
+    if not reports:
+        raise RuntimeError("; ".join(errors))
 
     header = ["g", "m", "N", "k_list", "energy", "lambdas", "el_residual",
               "eigen_residual", "iterations", "converged"]
-    rows = [[g, m, N, ";".join(str(k) for k in ks), rep.energy,
-             ";".join(_fmt(x) for x in rep.lambdas), rep.el.field,
-             rep.el.eigen, rep.iterations, rep.converged]
-            for g, rep in zip(gs, reports)]
+    rows = [[rep.config.model.g, m, N, ";".join(str(k) for k in ks),
+             rep.energy, ";".join(_fmt(x) for x in rep.lambdas),
+             rep.el.field, rep.el.eigen, rep.descent.iterations,
+             rep.converged] for rep in reports]
     profiles = []
     for rep in reports:
         tag, r = _fmt(rep.config.model.g), rep.phi.grid.r_primal
@@ -304,11 +312,13 @@ def _run_soliton(p):
         profiles += [(f"density_g{tag}_k{k}", r, density(psi).values)
                      for k, psi in zip(rep.config.model.k_indices, rep.spinors)
                      if psi is not None]
-    failed = [f"g={_fmt(g)} {_unconverged(rep, rep.config.tol)}"
-              for g, rep in zip(gs, reports) if not rep.converged]
-    return header, rows, profiles, (
-        "soliton descent did not converge at " + "; ".join(failed)
-        if failed else ""), _solve_telemetry(reports)
+    failed = [f"g={_fmt(rep.config.model.g)} "
+              + _unconverged(rep, rep.config.tol)
+              for rep in reports if not rep.converged]
+    if failed:
+        errors.insert(0, "soliton descent did not converge at "
+                      + "; ".join(failed))
+    return header, rows, profiles, "; ".join(errors), _solve_telemetry(reports)
 
 
 def _bag_edge(R: float, interval) -> str:
@@ -376,7 +386,7 @@ def _run_gamma(p):
     rows = [[r.eps, r.l_s, result.l_c, r.interface_width, r.l2_dist,
              r.equipartition_ratio] for r in result.rows]
     r_primal = sweep.grid().r_primal
-    profiles = [(f"phi_eps{_fmt(row.eps)}", r_primal, row.phi)
+    profiles = [(f"phi_eps{_fmt(row.eps)}", r_primal, row.descent.phi)
                 for row in result.rows]
     ref = result.reference
     failed = []
@@ -388,9 +398,8 @@ def _run_gamma(p):
     failed += [f"descent did not converge at eps={_fmt(r.eps)} "
                + _unconverged(r, sweep.tol)
                for r in result.rows if not r.converged]
-    return header, rows, profiles, ("gamma-sweep " + "; ".join(failed)
-                                    if failed else ""), _solve_telemetry(
-                                        result.rows)
+    failure = "gamma-sweep " + "; ".join(failed) if failed else ""
+    return header, rows, profiles, failure, _solve_telemetry(result.rows)
 
 
 def _run_verify(p):

@@ -22,8 +22,9 @@ flow; an Armijo line search guarantees a nonincreasing energy history.
 Each trial field's eigen-solve resumes its bisection from the accepted
 field's levels (`dirac.eigen_solve`'s `warm`) and resolves only the levels
 up to the highest used one (its `levels`), which leaves every bit of those
-levels as a cold solve would; `DescentResult.solves` counts how each solve
-started.
+levels as a cold solve would; `DescentResult`, the one record of a
+descent that the soliton report and the sweep's rows hold, counts how each
+solve started.
 
 A `FieldFunctional` is the whole description of a field model: besides the
 quark content it carries its potential's value, slope and curvature, so the
@@ -151,21 +152,14 @@ class FieldFunctional:
 
     # -- exact gradient ------------------------------------------------------
 
-    def gradient_partials(self, phi_vals: np.ndarray,
-                          solve: Optional[SpectralResult] = None,
-                          terms: Optional[FieldTerms] = None) -> np.ndarray:
-        """dE/dphi_a for the free nodes a = 0..n-2 (phi_n is pinned);
-        refuses on near-degenerate levels.  `solve` and `terms` are the
-        ladder and field terms at phi_vals where the caller has them.
-        Reading `solve`'s vectors runs its inverse iteration, so an energy
-        evaluation that is never differentiated (a rejected line-search
-        trial) skips it."""
+    def gradient_partials(self, phi_vals: np.ndarray, solve: SpectralResult,
+                          terms: FieldTerms) -> np.ndarray:
+        """dE/dphi_a for the free nodes a = 0..n-2 (phi_n is pinned) from
+        the ladder and field terms at phi_vals, with no eigen-solve; refuses
+        on near-degenerate levels.  Reading `solve`'s vectors runs its
+        inverse iteration, which a rejected line-search trial skips."""
         gr = self.grid
         nd = gr.n - 1
-        if solve is None:
-            solve = self.ladder(phi_vals)
-        if terms is None:
-            terms = self.terms(phi_vals)
         solve.check_simple(self.k_indices)
         dE = np.zeros(nd)
         y = solve.basis_vectors
@@ -220,13 +214,14 @@ class DescentResult:
     grad_norm: float
     iterations: int
     converged: bool
-    history: list = field(default_factory=list)
+    history: list
     #: the solve at `phi`; it may hold no level above the highest used one
-    ladder: Optional[SpectralResult] = None
+    ladder: SpectralResult
+    terms: FieldTerms       # the field terms at `phi`
     #: eigen-solves by `SpectralResult.start`: "full", "resumed", "fallback"
-    solves: dict = field(default_factory=dict)
+    solves: dict
     #: line-search trials the Armijo test rejected
-    backtracks: int = 0
+    backtracks: int
 
 
 def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
@@ -237,19 +232,26 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
 
     The metric's mass term is sharpened by the functional's curvature, which
     matters for stiff wells (the diffuse-interface runs carry a 1/eps
-    factor there).  Accepted steps never increase the energy; the returned
-    history lists accepted energies, and the gradient norm is the one of the
-    returned field.  `solve`, the ladder of phi0 under the same g, m, grid
-    and levels (a previous descent's `DescentResult.ladder`), is used as it
-    is instead of solving phi0 again.  `monitor(it, phi, E, gnorm, terms)`
-    is called with each iterate before its step, `terms` its `FieldTerms`.
-    Each trial is one `energy_and_ladder` call; the accepted trial's ladder
-    and field terms serve its gradient and the monitor as they are.
-    A trial whose operator or energy is not finite is rejected; an iterate
-    whose energy or gradient norm is not finite raises RuntimeError.
+    factor there).  Accepted steps never increase the energy; the record
+    holds their history and the gradient norm, ladder and field terms of
+    the returned field.  `solve`, the ladder of phi0 under the same g, m,
+    grid and levels (a previous descent's `DescentResult.ladder`), is used
+    as it is instead of solving phi0 again.  `monitor(it, phi, E, gnorm,
+    terms)` is called with each iterate before its step.  Each trial is one
+    `energy_and_ladder` call, whose ladder and field terms serve an accepted
+    trial's gradient and the monitor as they are.  A trial whose operator
+    or energy is not finite is rejected; a start field, iterate energy or
+    gradient norm that is not finite, or a line search with no finite
+    trial, raises RuntimeError naming g.
     """
+    def left_range(it, what):
+        return RuntimeError(f"field descent at coupling g={fn.g!r} left "
+                            f"double range at iteration {it}: {what}")
+
     phi = np.array(phi0, dtype=float)
     phi[-1] = 0.0
+    if not np.all(np.isfinite(phi)):
+        raise left_range(1, "the start field has non-finite samples")
     solves = {"full": 0, "resumed": 0, "fallback": 0}
     if solve is None:
         E, solve, terms = fn.energy_and_ladder(phi)
@@ -259,7 +261,6 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         E = fn.energy(solve, terms)
     alpha = 1.0
     history = [E]
-    gnorm = math.inf
     converged = False
     backtracks = 0
     it = 0
@@ -267,9 +268,7 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         dE = fn.gradient_partials(phi, solve, terms)
         gnorm = fn.grad_norm(fn.as_field(dE))
         if not (math.isfinite(E) and math.isfinite(gnorm)):
-            raise RuntimeError(f"field descent at coupling g={fn.g!r} left "
-                               f"double range at iteration {it}: energy "
-                               f"{E!r}, gradient norm {gnorm!r}")
+            raise left_range(it, f"energy {E!r}, gradient norm {gnorm!r}")
         if monitor is not None:
             monitor(it, phi, E, gnorm, terms)
         if gnorm <= tol:
@@ -280,7 +279,7 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         if slope <= 0.0:          # metric is SPD, so this means dE ~ 0
             converged = gnorm <= tol
             break
-        accepted = False
+        in_range = False
         while alpha > 1e-16:
             trial = phi.copy()
             trial[:-1] -= alpha * d
@@ -290,15 +289,17 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
                 E_t = math.inf
             else:
                 solves[solve_t.start] += 1
+            in_range = in_range or math.isfinite(E_t)
             if math.isfinite(E_t) and E_t <= E - ARMIJO_C1 * alpha * slope:
                 phi, E, solve, terms = trial, E_t, solve_t, terms_t
                 history.append(E)
                 alpha = min(alpha * 1.6, 64.0)
-                accepted = True
                 break
             backtracks += 1
             alpha *= 0.5
-        if not accepted:
+        else:       # every trial rejected
+            if not in_range:
+                raise left_range(it, "no line-search trial has finite energy")
             break
     else:   # out of budget after an accepted step: gnorm is the previous one
         gnorm = fn.grad_norm(fn.as_field(
@@ -306,4 +307,4 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
         converged = gnorm <= tol
     return DescentResult(phi=phi, energy=E, grad_norm=gnorm, iterations=it,
                          converged=converged, history=history, ladder=solve,
-                         solves=solves, backtracks=backtracks)
+                         terms=terms, solves=solves, backtracks=backtracks)

@@ -24,8 +24,9 @@ this inequality at every accepted iterate.
 `GammaSweep.functional` is the one description of E_eps: the gradient
 weight eps, the well W/eps at the midpoints and the mass term b phi^2 at
 the nodes, with their slopes and the curvature bound |W''|/eps + 2b that
-the descent metric reads; `field_terms` splits its quadrature sums, and
-`recovery_energy` is its field energy at the equipartition tanh ansatz.
+the descent metric reads; `field_terms` splits its quadrature sums (the
+sweep reads them from its descents' `FieldTerms`), and `recovery_energy`
+is its field energy at the equipartition tanh ansatz.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bag import BagConfig, BagReport, minimize_bag
-from .descent import FieldFunctional, minimize_field
+from .descent import DescentResult, FieldFunctional, minimize_field
 from .dirac import RadialField
 from .grid import (FOUR_PI, RadialGrid, forward_diff, make_grid, midpoints,
                    tanh_step)
@@ -187,12 +188,8 @@ class GammaRow:
     l2_dist: float
     equipartition_ratio: float
     liminf_margin: float      # (grad + well) energy minus weighted TV, >= 0
-    iterations: int
-    grad_norm: float
     converged: bool
-    solves: dict              # the descent's eigen-solves, by start
-    backtracks: int           # the descent's rejected Armijo trials
-    phi: np.ndarray = field(repr=False, default=None)
+    descent: DescentResult = field(repr=False)   # field, run telemetry
 
 
 @dataclass
@@ -258,34 +255,30 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
     phi = initial_profile(sweep, ref.R, sweep.eps_schedule[0], grid)
     solve = None        # the ladder at phi, once a descent has solved it
     rows: List[GammaRow] = []
-    worst_inline = math.inf
+    inline = []         # every iterate's lower-bound margin
+
+    def split(terms):   # `field_terms` and the margin of the field's terms
+        e_grad, e_well, _ = (FOUR_PI * s for s in terms.sums)
+        tv = _weighted_tv(sweep, grid, terms.dph, terms.mid)
+        return e_grad, e_well, (e_grad + e_well) - tv
+
+    def monitor(it, phi_it, E_it, gnorm_it, terms):
+        inline.append(split(terms)[2])
+
     for eps in sweep.eps_schedule:
-        fn = sweep.functional(eps, grid)
-        inline = []
-
-        def monitor(it, phi_it, E_it, gnorm_it, terms):
-            # `field_terms` and `tv_well_coordinate` of the iterate, from
-            # the terms its energy evaluation computed
-            e_grad, e_well, _ = (FOUR_PI * s for s in terms.sums)
-            inline.append(e_grad + e_well
-                          - _weighted_tv(sweep, grid, terms.dph, terms.mid))
-
-        res = minimize_field(fn, phi, tol=sweep.tol, max_iter=sweep.max_iter,
-                             monitor=monitor, solve=solve)
+        res = minimize_field(sweep.functional(eps, grid), phi, tol=sweep.tol,
+                             max_iter=sweep.max_iter, monitor=monitor,
+                             solve=solve)
         phi, solve = res.phi, res.ladder
-        e_grad, e_well, e_mass = field_terms(sweep, eps, phi, grid)
-        tv = tv_well_coordinate(sweep, phi, grid)
+        e_grad, e_well, margin = split(res.terms)
         rows.append(GammaRow(
             eps=eps, l_s=res.energy,
             interface_width=interface_width(grid, phi),
             l2_dist=l2_distance_to_bag(grid, phi)[0],
             equipartition_ratio=e_grad / e_well if e_well > 0 else math.inf,
-            liminf_margin=(e_grad + e_well) - tv,
-            iterations=res.iterations, grad_norm=res.grad_norm,
-            converged=res.converged, solves=res.solves,
-            backtracks=res.backtracks, phi=phi.copy()))
-        worst_inline = min(worst_inline, min(inline) if inline else math.inf)
+            liminf_margin=margin, converged=res.converged, descent=res))
         if not res.converged:
             break
     return GammaResult(sweep=sweep, surface_a=a, reference=ref, rows=rows,
-                       feasible=feasible, min_inline_liminf=worst_inline)
+                       feasible=feasible,
+                       min_inline_liminf=min(inline, default=math.inf))

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .descent import FieldFunctional, minimize_field
+from .descent import DescentResult, FieldFunctional, minimize_field
 from .dirac import RadialField, RadialSpinor, SpectralResult, density
 from .grid import (FOUR_PI, RadialGrid, forward_diff, make_grid, scatter_diff,
                    tanh_step)
@@ -105,13 +105,10 @@ class SolitonReport:
     spinors: List[Optional[RadialSpinor]]
     energy: float
     history: List[float]
-    grad_norm: float
-    iterations: int
     converged: bool
     el: ELResidual
     all_bound: bool        # every occupied level strictly inside (0, m)
-    solves: dict           # the descent's eigen-solves, `DescentResult.solves`
-    backtracks: int        # its rejected Armijo trials
+    descent: DescentResult  # the descent's record, with its run telemetry
 
 
 def initial_guess(cfg: SolitonConfig, grid: Optional[RadialGrid] = None) -> np.ndarray:
@@ -132,9 +129,9 @@ def energy(cfg: SolitonConfig, phi: RadialField) -> float:
 
 def gradient(cfg: SolitonConfig, phi: RadialField) -> RadialField:
     """L^2 gradient of the energy; refuses on near-degenerate levels."""
-    fn = cfg.functional(phi.grid)
-    return RadialField(grid=phi.grid,
-                       values=fn.as_field(fn.gradient_partials(phi.values)))
+    fn, v = cfg.functional(phi.grid), phi.values
+    dE = fn.gradient_partials(v, fn.ladder(v), fn.terms(v))
+    return RadialField(grid=phi.grid, values=fn.as_field(dE))
 
 
 def minimize(cfg: SolitonConfig,
@@ -142,7 +139,7 @@ def minimize(cfg: SolitonConfig,
     """Minimize the soliton energy from the standard (or given) initial well.
 
     Non-convergence within the iteration budget returns a flagged partial
-    report rather than raising.
+    report; a descent that leaves double range raises RuntimeError.
     """
     grid = cfg.grid()
     fn = cfg.functional(grid)
@@ -157,11 +154,10 @@ def minimize(cfg: SolitonConfig,
     return SolitonReport(config=cfg, phi=phi, lambdas=lam,
                          spinors=solve.ladder_spinors(cfg.model.k_indices),
                          energy=res.energy, history=res.history,
-                         grad_norm=res.grad_norm, iterations=res.iterations,
                          converged=res.converged,
                          el=el_residual_from(cfg, phi, solve),
                          all_bound=bool(np.all((lam > 0.0) & (lam < m))),
-                         solves=res.solves, backtracks=res.backtracks)
+                         descent=res)
 
 
 def el_residual_from(cfg: SolitonConfig, phi: RadialField,

@@ -1,5 +1,5 @@
-"""The verdict rule and the within-pair ratios of tools/bench_file.py on
-synthetic paired samples."""
+"""The verdict rule, the bound test and the within-pair ratios of
+tools/bench_file.py on synthetic paired samples."""
 
 import importlib.util
 import statistics
@@ -13,6 +13,7 @@ bench_file = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_file)
 verdict = bench_file.verdict
 pair_ratios = bench_file.pair_ratios
+past_bound = bench_file.past_bound
 
 # a parent's op times: median 0.30, quartile spread 0.02
 PARENT = [0.29, 0.31, 0.30, 0.28, 0.32, 0.30, 0.29, 0.31, 0.30, 0.30]
@@ -76,3 +77,21 @@ def test_ratios_show_a_gain_the_noisy_parent_hides():
 def test_ratios_of_same_samples_are_one():
     assert pair_ratios(PARENT, list(PARENT)) == {
         "median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_slower_is_past_the_bound_only_beyond_it():
+    # a lower-is-better metric 10% worse in every pair reads "slower" but
+    # stays inside a 0.25 bound; 30% worse crosses it
+    worse = [p * 1.1 for p in PARENT]
+    assert verdict(PARENT, worse, "lower")["verdict"] == "slower"
+    assert not past_bound(PARENT, worse, "lower", 0.25)
+    assert past_bound(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25)
+    # a gain is never past the bound
+    assert not past_bound(PARENT, [p * 0.5 for p in PARENT], "lower", 0.25)
+
+
+def test_higher_is_better_metric_past_the_bound_when_lower():
+    fewer = [p * 0.7 for p in PARENT]
+    assert past_bound(PARENT, fewer, "higher", 0.25)
+    assert not past_bound(PARENT, [p * 0.9 for p in PARENT], "higher", 0.25)
+    assert not past_bound(PARENT, [p * 1.3 for p in PARENT], "higher", 0.25)

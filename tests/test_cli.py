@@ -232,7 +232,11 @@ def test_coupling_below_the_mass_resolution_rejected(tmp_path, capsys, args):
     ("1e200", "gradient norm inf"),
     # the start well m/g squares past double range
     ("1e-300", "energy inf"),
-    ("1e-100", "energy inf")])
+    ("1e-100", "energy inf"),
+    # every trial of the first line search overflows
+    ("1e150", "no line-search trial has finite energy"),
+    # m/g overflows, so the start well itself is not finite
+    ("1e-320", "the start field has non-finite samples")])
 def test_descent_out_of_double_range_exits_2(tmp_path, capsys, g, what):
     code = run_cli(["soliton", "--g", g, "--n", "64",
                     "--out", str(tmp_path / "r")])
@@ -243,6 +247,40 @@ def test_descent_out_of_double_range_exits_2(tmp_path, capsys, g, what):
     assert "iteration 1:" in err[0] and what in err[0]
     # no row is written, so none holds a non-finite value
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_coupling_list_keeps_the_rows_it_solved(tmp_path, capsys):
+    # g = 10 converges and g = 1e-300 leaves double range: the solved
+    # coupling's row and profiles are written as a run of it alone writes
+    # them, and the failure's message is the one error line
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    alone.mkdir()
+    both.mkdir()
+    assert run_cli(["soliton", "--g", "10", "--n", "64",
+                    "--out", str(alone / "r")]) == 0
+    capsys.readouterr()
+    assert run_cli(["soliton", "--g", "10,1e-300", "--n", "64",
+                    "--out", str(both / "r")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "g=1e-300 left double range" in err[0]
+    for name in ("r.csv", "r_profile.csv"):
+        assert (both / name).read_bytes() == (alone / name).read_bytes()
+    # telemetry of the solved coupling alone
+    tel = [json.loads((d / "run.json").read_text())["telemetry"]
+           for d in (alone, both)]
+    assert tel[0] == tel[1]
+
+
+def test_coupling_list_is_checked_before_any_solve(tmp_path, capsys,
+                                                   monkeypatch):
+    solved = []
+    monkeypatch.setattr(cli, "minimize", lambda cfg: solved.append(cfg))
+    assert run_cli(["soliton", "--g", "10,-1",
+                    "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "coupling g must be positive" in err[0]
+    assert not solved and not (tmp_path / "r.csv").exists()
 
 
 def test_negative_cavity_mass_rejected(tmp_path, capsys):

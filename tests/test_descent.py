@@ -50,7 +50,7 @@ def test_metric_step_is_the_banded_solve_bit_for_bit(case):
     # the start field and the field a few descent steps on
     res = descent.minimize_field(fn, phi, max_iter=4)
     for field in (phi, res.phi):
-        dE = fn.gradient_partials(field)
+        dE = fn.gradient_partials(field, fn.ladder(field), fn.terms(field))
         ref = solveh_banded(_per_call_metric_bands(fn, field), dE,
                             lower=False)
         step = fn.metric_step(field, dE)
@@ -59,7 +59,7 @@ def test_metric_step_is_the_banded_solve_bit_for_bit(case):
 
 def test_non_finite_gradient_raises_before_a_step(monkeypatch):
     fn, phi = next(_start_fields())
-    dE = fn.gradient_partials(phi)
+    dE = fn.gradient_partials(phi, fn.ladder(phi), fn.terms(phi))
     for bad in (np.nan, np.inf):
         broken = dE.copy()
         broken[7] = bad
@@ -91,13 +91,52 @@ def test_start_energy_out_of_range_is_a_solver_failure():
         descent.minimize_field(fn, initial_guess(cfg, fn.grid))
 
 
+def _counted_trials(monkeypatch):
+    """Energies of every `energy_and_ladder` call, inf for one that raises
+    NonFiniteError; the first is the start field's."""
+    energies = []
+    energy_and_ladder = descent.FieldFunctional.energy_and_ladder
+
+    def counted(self, *a, **k):
+        try:
+            out = energy_and_ladder(self, *a, **k)
+        except dirac.NonFiniteError:
+            energies.append(np.inf)
+            raise
+        energies.append(out[0])
+        return out
+
+    monkeypatch.setattr(descent.FieldFunctional, "energy_and_ladder", counted)
+    return energies
+
+
 def test_trial_out_of_double_range_is_rejected(monkeypatch):
-    # a step so long that g * trial overflows: each such trial's operator
-    # is not finite and its eigen-solve refuses it, or its field energy is
-    # inf; the line search rejects them all and ends the descent
-    # unconverged at the start field, which keeps its finite energy
+    # a step so long that the first trials' field energy overflows: those
+    # trials are rejected, the shorter ones have finite energies far above
+    # the start's and are rejected too, and the descent ends unconverged at
+    # the start field, which keeps its finite energy
     fn, phi = next(_start_fields())
     step = descent.FieldFunctional.metric_step      # max |step| ~ 0.07
+    monkeypatch.setattr(descent.FieldFunctional, "metric_step",
+                        lambda self, *a: step(self, *a) * 1e80)
+    energies = _counted_trials(monkeypatch)
+    with np.errstate(all="ignore"):
+        res = descent.minimize_field(fn, phi)
+    trials = energies[1:]
+    assert not res.converged and res.iterations == 1
+    assert res.history == [energies[0]] and res.energy == energies[0]
+    assert res.backtracks == len(trials) == 54      # alpha 1 .. 2^-53
+    assert 0 < sum(map(np.isinf, trials)) < len(trials)
+    assert sum(res.solves.values()) == len(energies)
+
+
+def test_line_search_wholly_out_of_double_range_raises(monkeypatch):
+    # a step so long that g * trial overflows: each trial's operator is not
+    # finite and its eigen-solve refuses it, or its field energy is inf.
+    # With no trial of finite energy the arithmetic, not the budget, ends
+    # the descent: a solver failure naming the coupling
+    fn, phi = next(_start_fields())
+    step = descent.FieldFunctional.metric_step
     monkeypatch.setattr(descent.FieldFunctional, "metric_step",
                         lambda self, *a: step(self, *a) * 1e300 * 3e8)
     refused = []
@@ -111,14 +150,24 @@ def test_trial_out_of_double_range_is_rejected(monkeypatch):
             raise
 
     monkeypatch.setattr(descent, "eigen_solve", solve)
-    with np.errstate(all="ignore"):
-        start = fn.energy_and_ladder(phi)[0]
-        res = descent.minimize_field(fn, phi)
-    assert not res.converged and res.iterations == 1
-    assert res.history == [start] and res.energy == start
-    assert len(refused) == 1 and res.backtracks == 54   # alpha 1 .. 2^-53
-    # refused trials made no solve
-    assert sum(res.solves.values()) == 1 + res.backtracks - len(refused)
+    energies = _counted_trials(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match=r"g=10\.0 .* iteration 1: no line-search "
+                                r"trial has finite energy"):
+        descent.minimize_field(fn, phi)
+    assert len(energies) == 1 + 54 and np.all(np.isinf(energies[1:]))
+    assert len(refused) == 1
+
+
+def test_gradient_partials_makes_no_eigen_solve(monkeypatch):
+    # the gradient reads the solve it is given and solves nothing itself
+    fn, phi = next(_start_fields())
+    solve, terms = fn.ladder(phi), fn.terms(phi)
+    calls = []
+    monkeypatch.setattr(descent, "eigen_solve",
+                        lambda *a, **k: calls.append(1))
+    dE = fn.gradient_partials(phi, solve, terms)
+    assert not calls and np.all(np.isfinite(dE))
 
 
 def test_functional_weights_refuse_assignment():

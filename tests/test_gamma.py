@@ -160,18 +160,52 @@ TWO_WIDTHS = dict(
                solves={"full": 0, "resumed": 37, "fallback": 0})])
 
 
+_TELEMETRY = ("iterations", "grad_norm", "solves")
+
+
 def test_two_width_sweep_keeps_its_bits():
     sweep = GammaSweep(eps_schedule=[0.4, 0.2], **dict(CAL, n=320))
     result = run_sweep(sweep)
     assert result.min_inline_liminf == TWO_WIDTHS["min_inline_liminf"]
-    assert [{k: getattr(r, k) for k in want}
+    # the run telemetry is read from each row's descent record
+    assert [{k: getattr(r.descent if k in _TELEMETRY else r, k)
+             for k in want}
             for r, want in zip(result.rows, TWO_WIDTHS["rows"])
             ] == TWO_WIDTHS["rows"]
     assert len(result.rows) == 2
     # each width's trials: its accepted steps and its rejected ones
     for r in result.rows:
-        assert sum(r.solves.values()) - r.solves["full"] == (
-            r.iterations - 1 + r.backtracks)
+        res = r.descent
+        assert sum(res.solves.values()) - res.solves["full"] == (
+            res.iterations - 1 + res.backtracks)
+
+
+def test_rows_read_their_terms_from_the_descent():
+    # README sweep: each row's terms and lower-bound margin are those of
+    # its returned field, as `field_terms` and `tv_well_coordinate` give
+    sweep = GammaSweep(eps_schedule=[0.4, 0.2, 0.1, 0.05], **CAL)
+    grid = sweep.grid()
+    result = run_sweep(sweep)
+    assert len(result.rows) == 4
+    for r in result.rows:
+        phi = r.descent.phi
+        e_grad, e_well, e_mass = field_terms(sweep, r.eps, phi, grid)
+        assert tuple(FOUR_PI * s for s in r.descent.terms.sums) == (
+            e_grad, e_well, e_mass)
+        assert r.liminf_margin == (e_grad + e_well) - tv_well_coordinate(
+            sweep, phi, grid)
+        assert r.equipartition_ratio == e_grad / e_well
+
+
+def test_sweep_builds_one_functional_per_width(monkeypatch):
+    built = []
+    functional = GammaSweep.functional
+    monkeypatch.setattr(GammaSweep, "functional",
+                        lambda self, eps, grid=None: built.append(eps)
+                        or functional(self, eps, grid))
+    sweep = GammaSweep(eps_schedule=[0.4, 0.2], **dict(CAL, n=320))
+    run_sweep(sweep)
+    assert built == [0.4, 0.2]
 
 
 def test_cold_start_at_small_eps_collapses():

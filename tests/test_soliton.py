@@ -101,7 +101,7 @@ def test_minimize_large_coupling_binds():
     # nonincreasing accepted energies
     assert all(b <= a + 1e-12 for a, b in zip(rep.history, rep.history[1:]))
     # converged stationarity
-    assert rep.grad_norm <= cfg.tol
+    assert rep.descent.grad_norm <= cfg.tol
     assert rep.el.field <= 1e-5
     assert rep.el.eigen <= 1e-8
 
@@ -113,9 +113,9 @@ def test_budget_cut_reports_gradient_of_returned_field():
     rep = minimize(cfg)
     assert not rep.converged and len(rep.history) == 4
     fresh = gradient(cfg, rep.phi)
-    assert rep.grad_norm == pytest.approx(
+    assert rep.descent.grad_norm == pytest.approx(
         math.sqrt(integrate(rep.phi.grid, fresh.values**2)), rel=1e-12)
-    assert rep.grad_norm == pytest.approx(rep.el.field, rel=1e-9)
+    assert rep.descent.grad_norm == pytest.approx(rep.el.field, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -154,11 +154,11 @@ def test_descent_inverse_iteration_only_on_accepted_fields(
     monkeypatch.setattr(dirac, "dstebz", stebz)
     monkeypatch.setattr(dirac, "dstein", stein)
     rep = minimize(cfg_for(N=len(ks), ks=ks, n=800))
-    assert rep.converged and rep.iterations == iterations
+    assert rep.converged and rep.descent.iterations == iterations
     fallback = full - 2
-    assert rep.solves == {"full": 1, "resumed": resumed,
-                          "fallback": fallback}
-    assert sum(rep.solves.values()) == solves
+    assert rep.descent.solves == {"full": 1, "resumed": resumed,
+                                  "fallback": fallback}
+    assert sum(rep.descent.solves.values()) == solves
     # full-window bisections: the start, the fallbacks and the final solve;
     # a warm solve makes at most one Sturm count, and a resumed one exactly
     # one.  A node per level the warm result holds, up to the highest used
@@ -300,6 +300,23 @@ def test_el_residual_from_reads_the_solve():
     assert el_residual_from(cfg, rep.phi, solve) == ELResidual(
         field=7.675360654036206e-07, eigen=6.879453252982006e-15)
     assert el_residual(cfg, rep) == rep.el
+
+
+def test_report_holds_the_descent_record():
+    # README soliton: the report's descent is the record of a direct
+    # descent from the same start, field by field and bit for bit
+    from bagforge.descent import minimize_field
+    cfg = cfg_for(n=800)
+    got = minimize(cfg).descent
+    fn = cfg.functional()
+    want = minimize_field(fn, initial_guess(cfg, fn.grid), tol=cfg.tol,
+                          max_iter=cfg.max_iter)
+    assert got.phi.tobytes() == want.phi.tobytes()
+    for name in ("energy", "grad_norm", "iterations", "converged", "history",
+                 "solves", "backtracks"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.terms.sums == want.terms.sums
+    assert got.terms.sums == fn.terms(got.phi).sums
 
 
 def test_energy_stable_under_refinement():

@@ -19,11 +19,12 @@ side; the two runs of a pair follow each other, and the side that goes
 first alternates from pair to pair, so slow drifts of the host's load fall
 on both sides alike.  Per workload and side, the file keeps every end-to-end
 metric's samples, median and quartiles, and, per metric, the `verdict` of
-the paired samples with the count of pairs that agree, next to the median
-and quartiles of the pairs' tree/parent ratios (`ratio`), which the summary
-lines print too.  Single-run files made with the same seed on the same
-machine can be compared too, but a single run does not show the host's
-noise.
+the paired samples with the count of pairs that agree, whether the tree's
+median is worse than the parent's by more than the metric's `bound` in
+BENCHMARK.json (`past_bound`), and the median and quartiles of the pairs'
+tree/parent ratios (`ratio`), which the summary lines print too.
+Single-run files made with the same seed on the same machine can be
+compared too, but a single run does not show the host's noise.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ def verdict(parent, tree, better: str) -> dict:
     return {"verdict": word, "agree": agree, "pairs": len(gains)}
 
 
+def past_bound(parent, tree, better: str, bound: float) -> bool:
+    """Whether the tree's median is worse than the parent's by more than
+    the relative `bound`, in the direction `better` ("lower" or "higher")
+    names, as BENCHMARK.json gives both for each end-to-end metric."""
+    p, t = statistics.median(parent), statistics.median(tree)
+    if better == "lower":
+        return t > p * (1.0 + bound)
+    return t < p * (1.0 - bound)
+
+
 def pair_ratios(parent, tree) -> dict:
     """Median and quartiles of the ratios tree[i] / parent[i] of the pairs.
     The two runs of a pair share the host's load of the moment, so these
@@ -125,6 +136,7 @@ def export(rev: str) -> Path:
 
 def compare(spec: dict, parent_root: Path, seed: int, pairs: int) -> dict:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     roots = {"parent": parent_root, "tree": ROOT}
     runs = {w["name"]: {"parent": [], "tree": []} for w in spec["workloads"]}
     for i in range(pairs):
@@ -149,6 +161,10 @@ def compare(spec: dict, parent_root: Path, seed: int, pairs: int) -> dict:
                for side, side_runs in sides.items()},
             "verdicts": {name: {**verdict(values["parent"][name],
                                           values["tree"][name], better[name]),
+                                "past_bound": past_bound(
+                                    values["parent"][name],
+                                    values["tree"][name], better[name],
+                                    bound[name]),
                                 "ratio": pair_ratios(values["parent"][name],
                                                      values["tree"][name])}
                          for name in better},
@@ -192,7 +208,9 @@ def main() -> int:
                 print(f"{workload:<16} {name:<12} "
                       f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                       f"{t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
-                      f"{v['verdict']} ({v['agree']} of {v['pairs']}), "
+                      f"{v['verdict']}"
+                      f"{', past bound' if v['past_bound'] else ''} "
+                      f"({v['agree']} of {v['pairs']}), "
                       f"tree/parent {r['median']:.3f} "
                       f"[{r['q1']:.3f}, {r['q3']:.3f}]")
     out = ROOT / f"BENCH_{args.tag}.json"
