@@ -29,8 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dispersion import (Ladder, TwoZoneProblem, TwoZoneState, _bisect,
-                         eigenvalues, mit_eigenvalue, two_zone_state)
+from .dispersion import (Ladder, TwoZoneProblem, _bisect, eigenvalues,
+                         mit_eigenvalue, two_zone_state)
 
 #: relative radius tolerance of the derivative bisection
 RADIUS_RTOL = 1e-10
@@ -90,7 +90,6 @@ class BagReport:
     boundary_ratio: float        # u(R)/v(R), NaN when the level is missing
     curvature_residual: float
     flagged: bool                # boundary optimum: widen the interval
-    state: Optional[TwoZoneState] = None
 
 
 def _level(mu_in: float, mu_out: float, R: float, k: int):
@@ -201,7 +200,7 @@ def _minimize_cavity(cfg: BagConfig, mu_in: float, mu_out: float,
     return BagReport(config=cfg, R=R, mu_in=mu_in, mu_out=mu_out,
                      ladder=ladder_vals, lam=lam, energy=energy,
                      boundary_ratio=ratio, curvature_residual=resid,
-                     flagged=flagged, state=state)
+                     flagged=flagged)
 
 
 def minimize_bag(cfg: BagConfig) -> BagReport:

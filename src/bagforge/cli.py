@@ -283,6 +283,9 @@ def _run_soliton(p):
     gs = _numbers(p["model.g"], float, "coupling")
     if not gs:
         raise UsageError("need at least one coupling value")
+    for i, g in enumerate(gs):      # two rows and series of one name
+        if g in gs[:i]:
+            raise UsageError(f"coupling g={_fmt(g)} is listed twice")
     m, N = p["model.m"], p["model.N"]
     ks = _numbers(p["model.k"], int, "ladder") if p["model.k"] else [1] * N
     pot = PotentialSpec(kappa=p["potential.kappa"], b=p["potential.b"])
@@ -385,7 +388,7 @@ def _run_gamma(p):
               "l2_dist_to_char", "equipartition_ratio"]
     rows = [[r.eps, r.l_s, result.l_c, r.interface_width, r.l2_dist,
              r.equipartition_ratio] for r in result.rows]
-    r_primal = sweep.grid().r_primal
+    r_primal = sweep.grid.r_primal
     profiles = [(f"phi_eps{_fmt(row.eps)}", r_primal, row.descent.phi)
                 for row in result.rows]
     ref = result.reference

@@ -224,25 +224,24 @@ class DescentResult:
     backtracks: int
 
 
-def minimize_field(fn: FieldFunctional, phi0: np.ndarray, tol: float = 1e-6,
-                   max_iter: int = 2000,
-                   monitor: Optional[Callable] = None,
+def minimize_field(fn: FieldFunctional, phi0: np.ndarray, *, tol: float,
+                   max_iter: int, monitor: Optional[Callable] = None,
                    solve: Optional[SpectralResult] = None) -> DescentResult:
     """Preconditioned gradient descent with Armijo backtracking.
 
     The metric's mass term is sharpened by the functional's curvature, which
-    matters for stiff wells (the diffuse-interface runs carry a 1/eps
-    factor there).  Accepted steps never increase the energy; the record
-    holds their history and the gradient norm, ladder and field terms of
-    the returned field.  `solve`, the ladder of phi0 under the same g, m,
-    grid and levels (a previous descent's `DescentResult.ladder`), is used
-    as it is instead of solving phi0 again.  `monitor(it, phi, E, gnorm,
-    terms)` is called with each iterate before its step.  Each trial is one
-    `energy_and_ladder` call, whose ladder and field terms serve an accepted
-    trial's gradient and the monitor as they are.  A trial whose operator
-    or energy is not finite is rejected; a start field, iterate energy or
-    gradient norm that is not finite, or a line search with no finite
-    trial, raises RuntimeError naming g.
+    matters for stiff wells (the diffuse-interface runs carry a 1/eps factor
+    there).  The budget, `tol` and `max_iter`, is the model config's.  Accepted
+    steps never increase the energy; the record holds their history and the
+    gradient norm, ladder and field terms of the returned field.  `solve`, the
+    ladder of phi0 under the same g, m, grid and levels (a previous descent's
+    `DescentResult.ladder`), is used as it is instead of solving phi0 again.
+    `monitor(it, phi, E, gnorm, terms)` is called with each iterate before its
+    step.  Each trial is one `energy_and_ladder` call, whose ladder and field
+    terms serve an accepted trial's gradient and the monitor as they are.  A
+    trial whose operator or energy is not finite is rejected; a start field,
+    iterate energy or gradient norm that is not finite, or a line search with
+    no finite trial, raises RuntimeError naming g.
     """
     def left_range(it, what):
         return RuntimeError(f"field descent at coupling g={fn.g!r} left "

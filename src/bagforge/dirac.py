@@ -61,8 +61,8 @@ import numpy as np
 from scipy.linalg import eigvals_banded
 from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
-from .grid import (FOUR_PI, RadialGrid, integrate, midpoints, read_only,
-                   scatter_mid)
+from .grid import (FOUR_PI, RadialGrid, check_mesh, integrate, midpoints,
+                   read_only, scatter_mid)
 
 #: spectral window default stops this fraction short of the band edge at m
 WINDOW_SHAVE = 1e-6
@@ -600,8 +600,7 @@ def hellmann_feynman(solve: SpectralResult, k: int,
     through `solve.check_simple` a level that is not simple and (ValueError)
     one not bound or held, or a direction on another mesh."""
     op = solve.operator
-    if (direction.grid.n, direction.grid.r_max) != (op.grid.n, op.grid.r_max):
-        raise ValueError("solve and direction live on different grids")
+    check_mesh(op.grid, direction.grid, "solve and direction")
     solve.check_simple([k])
     psi = solve.ladder_spinors([k])[0]
     if psi is None:

@@ -21,27 +21,27 @@ weighted total variation of the composed well coordinate — the discrete
 version of the lower-bound half of the variational limit.  The sweep checks
 this inequality at every accepted iterate.
 
-`GammaSweep.functional` is the one description of E_eps: the gradient
-weight eps, the well W/eps at the midpoints and the mass term b phi^2 at
-the nodes, with their slopes and the curvature bound |W''|/eps + 2b that
-the descent metric reads; `field_terms` splits its quadrature sums (the
-sweep reads them from its descents' `FieldTerms`), and `recovery_energy`
-is its field energy at the equipartition tanh ansatz.
+`GammaSweep.functional` is the one description of E_eps on `sweep.grid`:
+the gradient weight eps, the well W/eps at the midpoints and the mass term
+b phi^2 at the nodes, with their slopes and the curvature bound
+|W''|/eps + 2b that the descent metric reads; `field_terms` splits its
+quadrature sums (the sweep reads them from its descents' `FieldTerms`), and
+`recovery_energy` is its field energy at the equipartition tanh ansatz.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .bag import BagConfig, BagReport, minimize_bag
 from .descent import DescentResult, FieldFunctional, minimize_field
 from .dirac import RadialField
-from .grid import (FOUR_PI, RadialGrid, forward_diff, make_grid, midpoints,
-                   tanh_step)
+from .grid import (FOUR_PI, RadialGrid, check_mesh, forward_diff, make_grid,
+                   midpoints, tanh_step)
 from .potentials import PotentialSpec, surface_constant
 
 #: interfaces thinner than this many cells refuse to run
@@ -64,6 +64,7 @@ class GammaSweep:
     n: int
     tol: float = 1e-5
     max_iter: int = 20000
+    grid: RadialGrid = field(init=False, repr=False, compare=False)  # one mesh
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
@@ -88,7 +89,8 @@ class GammaSweep:
             raise ValueError(
                 f"diffuse-interface model requires 0 < g < m "
                 f"(got g={self.g}, m={self.m})")
-        h = self.grid().h          # make_grid checks n before r_max / n
+        object.__setattr__(self, "grid", make_grid(self.r_max, self.n))
+        h = self.grid.h            # make_grid checks n before r_max / n
         if h > min(eps) / CELLS_PER_WIDTH:
             raise ValueError(
                 f"grid spacing h={h:.4g} under-resolves the smallest "
@@ -98,15 +100,10 @@ class GammaSweep:
             raise ValueError("need at least one quark")
         object.__setattr__(self, "eps_schedule", eps)
 
-    def grid(self) -> RadialGrid:
-        return make_grid(self.r_max, self.n)
-
-    def functional(self, eps: float,
-                   grid: Optional[RadialGrid] = None) -> FieldFunctional:
-        grid = grid or self.grid()
+    def functional(self, eps: float) -> FieldFunctional:
         pot = self.potential
         return FieldFunctional(
-            grid=grid, m=self.m, g=self.g, k_indices=(1,) * self.n_quarks,
+            grid=self.grid, m=self.m, g=self.g, k_indices=(1,) * self.n_quarks,
             c_grad=eps,
             v_prim=lambda t: pot.b * t**2,
             v_prim_d=lambda t: 2.0 * pot.b * t,
@@ -116,31 +113,28 @@ class GammaSweep:
 
 
 def eps_energy(sweep: GammaSweep, eps: float, phi: RadialField) -> float:
-    """Regularized total energy of the field phi at width eps."""
-    return sweep.functional(eps, phi.grid).energy_and_ladder(phi.values)[0]
+    """Regularized energy at width eps of a field on the sweep's mesh."""
+    check_mesh(sweep.grid, phi.grid, "sweep and field")
+    return sweep.functional(eps).energy_and_ladder(phi.values)[0]
 
 
-def field_terms(sweep: GammaSweep, eps: float, phi_vals: np.ndarray,
-                grid: Optional[RadialGrid] = None):
+def field_terms(sweep: GammaSweep, eps: float, phi_vals: np.ndarray):
     """(gradient term, well term, mass term) of the field energy."""
-    sums = sweep.functional(eps, grid).terms(phi_vals).sums
+    sums = sweep.functional(eps).terms(phi_vals).sums
     return tuple(FOUR_PI * s for s in sums)
 
 
-def tv_well_coordinate(sweep: GammaSweep, phi_vals: np.ndarray,
-                       grid: Optional[RadialGrid] = None) -> float:
+def tv_well_coordinate(sweep: GammaSweep, phi_vals: np.ndarray) -> float:
     """Weighted total variation 4 pi int 2 |phi'| sqrt(W(phi)) r^2 dr,
     evaluated with the same staggered sampling as the field energy."""
-    grid = grid or sweep.grid()
-    return _weighted_tv(sweep, grid, forward_diff(grid, phi_vals),
+    return _weighted_tv(sweep, forward_diff(sweep.grid, phi_vals),
                         midpoints(phi_vals))
 
 
-def _weighted_tv(sweep: GammaSweep, grid: RadialGrid, dph: np.ndarray,
-                 mid: np.ndarray) -> float:
+def _weighted_tv(sweep: GammaSweep, dph: np.ndarray, mid: np.ndarray) -> float:
     # `tv_well_coordinate` of the field with these differences and midpoints
     well = sweep.potential.w(mid)
-    return FOUR_PI * float(np.dot(grid.vol_staggered[1:],
+    return FOUR_PI * float(np.dot(sweep.grid.vol_staggered[1:],
                                   2.0 * np.abs(dph) * np.sqrt(well)))
 
 
@@ -195,7 +189,6 @@ class GammaRow:
 @dataclass
 class GammaResult:
     sweep: GammaSweep
-    surface_a: float
     reference: BagReport       # sharp-interface optimum (l_c)
     rows: List[GammaRow]
     feasible: bool             # l_c < N m (a genuine bag beats no bag)
@@ -209,26 +202,22 @@ class GammaResult:
         return np.array([abs(r.l_s - self.l_c) for r in self.rows])
 
 
-def reference_bag(sweep: GammaSweep) -> tuple:
+def reference_bag(sweep: GammaSweep) -> BagReport:
     """Sharp-interface reference: bag solve with a = surface constant of W."""
-    a = surface_constant(sweep.potential)
-    cfg = BagConfig(n_quarks=sweep.n_quarks, g=sweep.g, m=sweep.m, a=a,
-                    b=sweep.potential.b, k=1)
-    return a, minimize_bag(cfg)
+    return minimize_bag(BagConfig(
+        n_quarks=sweep.n_quarks, g=sweep.g, m=sweep.m,
+        a=surface_constant(sweep.potential), b=sweep.potential.b, k=1))
 
 
-def initial_profile(sweep: GammaSweep, R: float, eps: float,
-                    grid: Optional[RadialGrid] = None) -> np.ndarray:
+def initial_profile(sweep: GammaSweep, R: float, eps: float) -> np.ndarray:
     """Equipartition tanh ansatz around radius R at width eps."""
-    grid = grid or sweep.grid()
     s = math.sqrt(sweep.potential.kappa) / 2.0
-    vals = tanh_step((grid.r_primal - R) * s / eps)
+    vals = tanh_step((sweep.grid.r_primal - R) * s / eps)
     vals[-1] = 0.0
     return vals
 
 
-def recovery_energy(sweep: GammaSweep, R: float, eps: float,
-                    grid: Optional[RadialGrid] = None) -> float:
+def recovery_energy(sweep: GammaSweep, R: float, eps: float) -> float:
     """Field energy E_eps of the equipartition ansatz at radius R.
 
     Upper-bounds the sharp value a*P + b*V up to O(eps) interface
@@ -236,8 +225,8 @@ def recovery_energy(sweep: GammaSweep, R: float, eps: float,
     """
     if not (R > 0.0 and eps > 0.0):
         raise ValueError("R and eps must be positive")
-    return sweep.functional(eps, grid).field_energy(
-        initial_profile(sweep, R, eps, grid))
+    return sweep.functional(eps).field_energy(
+        initial_profile(sweep, R, eps))
 
 
 def run_sweep(sweep: GammaSweep) -> GammaResult:
@@ -249,36 +238,35 @@ def run_sweep(sweep: GammaSweep) -> GammaResult:
     a requirement, not an optimization.  A descent failure truncates the
     schedule and flags the affected row.
     """
-    grid = sweep.grid()
-    a, ref = reference_bag(sweep)
+    ref = reference_bag(sweep)
     feasible = ref.energy < sweep.n_quarks * sweep.m and not ref.flagged
-    phi = initial_profile(sweep, ref.R, sweep.eps_schedule[0], grid)
+    phi = initial_profile(sweep, ref.R, sweep.eps_schedule[0])
     solve = None        # the ladder at phi, once a descent has solved it
     rows: List[GammaRow] = []
     inline = []         # every iterate's lower-bound margin
 
     def split(terms):   # `field_terms` and the margin of the field's terms
         e_grad, e_well, _ = (FOUR_PI * s for s in terms.sums)
-        tv = _weighted_tv(sweep, grid, terms.dph, terms.mid)
+        tv = _weighted_tv(sweep, terms.dph, terms.mid)
         return e_grad, e_well, (e_grad + e_well) - tv
 
     def monitor(it, phi_it, E_it, gnorm_it, terms):
         inline.append(split(terms)[2])
 
     for eps in sweep.eps_schedule:
-        res = minimize_field(sweep.functional(eps, grid), phi, tol=sweep.tol,
+        res = minimize_field(sweep.functional(eps), phi, tol=sweep.tol,
                              max_iter=sweep.max_iter, monitor=monitor,
                              solve=solve)
         phi, solve = res.phi, res.ladder
         e_grad, e_well, margin = split(res.terms)
         rows.append(GammaRow(
             eps=eps, l_s=res.energy,
-            interface_width=interface_width(grid, phi),
-            l2_dist=l2_distance_to_bag(grid, phi)[0],
+            interface_width=interface_width(sweep.grid, phi),
+            l2_dist=l2_distance_to_bag(sweep.grid, phi)[0],
             equipartition_ratio=e_grad / e_well if e_well > 0 else math.inf,
             liminf_margin=margin, converged=res.converged, descent=res))
         if not res.converged:
             break
-    return GammaResult(sweep=sweep, surface_a=a, reference=ref, rows=rows,
+    return GammaResult(sweep=sweep, reference=ref, rows=rows,
                        feasible=feasible,
                        min_inline_liminf=min(inline, default=math.inf))

@@ -89,6 +89,14 @@ def make_grid(r_max: float, n: int) -> RadialGrid:
                       w_staggered=w_staggered)
 
 
+def check_mesh(grid: RadialGrid, other: RadialGrid, what: str) -> None:
+    """Refuse (ValueError) `what` unless `other` has grid's n and r_max."""
+    if (other.n, other.r_max) != (grid.n, grid.r_max):
+        raise ValueError(f"{what} live on different grids: n={other.n}, "
+                         f"r_max={other.r_max!r} against n={grid.n}, "
+                         f"r_max={grid.r_max!r}")
+
+
 def integrate(grid: RadialGrid, samples: np.ndarray, family: str = "primal") -> float:
     """Quadrature of 4*pi * int f(r) r^2 dr for samples on one node family.
 

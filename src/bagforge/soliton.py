@@ -9,26 +9,29 @@ with U the double-well-plus-mass self-interaction.  Levels absent from the
 bound-state window (0, m) contribute the band edge m each, so E(0) = N*m and
 a field is worth keeping only when it binds quarks below their free mass.
 
-The solver is damped gradient descent in an H^1 metric with Armijo
-backtracking (monotone energies by construction).  A converged
-minimizer is reported together with the residual of the coupled stationarity
-system: the field equation -Delta phi + U'(phi) + sum_i g (v_i^2 - u_i^2) = 0
-and the eigen-residuals of the window's levels, from a solve of the whole
-window at the final field.
+A `SolitonConfig` is one problem: the model, the descent's budget and the
+mesh `cfg.grid`, built once with it; `energy`, `gradient` and `el_residual`
+refuse a field on a mesh of another n or r_max.  The same problem at n/2 is
+`dataclasses.replace(cfg, n=cfg.n // 2)`.  The solver is damped gradient
+descent in an H^1 metric with Armijo backtracking (monotone energies by
+construction).  A converged minimizer is reported with the residual of the
+coupled stationarity system: the field equation -Delta phi + U'(phi) +
+sum_i g (v_i^2 - u_i^2) = 0 and the eigen-residuals of the window's levels,
+from a cold solve at the final field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .descent import DescentResult, FieldFunctional, minimize_field
 from .dirac import RadialField, RadialSpinor, SpectralResult, density
-from .grid import (FOUR_PI, RadialGrid, forward_diff, make_grid, scatter_diff,
-                   tanh_step)
+from .grid import (FOUR_PI, RadialGrid, check_mesh, forward_diff, make_grid,
+                   scatter_diff, tanh_step)
 from .potentials import PotentialSpec
 
 
@@ -67,6 +70,7 @@ class SolitonConfig:
     n: int
     tol: float = 1e-6
     max_iter: int = 4000
+    grid: RadialGrid = field(init=False, repr=False, compare=False)  # one mesh
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and math.isfinite(self.r_max)):
@@ -78,14 +82,11 @@ class SolitonConfig:
         if self.max_iter < 1:
             raise ValueError(
                 f"iteration budget must be >= 1, got max_iter={self.max_iter}")
+        object.__setattr__(self, "grid", make_grid(self.r_max, self.n))
 
-    def grid(self) -> RadialGrid:
-        return make_grid(self.r_max, self.n)
-
-    def functional(self, grid: Optional[RadialGrid] = None) -> FieldFunctional:
-        grid = grid or self.grid()
+    def functional(self) -> FieldFunctional:
         pot = self.potential
-        return FieldFunctional(grid=grid, m=self.model.m, g=self.model.g,
+        return FieldFunctional(grid=self.grid, m=self.model.m, g=self.model.g,
                                k_indices=self.model.k_indices, c_grad=0.5,
                                v_prim=pot.u, v_prim_d=pot.u_prime,
                                curvature=pot.u_second)
@@ -111,27 +112,28 @@ class SolitonReport:
     descent: DescentResult  # the descent's record, with its run telemetry
 
 
-def initial_guess(cfg: SolitonConfig, grid: Optional[RadialGrid] = None) -> np.ndarray:
+def initial_guess(cfg: SolitonConfig) -> np.ndarray:
     """Smoothed well of depth m/g: deep enough to bind, shallow enough that
     the effective mass stays nonnegative (the basin the theory controls)."""
-    grid = grid or cfg.grid()
     m, g = cfg.model.m, cfg.model.g
     r0, w = 2.0 / m, 0.5 / m
-    vals = (m / g) * tanh_step((grid.r_primal - r0) / w)
+    vals = (m / g) * tanh_step((cfg.grid.r_primal - r0) / w)
     vals[-1] = 0.0
     return vals
 
 
 def energy(cfg: SolitonConfig, phi: RadialField) -> float:
-    """Total energy of the configuration at field phi."""
-    return cfg.functional(phi.grid).energy_and_ladder(phi.values)[0]
+    """Total energy at a field phi on the config's mesh."""
+    check_mesh(cfg.grid, phi.grid, "config and field")
+    return cfg.functional().energy_and_ladder(phi.values)[0]
 
 
 def gradient(cfg: SolitonConfig, phi: RadialField) -> RadialField:
     """L^2 gradient of the energy; refuses on near-degenerate levels."""
-    fn, v = cfg.functional(phi.grid), phi.values
+    check_mesh(cfg.grid, phi.grid, "config and field")
+    fn, v = cfg.functional(), phi.values
     dE = fn.gradient_partials(v, fn.ladder(v), fn.terms(v))
-    return RadialField(grid=phi.grid, values=fn.as_field(dE))
+    return RadialField(grid=cfg.grid, values=fn.as_field(dE))
 
 
 def minimize(cfg: SolitonConfig,
@@ -141,11 +143,10 @@ def minimize(cfg: SolitonConfig,
     Non-convergence within the iteration budget returns a flagged partial
     report; a descent that leaves double range raises RuntimeError.
     """
-    grid = cfg.grid()
-    fn = cfg.functional(grid)
-    start = initial_guess(cfg, grid) if phi0 is None else np.asarray(phi0, float)
+    fn = cfg.functional()
+    start = initial_guess(cfg) if phi0 is None else np.asarray(phi0, float)
     res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter)
-    phi = RadialField(grid=grid, values=res.phi)
+    phi = RadialField(grid=cfg.grid, values=res.phi)
     # one cold solve of the final field: the report's pairs and residual
     # cover every window level, which the descent's last solve may not hold
     solve = fn.ladder(res.phi)
@@ -169,7 +170,8 @@ def el_residual_from(cfg: SolitonConfig, phi: RadialField,
     ladder states; the eigen-residual is the worst backward error of the
     solve's pairs.
     """
-    grid = phi.grid
+    check_mesh(cfg.grid, phi.grid, "config and field")
+    grid = cfg.grid
     nd = grid.n - 1
     pot = cfg.potential
     vals = phi.values
@@ -186,5 +188,5 @@ def el_residual_from(cfg: SolitonConfig, phi: RadialField,
 
 def el_residual(cfg: SolitonConfig, report: SolitonReport) -> ELResidual:
     """Recompute both stationarity residuals for a finished report."""
-    solve = cfg.functional(report.phi.grid).ladder(report.phi.values)
+    solve = cfg.functional().ladder(report.phi.values)
     return el_residual_from(cfg, report.phi, solve)

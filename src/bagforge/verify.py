@@ -275,6 +275,8 @@ def check_density_normalization(seed: int = 4) -> Check:
 
 
 def run_battery(seed: int = 0) -> List[Check]:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
     return [
         check_susy_pairing(seed=seed),
         check_supercharge_svd(seed=seed + 1),

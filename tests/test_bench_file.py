@@ -1,8 +1,10 @@
 """The verdict rule, the bound test and the within-pair ratios of
-tools/bench_file.py on synthetic paired samples."""
+tools/bench_file.py on synthetic paired samples, and its smallest count of
+pairs."""
 
 import importlib.util
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,18 @@ def test_higher_is_better_metric_past_the_bound_when_lower():
     assert past_bound(PARENT, fewer, "higher", 0.25)
     assert not past_bound(PARENT, [p * 0.9 for p in PARENT], "higher", 0.25)
     assert not past_bound(PARENT, [p * 1.3 for p in PARENT], "higher", 0.25)
+
+
+def test_parent_comparison_needs_ten_pairs(monkeypatch, capsys):
+    # three pairs are refused as a usage error before anything is exported
+    # or run
+    calls = []
+    for name in ("tree", "export", "run_workload", "compare"):
+        monkeypatch.setattr(bench_file, name,
+                            lambda *a, name=name: calls.append(name))
+    monkeypatch.setattr(sys, "argv", ["bench_file.py", "x", "--parent",
+                                      "HEAD", "--pairs", "3"])
+    with pytest.raises(SystemExit) as stop:
+        bench_file.main()
+    assert stop.value.code == 2 and not calls
+    assert "--pairs must be at least 10" in capsys.readouterr().err

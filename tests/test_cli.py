@@ -16,7 +16,7 @@ def run_cli(args):
     return main(args)
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     # unknown subcommand
     assert run_cli(["frobnicate"]) == 1
     # bag with coupling at the mass gap is rejected
@@ -30,6 +30,15 @@ def test_usage_errors(tmp_path, capsys):
                     "--r-max", "3.0", "--out", str(out)])
     assert code == 1
     assert "under-resolves" in capsys.readouterr().err
+    # a coupling listed twice would write two rows and two profile series
+    # of one name: refused before any descent
+    solved = []
+    monkeypatch.setattr(cli, "minimize", lambda cfg: solved.append(cfg))
+    assert run_cli(["soliton", "--g", "10,10.0", "--n", "64",
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: coupling g=10.0 is listed twice"]
+    assert not solved and not (tmp_path / "r.csv").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -383,6 +392,15 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "susy-pairing" in text and "PASS" in text and "FAIL" not in text
     header, rows = read_table(out.with_suffix(".csv"))
     assert all(r[header.index("passed")] == "true" for r in rows)
+
+
+def test_negative_seed_names_the_seed(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed=-1"):
+        verify.run_battery(seed=-1)
+    assert run_cli(["verify", "--seed", "-1",
+                    "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be non-negative, got seed=-1"]
 
 
 def test_gamma_sweep_run(tmp_path):

@@ -37,18 +37,16 @@ def _per_call_metric_bands(fn, phi):
 def _start_fields():
     """(functional, field) of the README soliton's start and of the README
     sweep's start at its second width."""
-    fn = README_SOLITON.functional()
-    yield fn, initial_guess(README_SOLITON, fn.grid)
-    grid = README_SWEEP.grid()
-    yield (README_SWEEP.functional(0.2, grid),
-           initial_profile(README_SWEEP, 0.6, 0.2, grid))
+    yield README_SOLITON.functional(), initial_guess(README_SOLITON)
+    yield (README_SWEEP.functional(0.2),
+           initial_profile(README_SWEEP, 0.6, 0.2))
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["soliton", "gamma-eps0.2"])
 def test_metric_step_is_the_banded_solve_bit_for_bit(case):
     fn, phi = list(_start_fields())[case]
     # the start field and the field a few descent steps on
-    res = descent.minimize_field(fn, phi, max_iter=4)
+    res = descent.minimize_field(fn, phi, tol=1e-6, max_iter=4)
     for field in (phi, res.phi):
         dE = fn.gradient_partials(field, fn.ladder(field), fn.terms(field))
         ref = solveh_banded(_per_call_metric_bands(fn, field), dE,
@@ -76,7 +74,7 @@ def test_non_finite_gradient_raises_before_a_step(monkeypatch):
                         or energy_and_ladder(self, *a, **k))
     with pytest.raises(RuntimeError,
                        match=r"g=10\.0 .* iteration 1: .*gradient norm nan"):
-        descent.minimize_field(fn, phi)
+        descent.minimize_field(fn, phi, tol=1e-6, max_iter=2000)
     assert len(calls) == 1
 
 
@@ -88,7 +86,8 @@ def test_start_energy_out_of_range_is_a_solver_failure():
     fn = cfg.functional()
     with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match=r"g=1e-300 .* iteration 1: energy inf"):
-        descent.minimize_field(fn, initial_guess(cfg, fn.grid))
+        descent.minimize_field(fn, initial_guess(cfg), tol=1e-6,
+                               max_iter=2000)
 
 
 def _counted_trials(monkeypatch):
@@ -121,7 +120,7 @@ def test_trial_out_of_double_range_is_rejected(monkeypatch):
                         lambda self, *a: step(self, *a) * 1e80)
     energies = _counted_trials(monkeypatch)
     with np.errstate(all="ignore"):
-        res = descent.minimize_field(fn, phi)
+        res = descent.minimize_field(fn, phi, tol=1e-6, max_iter=2000)
     trials = energies[1:]
     assert not res.converged and res.iterations == 1
     assert res.history == [energies[0]] and res.energy == energies[0]
@@ -154,7 +153,7 @@ def test_line_search_wholly_out_of_double_range_raises(monkeypatch):
     with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match=r"g=10\.0 .* iteration 1: no line-search "
                                 r"trial has finite energy"):
-        descent.minimize_field(fn, phi)
+        descent.minimize_field(fn, phi, tol=1e-6, max_iter=2000)
     assert len(energies) == 1 + 54 and np.all(np.isinf(energies[1:]))
     assert len(refused) == 1
 
@@ -188,8 +187,8 @@ def test_trials_are_accepted_steps_plus_backtracks(monkeypatch):
                         lambda self, *a, **k: calls.append(1)
                         or energy_and_ladder(self, *a, **k))
     fn = README_SOLITON.functional()
-    res = descent.minimize_field(fn, initial_guess(README_SOLITON, fn.grid),
-                                 tol=README_SOLITON.tol)
+    res = descent.minimize_field(fn, initial_guess(README_SOLITON),
+                                 tol=README_SOLITON.tol, max_iter=2000)
     trials = len(calls) - 1
     assert res.converged and res.backtracks > 0
     assert trials == len(res.history) - 1 + res.backtracks

@@ -827,7 +827,7 @@ def test_hellmann_feynman_refuses_a_level_a_partial_result_lacks():
                         potential=PotentialSpec(kappa=0.05, b=0.01),
                         r_max=20.0, n=400)
     part = minimize_field(cfg.functional(), initial_guess(cfg),
-                          tol=cfg.tol).ladder
+                          tol=cfg.tol, max_iter=2000).ladder
     assert not part.complete
     zero = RadialField.zero(part.operator.grid)
     assert math.isfinite(hellmann_feynman(part, 1, zero))

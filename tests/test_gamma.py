@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,24 +43,22 @@ def test_sweep_validation():
 
 def test_eps_energy_vacuum_and_scaling():
     sweep = GammaSweep(eps_schedule=[0.4, 0.2], **CAL)
-    grid = sweep.grid()
-    zero = RadialField.zero(grid)
+    zero = RadialField.zero(sweep.grid)
     for eps in (0.4, 0.2):
         assert eps_energy(sweep, eps, zero) == pytest.approx(
             sweep.n_quarks * sweep.m, abs=1e-12)
     # halving eps doubles the well term at a fixed sharp profile
-    phi = initial_profile(sweep, 0.6, 0.1, grid)
-    _, well_04, _ = field_terms(sweep, 0.4, phi, grid)
-    _, well_02, _ = field_terms(sweep, 0.2, phi, grid)
+    phi = initial_profile(sweep, 0.6, 0.1)
+    _, well_04, _ = field_terms(sweep, 0.4, phi)
+    _, well_02, _ = field_terms(sweep, 0.2, phi)
     assert well_02 == pytest.approx(2 * well_04, rel=1e-12)
 
 
 def test_field_terms_are_the_functional_sums():
     sweep = GammaSweep(eps_schedule=[0.2], **CAL)
-    grid = sweep.grid()
-    fn = sweep.functional(0.2, grid)
-    phi = initial_profile(sweep, 0.6, 0.2, grid)
-    terms = field_terms(sweep, 0.2, phi, grid)
+    fn = sweep.functional(0.2)
+    phi = initial_profile(sweep, 0.6, 0.2)
+    terms = field_terms(sweep, 0.2, phi)
     assert terms == tuple(FOUR_PI * s for s in fn.terms(phi).sums)
     assert sum(terms) == pytest.approx(fn.field_energy(phi), rel=1e-14)
 
@@ -68,32 +67,32 @@ def test_recovery_energy_approaches_sharp_interface_value():
     spec = PotentialSpec(kappa=1.0, b=0.02)
     a = surface_constant(spec)
     assert a == pytest.approx(1 / 3, abs=1e-10)
-    grid = make_grid(4.0, 1600)
     # the ansatz energy is a field energy: the quark terms (g, m) drop out
     sweep = GammaSweep(eps_schedule=[0.4], **dict(CAL, potential=spec))
+    sweep4 = dataclasses.replace(sweep, r_max=4.0, n=1600)
     R = 2.0
     sharp = a * 16 * math.pi + spec.b * 32 * math.pi / 3
-    val = recovery_energy(sweep, R, 0.05, grid)
+    val = recovery_energy(sweep4, R, 0.05)
     assert val == pytest.approx(sharp, rel=0.05)
     # pure surface part (b = 0): the ansatz energies decrease monotonically
     # onto the sharp perimeter value from above; the mass term would add a
     # small smoothing deficit of order eps that can undershoot it
     spec0 = PotentialSpec(kappa=1.0, b=0.0)
-    sweep0 = GammaSweep(eps_schedule=[0.4], **dict(CAL, potential=spec0))
+    sweep0 = dataclasses.replace(sweep4, potential=spec0)
     sharp0 = surface_constant(spec0) * 16 * math.pi
-    vals = [recovery_energy(sweep0, R, e, grid)
+    vals = [recovery_energy(sweep0, R, e)
             for e in (0.2, 0.1, 0.05, 0.025)]
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
     assert vals[-1] > sharp0
     assert vals[0] == pytest.approx(sharp0, rel=0.2)
     # doubling the radius quadruples the perimeter part of the target
     sharp_2R = a * 4 * math.pi * (2 * R) ** 2 + spec.b * (4 / 3) * math.pi * (2 * R) ** 3
-    grid8 = make_grid(8.0, 3200)
-    assert recovery_energy(sweep, 2 * R, 0.05, grid8) == pytest.approx(
+    sweep8 = dataclasses.replace(sweep, r_max=8.0, n=3200)
+    assert recovery_energy(sweep8, 2 * R, 0.05) == pytest.approx(
         sharp_2R, rel=0.05)
     for bad in ((0.0, 0.05), (R, 0.0)):
         with pytest.raises(ValueError, match="must be positive"):
-            recovery_energy(sweep, *bad, grid)
+            recovery_energy(sweep4, *bad)
 
 
 def test_interface_width_of_tanh_profile():
@@ -184,16 +183,15 @@ def test_rows_read_their_terms_from_the_descent():
     # README sweep: each row's terms and lower-bound margin are those of
     # its returned field, as `field_terms` and `tv_well_coordinate` give
     sweep = GammaSweep(eps_schedule=[0.4, 0.2, 0.1, 0.05], **CAL)
-    grid = sweep.grid()
     result = run_sweep(sweep)
     assert len(result.rows) == 4
     for r in result.rows:
         phi = r.descent.phi
-        e_grad, e_well, e_mass = field_terms(sweep, r.eps, phi, grid)
+        e_grad, e_well, e_mass = field_terms(sweep, r.eps, phi)
         assert tuple(FOUR_PI * s for s in r.descent.terms.sums) == (
             e_grad, e_well, e_mass)
         assert r.liminf_margin == (e_grad + e_well) - tv_well_coordinate(
-            sweep, phi, grid)
+            sweep, phi)
         assert r.equipartition_ratio == e_grad / e_well
 
 
@@ -201,8 +199,8 @@ def test_sweep_builds_one_functional_per_width(monkeypatch):
     built = []
     functional = GammaSweep.functional
     monkeypatch.setattr(GammaSweep, "functional",
-                        lambda self, eps, grid=None: built.append(eps)
-                        or functional(self, eps, grid))
+                        lambda self, eps: built.append(eps)
+                        or functional(self, eps))
     sweep = GammaSweep(eps_schedule=[0.4, 0.2], **dict(CAL, n=320))
     run_sweep(sweep)
     assert built == [0.4, 0.2]
@@ -220,13 +218,13 @@ def test_cold_start_at_small_eps_collapses():
 
 def test_liminf_holds_for_arbitrary_fields():
     sweep = GammaSweep(eps_schedule=[0.1], **CAL)
-    grid = sweep.grid()
+    grid = sweep.grid
     rng = np.random.default_rng(2)
     for _ in range(5):
         raw = rng.normal(size=grid.n) * 0.5
         kernel = np.exp(-np.linspace(-2, 2, 31) ** 2)
         vals = np.convolve(raw, kernel / kernel.sum(), mode="same")
         vals[-1] = 0.0
-        e_grad, e_well, _ = field_terms(sweep, 0.1, vals, grid)
-        tv = tv_well_coordinate(sweep, vals, grid)
+        e_grad, e_well, _ = field_terms(sweep, 0.1, vals)
+        tv = tv_well_coordinate(sweep, vals)
         assert e_grad + e_well >= tv - 1e-10 * max(1.0, e_grad + e_well)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bagforge import dirac
+from types import SimpleNamespace
+
+from bagforge import dirac, gamma, grid as grid_module, soliton
 from bagforge import (GammaSweep, ModelParams, PotentialSpec, RadialField,
                       SolitonConfig, dirichlet_ball_eigenvalue, el_residual,
-                      energy, gradient, initial_guess, integrate, make_grid,
-                      minimize, run_sweep)
+                      energy, eps_energy, gradient, initial_guess, integrate,
+                      make_grid, minimize, run_sweep)
 from bagforge.verify import gaussian_field
 
 
@@ -28,12 +30,14 @@ def test_config_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError):
             cfg_for(max_iter=budget)
+    with pytest.raises(ValueError):     # the config builds its mesh
+        cfg_for(n=3)
 
 
 def test_energy_of_vacuum_is_free_mass():
     for N in (1, 3):
         cfg = cfg_for(N=N)
-        grid = cfg.grid()
+        grid = cfg.grid
         assert energy(cfg, RadialField.zero(grid)) == pytest.approx(
             N * cfg.model.m, abs=1e-12)
 
@@ -41,8 +45,8 @@ def test_energy_of_vacuum_is_free_mass():
 def test_energy_monotone_in_potential():
     cfg1 = cfg_for(kappa=0.3, b=0.01)
     cfg2 = cfg_for(kappa=0.6, b=0.02)       # U doubled pointwise
-    grid = cfg1.grid()
-    phi = RadialField(grid=grid, values=initial_guess(cfg1, grid))
+    grid = cfg1.grid
+    phi = RadialField(grid=grid, values=initial_guess(cfg1))
     assert energy(cfg2, phi) >= energy(cfg1, phi)
 
 
@@ -53,7 +57,7 @@ def test_ramp_field_energy_below_closed_form_bound():
     m, N = 1.0, 1
     for g, kappa in ((10.0, 1.0), (10.0, 0.05)):
         cfg = cfg_for(g=g, kappa=kappa, b=0.01, n=3000, r_max=30.0)
-        grid = cfg.grid()
+        grid = cfg.grid
         R = 3.0
         Rp = (1 + math.sqrt(3)) * R
         ramp = np.clip((Rp - grid.r_primal) / (Rp - R), 0.0, 1.0)
@@ -69,8 +73,8 @@ def test_ramp_field_energy_below_closed_form_bound():
 
 def test_gradient_matches_directional_differences():
     cfg = cfg_for(n=500)
-    grid = cfg.grid()
-    phi = RadialField(grid=grid, values=initial_guess(cfg, grid))
+    grid = cfg.grid
+    phi = RadialField(grid=grid, values=initial_guess(cfg))
     gvec = gradient(cfg, phi)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -86,7 +90,7 @@ def test_gradient_matches_directional_differences():
 
 def test_gradient_of_vacuum_is_zero_field():
     cfg = cfg_for()
-    grid = cfg.grid()
+    grid = cfg.grid
     gvec = gradient(cfg, RadialField.zero(grid))
     assert np.max(np.abs(gvec.values)) == 0.0
 
@@ -218,7 +222,8 @@ def test_partial_descent_result_refuses_levels_it_does_not_hold():
     from bagforge import descent
     cfg = cfg_for(n=400)
     fn = cfg.functional()
-    res = descent.minimize_field(fn, initial_guess(cfg), tol=cfg.tol)
+    res = descent.minimize_field(fn, initial_guess(cfg), tol=cfg.tol,
+                                 max_iter=2000)
     assert not res.ladder.complete and res.ladder.eigenvalues.size == 1
     assert res.ladder.ladder_spinors([1])[0] is not None
     for read in (res.ladder.ladder_spinors, res.ladder.check_simple):
@@ -281,7 +286,7 @@ def test_el_residual_increases_under_perturbation():
     perturbed = minimize(cfg, phi0=rep.phi.values + bump)
     # evaluate the residual at the perturbed (non-stationary) field directly
     from bagforge.soliton import el_residual_from
-    fn = cfg.functional(grid)
+    fn = cfg.functional()
     solve = fn.ladder(rep.phi.values + bump)
     res1 = el_residual_from(cfg, RadialField(grid=grid,
                                              values=rep.phi.values + bump),
@@ -296,7 +301,7 @@ def test_el_residual_from_reads_the_solve():
     from bagforge.soliton import ELResidual, el_residual_from
     cfg = cfg_for(n=800)
     rep = minimize(cfg)
-    solve = cfg.functional(rep.phi.grid).ladder(rep.phi.values)
+    solve = cfg.functional().ladder(rep.phi.values)
     assert el_residual_from(cfg, rep.phi, solve) == ELResidual(
         field=7.675360654036206e-07, eigen=6.879453252982006e-15)
     assert el_residual(cfg, rep) == rep.el
@@ -309,7 +314,7 @@ def test_report_holds_the_descent_record():
     cfg = cfg_for(n=800)
     got = minimize(cfg).descent
     fn = cfg.functional()
-    want = minimize_field(fn, initial_guess(cfg, fn.grid), tol=cfg.tol,
+    want = minimize_field(fn, initial_guess(cfg), tol=cfg.tol,
                           max_iter=cfg.max_iter)
     assert got.phi.tobytes() == want.phi.tobytes()
     for name in ("energy", "grad_norm", "iterations", "converged", "history",
@@ -317,6 +322,46 @@ def test_report_holds_the_descent_record():
         assert getattr(got, name) == getattr(want, name), name
     assert got.terms.sums == want.terms.sums
     assert got.terms.sums == fn.terms(got.phi).sums
+
+
+def test_solves_read_the_mesh_their_config_built(monkeypatch):
+    # the descent and the sweep build no grid: each config built its one
+    # mesh with it, and the report's field lives on it
+    cfg = cfg_for(n=400)
+    sweep = GammaSweep(eps_schedule=[0.4, 0.2],
+                       potential=PotentialSpec(kappa=1.0, b=0.02),
+                       n_quarks=1, g=6.8, m=8.0, r_max=3.0, n=320)
+    built = []
+    for module in (grid_module, soliton, gamma):
+        monkeypatch.setattr(module, "make_grid",
+                            lambda *a: built.append(a) or make_grid(*a))
+    rep = minimize(cfg)
+    run_sweep(sweep)
+    assert not built
+    assert rep.phi.grid is cfg.grid
+
+
+_SWEEP = GammaSweep(eps_schedule=[0.4],
+                    potential=PotentialSpec(kappa=1.0, b=0.02), n_quarks=1,
+                    g=6.8, m=8.0, r_max=3.0, n=640)
+
+
+@pytest.mark.parametrize("config, evaluate", [
+    (cfg_for(), energy),
+    (cfg_for(), gradient),
+    (cfg_for(), lambda cfg, phi: el_residual(cfg, SimpleNamespace(phi=phi))),
+    (cfg_for(), lambda cfg, phi: soliton.el_residual_from(
+        cfg, phi, cfg.functional().ladder(phi.values))),
+    (_SWEEP, lambda sweep, phi: eps_energy(sweep, 0.4, phi)),
+], ids=["energy", "gradient", "el_residual", "el_residual_from",
+        "eps_energy"])
+def test_field_on_another_mesh_is_refused(config, evaluate):
+    # same cell count, another radius: refused, not evaluated on the
+    # field's own mesh; a field on an equal mesh is evaluated
+    far = RadialField.zero(make_grid(config.r_max + 1.0, config.n))
+    with pytest.raises(ValueError, match="different grids"):
+        evaluate(config, far)
+    evaluate(config, RadialField.zero(make_grid(config.r_max, config.n)))
 
 
 def test_energy_stable_under_refinement():

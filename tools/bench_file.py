@@ -14,15 +14,15 @@ file from an uncommitted tree measures code that `head` does not hold).
 
 With `--parent REV` the file compares the checkout (the "tree") with REV.
 REV's committed files are exported (`git archive`) to .bench_tmp/parent-<sha>
-and removed at the end.  Each workload then runs `--pairs` times on each
-side; the two runs of a pair follow each other, and the side that goes
-first alternates from pair to pair, so slow drifts of the host's load fall
-on both sides alike.  Per workload and side, the file keeps every end-to-end
-metric's samples, median and quartiles, and, per metric, the `verdict` of
-the paired samples with the count of pairs that agree, whether the tree's
-median is worse than the parent's by more than the metric's `bound` in
-BENCHMARK.json (`past_bound`), and the median and quartiles of the pairs'
-tree/parent ratios (`ratio`), which the summary lines print too.
+and removed at the end.  Each workload then runs `--pairs` times (at least
+ten) on each side; the two runs of a pair follow each other, and the side
+that goes first alternates from pair to pair, so slow drifts of the host's
+load fall on both sides alike.  Per workload and side, the file keeps every
+end-to-end metric's samples, median and quartiles, and, per metric, the
+`verdict` of the paired samples with the count of pairs that agree, whether
+the tree's median is worse than the parent's by more than the metric's
+`bound` in BENCHMARK.json (`past_bound`), and the median and quartiles of
+the pairs' tree/parent ratios (`ratio`), which the summary lines print too.
 Single-run files made with the same seed on the same machine can be
 compared too, but a single run does not show the host's noise.
 """
@@ -41,6 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: share of the pairs that must go one way for a "faster" or "slower" verdict
 AGREE = 0.9
+#: fewest pairs `--parent` accepts: with 3, HEAD against itself read
+#: "slower" on two metrics, far inside their BENCHMARK.json bounds
+MIN_PAIRS = 10
 
 
 def git(*args) -> str:
@@ -180,8 +183,10 @@ def main() -> int:
                     help="compare with this commit, in alternating pairs")
     ap.add_argument("--pairs", type=int, default=10, metavar="K",
                     help="pairs of runs per workload with --parent "
-                         "(default 10, at least 2)")
+                         f"(default and minimum {MIN_PAIRS})")
     args = ap.parse_args()
+    if args.parent is not None and args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be at least {MIN_PAIRS}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     head = {"seed": args.seed, "seconds": spec["run_seconds"], "tree": tree()}
     if args.parent is None:
@@ -189,8 +194,6 @@ def main() -> int:
             w["name"]: run_workload(ROOT, spec, w["name"], args.seed)
             for w in spec["workloads"]}}
     else:
-        if args.pairs < 2:
-            ap.error("--pairs must be at least 2")
         parent_root = export(args.parent)
         try:
             body = {"parent": {"rev": args.parent,
