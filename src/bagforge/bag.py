@@ -80,7 +80,7 @@ class BagConfig:
 
 @dataclass
 class BagReport:
-    config: Optional[BagConfig]
+    config: BagConfig
     R: float
     mu_in: float
     mu_out: float
@@ -111,9 +111,8 @@ def _total(n_quarks: int, lam: float, a: float, b: float, R: float) -> float:
 
 def cavity_energy(n_quarks: int, mu_in: float, mu_out: float, a: float,
                   b: float, k: int, R: float) -> float:
-    """Sharp-cavity energy at radius R for a general two-zone mass pair."""
-    if not R > 0.0:
-        raise ValueError("R must be positive")
+    """Sharp-cavity energy at radius R for a general two-zone mass pair;
+    its `TwoZoneProblem` refuses an R that is not finite and positive."""
     lam, _, _ = _level(mu_in, mu_out, R, k)
     return _total(n_quarks, lam, a, b, R)
 

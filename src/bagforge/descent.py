@@ -224,6 +224,17 @@ class DescentResult:
     backtracks: int
 
 
+def check_budget(tol: float, max_iter: int) -> None:
+    """The budget rule each model config applies: refuse (ValueError) a tol
+    that is not finite and positive, or max_iter < 1."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(
+            f"tolerance must be finite and positive, got tol={tol}")
+    if max_iter < 1:
+        raise ValueError(
+            f"iteration budget must be >= 1, got max_iter={max_iter}")
+
+
 def minimize_field(fn: FieldFunctional, phi0: np.ndarray, *, tol: float,
                    max_iter: int, monitor: Optional[Callable] = None,
                    solve: Optional[SpectralResult] = None) -> DescentResult:

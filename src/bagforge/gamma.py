@@ -27,6 +27,9 @@ b phi^2 at the nodes, with their slopes and the curvature bound
 |W''|/eps + 2b that the descent metric reads; `field_terms` splits its
 quadrature sums (the sweep reads them from its descents' `FieldTerms`), and
 `recovery_energy` is its field energy at the equipartition tanh ansatz.
+A sweep refuses its inputs at construction: the mesh by `make_grid`, the
+budget by `descent.check_budget`, and N, g and m by the `BagConfig` it
+builds as `sweep.bag`, the sharp-bag problem that `reference_bag` solves.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .bag import BagConfig, BagReport, minimize_bag
-from .descent import DescentResult, FieldFunctional, minimize_field
+from .descent import (DescentResult, FieldFunctional, check_budget,
+                      minimize_field)
 from .dirac import RadialField
 from .grid import (FOUR_PI, RadialGrid, check_mesh, forward_diff, make_grid,
                    midpoints, tanh_step)
@@ -65,39 +69,29 @@ class GammaSweep:
     tol: float = 1e-5
     max_iter: int = 20000
     grid: RadialGrid = field(init=False, repr=False, compare=False)  # one mesh
+    bag: BagConfig = field(init=False, repr=False, compare=False)  # sharp limit
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
-        finite = eps + (self.g, self.m, self.r_max, self.tol)
-        if not all(map(math.isfinite, finite)):
-            raise ValueError(
-                f"eps, g, m, r_max and tol must be finite (got "
-                f"eps={list(eps)}, g={self.g}, m={self.m}, "
-                f"r_max={self.r_max}, tol={self.tol})")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError(
-                f"iteration budget must be >= 1, got max_iter={self.max_iter}")
+        if not all(map(math.isfinite, eps)):
+            raise ValueError(f"eps schedule must be finite, got {list(eps)}")
+        check_budget(self.tol, self.max_iter)
         if not eps:
             raise ValueError("eps schedule is empty")
         if any(e <= 0 for e in eps):
             raise ValueError("eps schedule must be positive")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("eps schedule must be strictly decreasing")
-        if not (0.0 < self.g < self.m):
-            raise ValueError(
-                f"diffuse-interface model requires 0 < g < m "
-                f"(got g={self.g}, m={self.m})")
+        object.__setattr__(self, "bag", BagConfig(
+            n_quarks=self.n_quarks, g=self.g, m=self.m,
+            a=surface_constant(self.potential), b=self.potential.b))
         object.__setattr__(self, "grid", make_grid(self.r_max, self.n))
-        h = self.grid.h            # make_grid checks n before r_max / n
+        h = self.grid.h
         if h > min(eps) / CELLS_PER_WIDTH:
             raise ValueError(
                 f"grid spacing h={h:.4g} under-resolves the smallest "
                 f"interface: need h <= eps/{CELLS_PER_WIDTH} = "
                 f"{min(eps) / CELLS_PER_WIDTH:.4g}")
-        if self.n_quarks < 1:
-            raise ValueError("need at least one quark")
         object.__setattr__(self, "eps_schedule", eps)
 
     def functional(self, eps: float) -> FieldFunctional:
@@ -203,10 +197,8 @@ class GammaResult:
 
 
 def reference_bag(sweep: GammaSweep) -> BagReport:
-    """Sharp-interface reference: bag solve with a = surface constant of W."""
-    return minimize_bag(BagConfig(
-        n_quarks=sweep.n_quarks, g=sweep.g, m=sweep.m,
-        a=surface_constant(sweep.potential), b=sweep.potential.b, k=1))
+    """Sharp-interface reference: the optimum of the sweep's `bag`."""
+    return minimize_bag(sweep.bag)
 
 
 def initial_profile(sweep: GammaSweep, R: float, eps: float) -> np.ndarray:

@@ -71,11 +71,13 @@ def read_only(*arrays: np.ndarray) -> None:
 def make_grid(r_max: float, n: int) -> RadialGrid:
     """Build the uniform grid on [0, r_max] with n cells.
 
+    The one check of a mesh's inputs (a model config refuses a bad mesh by
+    building its grid): r_max finite and positive, n >= `MIN_NODES`.
     Callers resolving fields that decay like exp(-m r) should choose
     r_max >= 10/m; truncation is a zero boundary value at r_max.
     """
-    if not r_max > 0.0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not 0.0 < r_max < np.inf:
+        raise ValueError(f"r_max must be finite and positive, got {r_max}")
     if n < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} cells, got {n}")
     h = r_max / n

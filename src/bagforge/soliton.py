@@ -10,7 +10,8 @@ bound-state window (0, m) contribute the band edge m each, so E(0) = N*m and
 a field is worth keeping only when it binds quarks below their free mass.
 
 A `SolitonConfig` is one problem: the model, the descent's budget and the
-mesh `cfg.grid`, built once with it; `energy`, `gradient` and `el_residual`
+mesh `cfg.grid`, built once with it (`descent.check_budget` refuses the
+budget, `make_grid` the mesh); `energy`, `gradient` and `el_residual`
 refuse a field on a mesh of another n or r_max.  The same problem at n/2 is
 `dataclasses.replace(cfg, n=cfg.n // 2)`.  The solver is damped gradient
 descent in an H^1 metric with Armijo backtracking (monotone energies by
@@ -28,7 +29,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .descent import DescentResult, FieldFunctional, minimize_field
+from .descent import (DescentResult, FieldFunctional, check_budget,
+                      minimize_field)
 from .dirac import RadialField, RadialSpinor, SpectralResult, density
 from .grid import (FOUR_PI, RadialGrid, check_mesh, forward_diff, make_grid,
                    scatter_diff, tanh_step)
@@ -73,15 +75,7 @@ class SolitonConfig:
     grid: RadialGrid = field(init=False, repr=False, compare=False)  # one mesh
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and math.isfinite(self.r_max)):
-            raise ValueError(
-                f"tolerance and r_max must be finite "
-                f"(got tol={self.tol}, r_max={self.r_max})")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError(
-                f"iteration budget must be >= 1, got max_iter={self.max_iter}")
+        check_budget(self.tol, self.max_iter)
         object.__setattr__(self, "grid", make_grid(self.r_max, self.n))
 
     def functional(self) -> FieldFunctional:

@@ -24,6 +24,12 @@ def test_config_validation():
     assert cfg.r_interval[0] > 0
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+def test_cavity_energy_refuses_a_radius_through_its_problem(R):
+    with pytest.raises(ValueError, match="R must be"):
+        cavity_energy(1, 0.2, 1.0, 1e-3, 1e-3, 1, R)
+
+
 def test_energy_small_radius_limit():
     cfg = BagConfig(n_quarks=2, g=0.8, m=1.0, a=1e-3, b=1e-3)
     e = bag_energy(cfg, 1e-3)

@@ -191,6 +191,9 @@ def test_removed_options_rejected(tmp_path, capsys, flags, cfg_text):
                                   ["soliton", "--b", "nan"],
                                   ["gamma-sweep", "--eps", "nan"],
                                   ["gamma-sweep", "--tol", "nan"],
+                                  ["gamma-sweep", "--r-max", "inf"],
+                                  ["gamma-sweep", "--g", "nan"],
+                                  ["soliton", "--r-max", "inf"],
                                   ["bag", "--r-lo", "1", "--r-hi", "inf"],
                                   ["mit", "--m", "nan"],
                                   ["mit", "--R", "inf"],

@@ -1,5 +1,9 @@
 """The descent's per-trial path: the metric step straight to LAPACK, the
-functional's cached weights and the count of rejected Armijo trials."""
+functional's cached weights and the count of rejected Armijo trials; and
+the one budget rule both model configs apply."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -193,3 +197,16 @@ def test_trials_are_accepted_steps_plus_backtracks(monkeypatch):
     assert res.converged and res.backtracks > 0
     assert trials == len(res.history) - 1 + res.backtracks
     assert sum(res.solves.values()) == len(calls)
+
+
+@pytest.mark.parametrize("budget", [dict(tol=math.nan), dict(tol=math.inf),
+                                    dict(tol=0.0), dict(tol=-1.0),
+                                    dict(max_iter=0)])
+def test_both_configs_refuse_a_budget_by_the_one_rule(budget):
+    full = dict(dict(tol=1e-6, max_iter=10), **budget)
+    with pytest.raises(ValueError) as rule:
+        descent.check_budget(**full)
+    for cfg in (README_SOLITON, README_SWEEP):
+        with pytest.raises(ValueError) as refused:
+            dataclasses.replace(cfg, **budget)
+        assert str(refused.value) == str(rule.value)

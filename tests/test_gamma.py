@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bagforge import (GammaSweep, PotentialSpec, RadialField, eps_energy,
-                      interface_width, make_grid, recovery_energy, run_sweep,
-                      surface_constant)
+from bagforge import (BagConfig, GammaSweep, PotentialSpec, RadialField,
+                      eps_energy, interface_width, make_grid, recovery_energy,
+                      run_sweep, surface_constant)
 from bagforge.gamma import (field_terms, initial_profile, l2_distance_to_bag,
                             tv_well_coordinate)
 from bagforge.grid import FOUR_PI
@@ -26,6 +26,13 @@ def test_sweep_validation():
     bad["g"] = 9.0
     with pytest.raises(ValueError):     # coupling must keep the mass gap
         GammaSweep(eps_schedule=[0.4], **bad)
+    # the sweep's `BagConfig` refuses N, g and m at construction, not the
+    # reference solve
+    with pytest.raises(ValueError, match="below the resolution"):
+        GammaSweep(eps_schedule=[0.4], **dict(CAL, g=1e-300, m=8.0))
+    for key in ("g", "m"):
+        with pytest.raises(ValueError, match="must be finite"):
+            GammaSweep(eps_schedule=[0.4], **dict(CAL, **{key: math.nan}))
     # n is checked before r_max / n; tol must be finite and positive; the
     # budget must allow one iteration
     for key, val in (("n", 0), ("n", 15), ("tol", math.nan), ("tol", -1.0),
@@ -39,6 +46,18 @@ def test_sweep_validation():
         GammaSweep(eps_schedule=[0.4, -0.1], **CAL)
     with pytest.raises(ValueError, match="need at least one quark"):
         GammaSweep(eps_schedule=[0.4], **dict(CAL, n_quarks=0))
+
+
+def test_sweep_holds_the_bag_its_reference_solves():
+    sweep = GammaSweep(eps_schedule=[0.4], **dict(CAL, n=320, max_iter=2))
+    assert sweep.bag == BagConfig(
+        n_quarks=1, g=6.8, m=8.0, a=surface_constant(CAL["potential"]),
+        b=CAL["potential"].b)
+    assert run_sweep(sweep).reference.config is sweep.bag
+    # a replaced sweep is a new problem with its own bag
+    other = dataclasses.replace(sweep, g=6.0)
+    assert other.bag.g == 6.0 and other.bag.a == sweep.bag.a
+    assert dataclasses.replace(sweep, tol=1e-4).bag is not sweep.bag
 
 
 def test_eps_energy_vacuum_and_scaling():

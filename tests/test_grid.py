@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,10 @@ def test_preconditions():
         make_grid(-1.0, 100)
     with pytest.raises(ValueError):
         make_grid(1.0, 8)
+    # an infinite r_max would give a mesh whose h, radii and volumes are inf
+    for r_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            make_grid(r_max, 100)
 
 
 def test_r_squared_quadrature_matches_rule():
