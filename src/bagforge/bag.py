@@ -84,7 +84,6 @@ class BagReport:
     R: float
     mu_in: float
     mu_out: float
-    ladder: List[float]          # levels 1..k at the optimal radius
     lam: float                   # occupied level (band edge if missing)
     energy: float
     boundary_ratio: float        # u(R)/v(R), NaN when the level is missing
@@ -93,14 +92,14 @@ class BagReport:
 
 
 def _level(mu_in: float, mu_out: float, R: float, k: int):
-    """k-th two-zone level at radius R, band-edge padded:
-    (lam, problem|None, ladder); the problem is None when the level is
-    missing, so only callers that need the normalized state build it."""
+    """k-th two-zone level at radius R, band-edge padded: (lam,
+    problem|None); the problem is None when the level is missing, so only
+    callers that need the normalized state build it."""
     p = TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R)
     lad: Ladder = eigenvalues(p, k)
     if lad.complete:
-        return lad.values[k - 1], p, lad.values
-    return mu_out, None, lad.values
+        return lad.values[k - 1], p
+    return mu_out, None
 
 
 def _total(n_quarks: int, lam: float, a: float, b: float, R: float) -> float:
@@ -113,7 +112,7 @@ def cavity_energy(n_quarks: int, mu_in: float, mu_out: float, a: float,
                   b: float, k: int, R: float) -> float:
     """Sharp-cavity energy at radius R for a general two-zone mass pair;
     its `TwoZoneProblem` refuses an R that is not finite and positive."""
-    lam, _, _ = _level(mu_in, mu_out, R, k)
+    lam, _ = _level(mu_in, mu_out, R, k)
     return _total(n_quarks, lam, a, b, R)
 
 
@@ -126,7 +125,7 @@ def cavity_energy_derivative(n_quarks: int, mu_in: float, mu_out: float,
     d lam/dR = (mu_in - mu_out) * 4 pi R^2 * (v(R)^2 - u(R)^2); a missing
     level sits at the band edge and does not respond to R.
     """
-    lam, p, _ = _level(mu_in, mu_out, R, k)
+    lam, p = _level(mu_in, mu_out, R, k)
     geom = 8.0 * math.pi * a * R + 4.0 * math.pi * b * R**2
     if p is None:
         return geom
@@ -184,7 +183,7 @@ def _minimize_cavity(cfg: BagConfig, mu_in: float, mu_out: float,
     rel_lo = (R - lo) / (hi - lo)
     rel_hi = (hi - R) / (hi - lo)
     flagged = not refined or min(rel_lo, rel_hi) < BOUNDARY_GUARD
-    lam, p, lower = _level(mu_in, mu_out, R, k)
+    lam, p = _level(mu_in, mu_out, R, k)
     energy = _total(n_quarks, lam, a, b, R)
     state = two_zone_state(p, lam) if p is not None else None
     if state is not None:
@@ -195,11 +194,9 @@ def _minimize_cavity(cfg: BagConfig, mu_in: float, mu_out: float,
     else:
         ratio = math.nan
         resid = abs(2.0 * a / R + b)
-    ladder_vals = list(lower[:k])
     return BagReport(config=cfg, R=R, mu_in=mu_in, mu_out=mu_out,
-                     ladder=ladder_vals, lam=lam, energy=energy,
-                     boundary_ratio=ratio, curvature_residual=resid,
-                     flagged=flagged)
+                     lam=lam, energy=energy, boundary_ratio=ratio,
+                     curvature_residual=resid, flagged=flagged)
 
 
 def minimize_bag(cfg: BagConfig) -> BagReport:

@@ -41,8 +41,9 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dptsv
 
-from .dirac import (NonFiniteError, RadialField, WINDOW_SHAVE, SpectralResult,
-                    assemble_hamiltonian, density_partials, eigen_solve)
+from .dirac import (NonFiniteError, RadialField, SpectralResult,
+                    assemble_hamiltonian, bound_window, density_partials,
+                    eigen_solve)
 from .grid import (FOUR_PI, RadialGrid, forward_diff, midpoints, read_only,
                    scatter_diff, scatter_mid)
 
@@ -97,6 +98,7 @@ class FieldFunctional:
         for name, a in cached.items():
             read_only(a)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_window", bound_window(self.m))
 
     # -- eigenvalue ladder -------------------------------------------------
 
@@ -108,8 +110,8 @@ class FieldFunctional:
         it may resolve no level above the highest used one."""
         phi = RadialField(grid=self.grid, values=phi_vals)
         op = assemble_hamiltonian(phi, g=self.g, m=self.m)
-        return eigen_solve(op, window=(0.0, self.m * (1.0 - WINDOW_SHAVE)),
-                           warm=warm, levels=max(self.k_indices))
+        return eigen_solve(op, window=self._window, warm=warm,
+                           levels=max(self.k_indices))
 
     def occupied(self, solve: SpectralResult) -> np.ndarray:
         """lam^{k_i} of the used levels, a level missing from the ladder
@@ -286,9 +288,8 @@ def minimize_field(fn: FieldFunctional, phi0: np.ndarray, *, tol: float,
             break
         d = fn.metric_step(phi, dE)
         slope = float(np.dot(dE, d))
-        if slope <= 0.0:          # metric is SPD, so this means dE ~ 0
-            converged = gnorm <= tol
-            break
+        if slope <= 0.0:          # metric is SPD, so this means dE ~ 0;
+            break                 # not converged, as gnorm > tol
         in_range = False
         while alpha > 1e-16:
             trial = phi.copy()

@@ -11,10 +11,14 @@ which is symmetric under the r^2 dr inner product.  The discretization
 staggers u at half-nodes between the primal v nodes (the standard remedy
 against doubler modes in first-order systems) and builds the off-diagonal
 block A = d/dr + 2/r in conservative form (r^2 u)'/r^2, so that its discrete
-adjoint under the quadrature weights is exactly the -d/dr block.  Boundary
-closures: v(r_max) = 0 and u at the first half-node eliminated (u ~ r at the
-origin); eliminating u(h/2) is what enforces the v'(0) = 0 regularity row
-and removes an otherwise spurious near-origin mode.
+adjoint under the grid's own volume weights (`RadialGrid.vol_primal` and
+`vol_staggered`, which every integral reads) is exactly the -d/dr block;
+those weights symmetrize the operator.  Boundary closures: v(r_max) = 0
+and u at the first half-node eliminated (u ~ r at the origin); eliminating
+u(h/2) is what enforces the v'(0) = 0 regularity row and removes an
+otherwise spurious near-origin mode.  The mesh is the grid's alone: this
+module computes no weight, and a warm result of another mesh is refused
+by `grid.check_mesh`.
 
 Two spin-orbit sectors share the grid.  The default sector carries the
 ansatz pair (v, u); its partner (`sector=+1`) has the roles of the node
@@ -181,18 +185,17 @@ def _grid_bands(grid: RadialGrid) -> tuple:
     on the first call for the grid."""
     bands = _GRID_BANDS.get(grid)
     if bands is None:
-        n = grid.n
-        rp = grid.r_primal[:n - 1]       # v-type nodes j=1..n-1
+        nd = grid.n - 1
+        rp = grid.r_primal[:nd]          # v-type nodes j=1..n-1
         rs = grid.r_staggered[1:]        # u-type nodes r_{3/2}..r_{n-1/2}
         h = grid.h
-        nd = n - 1
         off = np.empty(2 * nd - 1)
         weights = np.empty(2 * nd)
         # symmetrized couplings reduce to +-(r_s / r_p) / h
         off[0::2] = rs / (h * rp)             # v_j -- u_{j+1/2}
         off[1::2] = -rs[:-1] / (h * rp[1:])   # u_{j+1/2} -- v_{j+1}
-        weights[0::2] = h * rp**2
-        weights[1::2] = h * rs**2
+        weights[0::2] = grid.vol_primal[:nd]
+        weights[1::2] = grid.vol_staggered[1:]
         ae = np.abs(off)
         radii = np.append(ae, 0.0)
         radii[1:] += ae
@@ -505,7 +508,13 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     if info or count != j or isplit[0] != op.size:
         return None
     order = np.argsort(w)
-    return w[order], (w, iblock, isplit, order), c == vu
+    return w[order], (w, iblock, isplit, order), bool(c == vu)
+
+
+def bound_window(m: float) -> Tuple[float, float]:
+    """The bound-state window (0, m), shaved like `eigen_solve`'s default
+    window (this one and its mirror image); its levels are the ladder."""
+    return (0.0, m * (1.0 - WINDOW_SHAVE))
 
 
 def eigen_solve(op: RadialDiracOperator,
@@ -520,7 +529,7 @@ def eigen_solve(op: RadialDiracOperator,
     backward-stability budget and the map to grid-normalized vectors run on
     the first read of `vectors` or `residual`, once.
 
-    `warm`, the result of the same sector and window at a nearby field,
+    `warm`, the result of the same sector, window and mesh at a nearby field,
     lets the bisection resume from its levels (`_resumed_bisection`); the
     values, vectors and residual are bit-equal to a solve without it, and
     `start` tells which way they came.  With `warm`, `levels` asks for the
@@ -530,7 +539,7 @@ def eigen_solve(op: RadialDiracOperator,
     NonFiniteError.
     """
     if window is None:      # the truncated continuum starts at the band edges
-        w = op.m * (1.0 - WINDOW_SHAVE)
+        _, w = bound_window(op.m)
         window = (-w, w)
     lo, hi = window
     if not lo < hi:
@@ -539,10 +548,9 @@ def eigen_solve(op: RadialDiracOperator,
         raise NonFiniteError("array must not contain infs or NaNs")
     resumed = None
     if warm is not None:
-        if (warm.window != window or warm.operator.sector != op.sector
-                or warm.operator.size != op.size):
-            raise ValueError(
-                "warm result is of another window, sector or grid")
+        if warm.window != window or warm.operator.sector != op.sector:
+            raise ValueError("warm result is of another window or sector")
+        check_mesh(op.grid, warm.operator.grid, "warm result and operator")
         resumed = _resumed_bisection(op, window, warm, levels)
     if resumed is None:
         lam, stein_inputs = _bisection(op, window)
@@ -559,21 +567,18 @@ def eigen_solve(op: RadialDiracOperator,
 def density(psi: RadialSpinor) -> RadialField:
     """Scalar density v^2 - u^2 at primal nodes.
 
-    u^2 is brought to the primal nodes by volume-weighted averaging of the
-    two adjacent staggered samples; with this choice the density is exactly
-    the variational derivative of the eigenvalue with respect to the field,
-    so first-order perturbation formulas hold to solver precision.
+    u^2 is averaged, volume-weighted, onto the free primal nodes by the
+    midpoint scatter `scatter_mid`, as in `density_partials` (the pinned
+    u(h/2) does not enter); so the density is exactly the variational
+    derivative of the eigenvalue with respect to the field, and first-order
+    formulas hold to solver precision.  v(r_max) = 0 holds only
+    approximately, so the last node is pinned to 0.
     """
     grid = psi.grid
-    n = grid.n
-    vol_s = grid.vol_staggered
-    vol_p = grid.vol_primal
-    usq = vol_s * psi.u**2
-    avg = np.empty(n)
-    avg[:n - 1] = (usq[:n - 1] + usq[1:]) / (2.0 * vol_p[:n - 1])
-    avg[n - 1] = usq[n - 1] / (2.0 * vol_p[n - 1])
-    rho = psi.v**2 - avg
-    rho[-1] = 0.0   # v(r_max) = 0 holds only approximately; pin the last node
+    usq = np.zeros(grid.n - 1)
+    scatter_mid(usq, grid.vol_staggered[1:] * psi.u[1:]**2)
+    rho = np.zeros(grid.n)
+    rho[:-1] = psi.v[:-1]**2 - usq / (2.0 * grid.vol_primal[:-1])
     return RadialField(grid=grid, values=rho)
 
 

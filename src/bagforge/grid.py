@@ -7,9 +7,12 @@ The half-line [0, r_max] carries two interleaved node families:
 
 Radial integrals are volume integrals, int f dx = 4*pi*int f(r) r^2 dr,
 approximated by the composite trapezoid rule on primal samples and the
-composite midpoint rule on staggered samples.  Both rules are second order;
-all weights are positive.  The r = 0 endpoint never enters because the r^2
-volume factor vanishes there.
+composite midpoint rule on staggered samples.  Both rules are second order.
+Their volume weights (rule weight times r^2) are the grid's one weight
+array per node family, which the Dirac operator is symmetrized by too;
+`make_grid` refuses a mesh unless every one is a finite, normal, positive
+double, and `check_mesh` refuses to mix meshes.  The r = 0 endpoint never
+enters because the r^2 volume factor vanishes there.
 
 The discretization kernels shared by every field solver live here too: the
 staggered difference and midpoint average of a primal field (both land on
@@ -34,11 +37,11 @@ MIN_NODES = 16
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Uniform radial mesh with primal/staggered nodes and quadrature weights.
+    """Uniform radial mesh with primal/staggered nodes and volume weights.
 
     Immutable after construction, its arrays included (they refuse
     assignment); safe to share across parallel solves.  The volume weights
-    are built once, with the grid.  Grids compare by identity, so a grid
+    are built once, by `make_grid`.  Grids compare by identity, so a grid
     can key a cache of arrays derived from it.
     """
 
@@ -47,19 +50,12 @@ class RadialGrid:
     h: float
     r_primal: np.ndarray = field(repr=False)      # (n,)  j*h, j=1..n
     r_staggered: np.ndarray = field(repr=False)   # (n,)  (j+1/2)*h, j=0..n-1
-    w_primal: np.ndarray = field(repr=False)      # trapezoid weights (dr)
-    w_staggered: np.ndarray = field(repr=False)   # midpoint weights (dr)
-    #: volume weights w_j * r_j^2 of the primal quadrature (without 4*pi)
-    vol_primal: np.ndarray = field(init=False, repr=False)
-    vol_staggered: np.ndarray = field(init=False, repr=False)
+    vol_primal: np.ndarray = field(repr=False)     # trapezoid weight * r^2
+    vol_staggered: np.ndarray = field(repr=False)  # midpoint weight h * r^2
 
     def __post_init__(self):
-        object.__setattr__(self, "vol_primal",
-                           self.w_primal * self.r_primal**2)
-        object.__setattr__(self, "vol_staggered",
-                           self.w_staggered * self.r_staggered**2)
-        read_only(self.r_primal, self.r_staggered, self.w_primal,
-                  self.w_staggered, self.vol_primal, self.vol_staggered)
+        read_only(self.r_primal, self.r_staggered, self.vol_primal,
+                  self.vol_staggered)
 
 
 def read_only(*arrays: np.ndarray) -> None:
@@ -71,8 +67,10 @@ def read_only(*arrays: np.ndarray) -> None:
 def make_grid(r_max: float, n: int) -> RadialGrid:
     """Build the uniform grid on [0, r_max] with n cells.
 
-    The one check of a mesh's inputs (a model config refuses a bad mesh by
-    building its grid): r_max finite and positive, n >= `MIN_NODES`.
+    The one mesh rule (a model config refuses a bad mesh by building its
+    grid): r_max finite and positive, n >= `MIN_NODES`, and every volume
+    weight a normal double: the smallest, h^3/4 at r = h/2, no smaller than
+    the smallest normal double, and h r_max^2, above the largest, finite.
     Callers resolving fields that decay like exp(-m r) should choose
     r_max >= 10/m; truncation is a zero boundary value at r_max.
     """
@@ -81,14 +79,19 @@ def make_grid(r_max: float, n: int) -> RadialGrid:
     if n < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} cells, got {n}")
     h = r_max / n
+    tiny = np.finfo(float).tiny     # Python float products: no numpy warning
+    if not (0.25 * h * h * h >= tiny and h * r_max * r_max < np.inf):
+        raise ValueError(
+            f"r_max={r_max!r} with n={n} cells gives volume weights outside "
+            f"the normal double range: need h^3/4 >= {tiny:.4g} and "
+            f"h*r_max^2 finite (h={h!r})")
     r_primal = h * np.arange(1, n + 1)
     r_staggered = h * (np.arange(n) + 0.5)
-    w_primal = np.full(n, h)
-    w_primal[-1] = 0.5 * h          # trapezoid endpoint at r_max
-    w_staggered = np.full(n, h)
+    vol_primal = h * r_primal**2
+    vol_primal[-1] *= 0.5           # trapezoid endpoint at r_max
     return RadialGrid(r_max=r_max, n=n, h=h, r_primal=r_primal,
-                      r_staggered=r_staggered, w_primal=w_primal,
-                      w_staggered=w_staggered)
+                      r_staggered=r_staggered, vol_primal=vol_primal,
+                      vol_staggered=h * r_staggered**2)
 
 
 def check_mesh(grid: RadialGrid, other: RadialGrid, what: str) -> None:

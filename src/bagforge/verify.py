@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .dirac import (WINDOW_SHAVE, RadialField, assemble_hamiltonian, density,
+from .dirac import (RadialField, assemble_hamiltonian, bound_window, density,
                     eigen_solve, hellmann_feynman, supercharge_singular_values)
 from .dispersion import TwoZoneProblem, eigenvalues, mit_eigenvalue
 from .grid import make_grid
@@ -139,8 +139,7 @@ def oracle_gap(problem: TwoZoneProblem, n: int,
     phi = square_well(make_grid(r_max, n), mu_out - problem.mu_in, problem.R)
     # the positive part of the default window holds the ladder
     op = assemble_hamiltonian(phi, g=1.0, m=mu_out)
-    ladder = eigen_solve(op, window=(0.0, mu_out * (1.0 - WINDOW_SHAVE))
-                         ).eigenvalues
+    ladder = eigen_solve(op, window=bound_window(mu_out)).eigenvalues
     if ladder.size == 0:
         return math.inf
     return abs(float(ladder[0]) - lad.values[0])

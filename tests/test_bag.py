@@ -17,6 +17,8 @@ def test_config_validation():
         BagConfig(n_quarks=1, g=0.8, m=1.0, a=0.0, b=0.0)
     with pytest.raises(ValueError):
         BagConfig(n_quarks=0, g=0.8, m=1.0, a=1e-3, b=1e-3)
+    with pytest.raises(ValueError, match="ladder index starts at 1"):
+        BagConfig(n_quarks=1, g=0.8, m=1.0, a=1e-3, b=1e-3, k=0)
     with pytest.raises(ValueError, match="finite"):
         BagConfig(n_quarks=1, g=0.8, m=1.0, a=1e-3, b=1e-3,
                   r_interval=(1.0, math.inf))

@@ -1,6 +1,6 @@
-"""The verdict rule, the bound test and the within-pair ratios of
-tools/bench_file.py on synthetic paired samples, and its smallest count of
-pairs."""
+"""The verdict rule, the bound test, the unresolved test and the
+within-pair ratios of tools/bench_file.py on synthetic paired samples, and
+its smallest count of pairs."""
 
 import importlib.util
 import statistics
@@ -16,6 +16,7 @@ _spec.loader.exec_module(bench_file)
 verdict = bench_file.verdict
 pair_ratios = bench_file.pair_ratios
 past_bound = bench_file.past_bound
+unresolved = bench_file.unresolved
 
 # a parent's op times: median 0.30, quartile spread 0.02
 PARENT = [0.29, 0.31, 0.30, 0.28, 0.32, 0.30, 0.29, 0.31, 0.30, 0.30]
@@ -97,6 +98,27 @@ def test_higher_is_better_metric_past_the_bound_when_lower():
     assert past_bound(PARENT, fewer, "higher", 0.25)
     assert not past_bound(PARENT, [p * 0.9 for p in PARENT], "higher", 0.25)
     assert not past_bound(PARENT, [p * 1.3 for p in PARENT], "higher", 0.25)
+
+
+def test_spread_wider_than_the_bound_reads_unresolved():
+    # the parent's quartile spread, 0.02, is 6.7% of its median: wider than
+    # a 0.05 bound, so an unchanged tree cannot be told from one 5% worse
+    same = list(PARENT)
+    assert verdict(PARENT, same, "lower")["verdict"] == "within spread"
+    assert unresolved(PARENT, same, "lower", 0.05)
+    assert unresolved(PARENT, same, "higher", 0.05)
+    # within a 0.25 bound the same spread resolves
+    assert not unresolved(PARENT, same, "lower", 0.25)
+
+
+def test_tree_better_in_every_run_is_resolved_despite_the_spread():
+    # every tree run is below every parent run (0.26 < 0.28)
+    lower = [p - 0.06 for p in PARENT]
+    assert not unresolved(PARENT, lower, "lower", 0.05)
+    assert not unresolved(lower, PARENT, "higher", 0.05)
+    # one tree run that overlaps the parent's runs leaves it unresolved
+    lower[0] = 0.29
+    assert unresolved(PARENT, lower, "lower", 0.05)
 
 
 def test_parent_comparison_needs_ten_pairs(monkeypatch, capsys):

@@ -206,6 +206,20 @@ def test_nonfinite_input_rejected(tmp_path, capsys, args):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["soliton", "--n", "64", "--r-max", r_max]
+    for r_max in ("5e-324", "1e-300", "1e-120", "1e120", "1e300")]
+    + [["gamma-sweep", "--n", "640", "--r-max", "1e300"]])
+def test_mesh_outside_double_range_rejected(tmp_path, capsys, args):
+    # volume weights that underflow (h^3/4 below the smallest normal double)
+    # or overflow (h r_max^2): one mesh rule refuses them, naming r_max and n
+    assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"r_max={float(args[-1])!r} with n={args[2]} cells" in err[0]
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("args", [["gamma-sweep", "--n", "0"],
                                   ["gamma-sweep", "--tol", "-1"],
                                   ["mit-limit", "--doublings", "0"],

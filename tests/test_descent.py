@@ -162,6 +162,18 @@ def test_line_search_wholly_out_of_double_range_raises(monkeypatch):
     assert len(refused) == 1
 
 
+def test_a_step_that_does_not_descend_ends_unconverged(monkeypatch):
+    # a zero metric step has slope 0: the descent stops at its start field
+    # after one iteration, whose gradient norm is above tol
+    fn, phi = next(_start_fields())
+    monkeypatch.setattr(descent.FieldFunctional, "metric_step",
+                        lambda self, phi, dE: np.zeros_like(dE))
+    res = descent.minimize_field(fn, phi, tol=1e-6, max_iter=2000)
+    assert res.iterations == 1 and res.converged is False
+    assert res.history == [res.energy] and res.grad_norm > 1e-6
+    assert res.backtracks == 0
+
+
 def test_gradient_partials_makes_no_eigen_solve(monkeypatch):
     # the gradient reads the solve it is given and solves nothing itself
     fn, phi = next(_start_fields())

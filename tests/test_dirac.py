@@ -31,6 +31,18 @@ def test_field_validation():
         RadialField(grid=grid, values=np.full(64, np.nan))
     with pytest.raises(ValueError):
         RadialField(grid=grid, values=np.zeros(63))
+    for u, v in ((np.zeros(63), np.zeros(64)), (np.zeros(64), np.zeros(65))):
+        with pytest.raises(ValueError, match="node families"):
+            RadialSpinor(grid=grid, u=u, v=v)
+    zero = RadialField.zero(grid)
+    for m in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            assemble_hamiltonian(zero, g=1.0, m=m)
+    with pytest.raises(ValueError, match="sector must be"):
+        assemble_hamiltonian(zero, g=1.0, m=1.0, sector=0)
+    partner = eigen_solve(assemble_hamiltonian(zero, 1.0, 1.0, sector=+1))
+    with pytest.raises(ValueError, match="ansatz sector"):
+        partner.spinor(0)
 
 
 def test_grid_mismatch_rejected():
@@ -291,10 +303,10 @@ def test_eigen_solve_bit_equal_to_scipy(sector):
         eigen_solve(op, (0.5, 0.5))
 
 
-def _warm_pair(size=1e-3, seed=0, sector=-1, window=None, n=300):
+def _warm_pair(size=1e-3, seed=0, sector=-1, window=None, n=300, r_max=25.0):
     """(warm result at a random well, operator at the perturbed well)."""
     m, g = 1.0, 0.5
-    grid = make_grid(25.0, n)
+    grid = make_grid(r_max, n)
     rng = np.random.default_rng(seed)
     phi = random_bound_field(grid, m, g, rng, depth=0.9)
     bump = gaussian_field(grid, rng.uniform(0.0, 10.0), rng.uniform(0.5, 5.0))
@@ -588,7 +600,10 @@ def test_warm_result_must_match():
     warm, op = _warm_pair()
     other, _ = _warm_pair(sector=+1)
     coarse, _ = _warm_pair(n=200)
-    for bad, window in ((other, None), (coarse, None), (warm, (0.0, 0.9))):
+    # the same n and so the same operator size, on a wider mesh
+    wider, _ = _warm_pair(r_max=26.0)
+    for bad, window in ((other, None), (coarse, None), (wider, None),
+                        (warm, (0.0, 0.9))):
         with pytest.raises(ValueError, match="warm result"):
             eigen_solve(op, window, warm=bad)
 
@@ -828,7 +843,7 @@ def test_hellmann_feynman_refuses_a_level_a_partial_result_lacks():
                         r_max=20.0, n=400)
     part = minimize_field(cfg.functional(), initial_guess(cfg),
                           tol=cfg.tol, max_iter=2000).ladder
-    assert not part.complete
+    assert part.complete is False
     zero = RadialField.zero(part.operator.grid)
     assert math.isfinite(hellmann_feynman(part, 1, zero))
     for read in (lambda: part.check_simple([2]),

@@ -63,6 +63,8 @@ def test_problem_validation():
         TwoZoneProblem(mu_in=1.0, mu_out=1.0, R=2.0)
     with pytest.raises(ValueError):
         TwoZoneProblem(mu_in=-2.0, mu_out=1.0, R=2.0)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        eigenvalues(TwoZoneProblem(mu_in=0.3, mu_out=1.0, R=4.0), 0)
 
 
 def test_problem_rejects_nonfinite_inputs():
@@ -192,6 +194,10 @@ def test_state_ode_residual_and_normalization():
     state = two_zone_state(p, lad.values[0])
     r = np.linspace(0.3, 3.6, 40)
     assert state.ode_residual(r) < 1e-10
+    # the interior solution holds strictly inside the cavity only
+    for outside in ([0.3, 4.0], [5.0], [0.0]):
+        with pytest.raises(ValueError, match="strictly inside"):
+            state.ode_residual(np.array(outside))
     # normalization: quadrature of the profile on a fine grid
     rr = np.linspace(1e-6, 60.0, 400000)
     v, u = state.profiles(rr)
@@ -309,6 +315,10 @@ def test_mit_eigenvalue_validation():
                  (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(ValueError):
             mit_eigenvalue(R, m, 1)
+    for level in (lambda: mit_eigenvalue(1.0, 1.0, 0),
+                  lambda: dirichlet_ball_eigenvalue(0)):
+        with pytest.raises(ValueError, match="index starts at 1"):
+            level()
 
 
 def test_mit_levels_ascend_across_sign_changes():

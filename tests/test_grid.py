@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def test_basic_fields():
     assert g.r_primal[0] > 0
     assert np.all(np.diff(g.r_primal) > 0)
     assert np.all(np.diff(g.r_staggered) > 0)
-    assert np.all(g.w_primal > 0) and np.all(g.w_staggered > 0)
+    assert np.all(g.vol_primal > 0) and np.all(g.vol_staggered > 0)
 
 
 def test_preconditions():
@@ -27,6 +28,15 @@ def test_preconditions():
     for r_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="r_max must be finite"):
             make_grid(r_max, 100)
+    # finite positive r_max whose volume weights underflow (h^3/4 below the
+    # smallest normal double; h is 0 at 5e-324) or overflow (h r_max^2)
+    for r_max, n in ((5e-324, 800), (1e-300, 64), (1e-120, 64), (1e120, 64),
+                     (1e300, 64)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"r_max={r_max!r} with n={n} ")):
+            make_grid(r_max, n)
+    # the largest such r_max of the CLI's tests keeps its mesh
+    assert np.all(np.isfinite(make_grid(1e100, 64).vol_primal))
 
 
 def test_r_squared_quadrature_matches_rule():
@@ -91,9 +101,12 @@ def test_length_mismatch_and_family():
 def test_grid_arrays_are_built_once_and_refuse_assignment():
     g = make_grid(1.0, 16)
     assert g.vol_primal is g.vol_primal
-    assert np.array_equal(g.vol_primal, g.w_primal * g.r_primal**2)
-    assert np.array_equal(g.vol_staggered, g.w_staggered * g.r_staggered**2)
-    for name in ("r_primal", "r_staggered", "w_primal", "w_staggered",
-                 "vol_primal", "vol_staggered"):
+    # trapezoid weights h (h/2 at r_max) and midpoint weights h, times r^2
+    w_primal = np.full(16, g.h)
+    w_primal[-1] = 0.5 * g.h
+    assert np.array_equal(g.vol_primal, w_primal * g.r_primal**2)
+    assert np.array_equal(g.vol_staggered,
+                          np.full(16, g.h) * g.r_staggered**2)
+    for name in ("r_primal", "r_staggered", "vol_primal", "vol_staggered"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(g, name)[0] = 1.0

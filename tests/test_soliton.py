@@ -32,6 +32,17 @@ def test_config_validation():
             cfg_for(max_iter=budget)
     with pytest.raises(ValueError):     # the config builds its mesh
         cfg_for(n=3)
+    for params, what in ((dict(n_quarks=0), "at least one quark"),
+                         (dict(g=math.nan), "must be finite"),
+                         (dict(g=math.inf), "must be finite"),
+                         (dict(m=math.nan), "must be finite"),
+                         (dict(m=0.0), "mass m must be positive"),
+                         (dict(m=-1.0), "mass m must be positive"),
+                         (dict(n_quarks=2), "one excitation index per quark"),
+                         (dict(k_indices=(1, 1)),
+                          "one excitation index per quark")):
+        with pytest.raises(ValueError, match=what):
+            ModelParams(**dict(dict(n_quarks=1, g=10.0, m=1.0), **params))
 
 
 def test_energy_of_vacuum_is_free_mass():

@@ -21,8 +21,10 @@ load fall on both sides alike.  Per workload and side, the file keeps every
 end-to-end metric's samples, median and quartiles, and, per metric, the
 `verdict` of the paired samples with the count of pairs that agree, whether
 the tree's median is worse than the parent's by more than the metric's
-`bound` in BENCHMARK.json (`past_bound`), and the median and quartiles of
-the pairs' tree/parent ratios (`ratio`), which the summary lines print too.
+`bound` in BENCHMARK.json (`past_bound`), whether the parent's own spread
+is too wide for that bound to tell (`unresolved`), and the median and
+quartiles of the pairs' tree/parent ratios (`ratio`), which the summary
+lines print too.
 Single-run files made with the same seed on the same machine can be
 compared too, but a single run does not show the host's noise.
 """
@@ -88,6 +90,19 @@ def past_bound(parent, tree, better: str, bound: float) -> bool:
     if better == "lower":
         return t > p * (1.0 + bound)
     return t < p * (1.0 - bound)
+
+
+def unresolved(parent, tree, better: str, bound: float) -> bool:
+    """Whether the parent's quartile spread (q3 - q1) is wider than the
+    relative `bound` of its median, so that its runs cannot tell a change
+    within the bound from none, unless every run of the tree is better
+    than every run of the parent, in the direction `better` names."""
+    q1, med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    if q3 - q1 <= bound * abs(med):
+        return False
+    if better == "lower":
+        return not max(tree) < min(parent)
+    return not min(tree) > max(parent)
 
 
 def pair_ratios(parent, tree) -> dict:
@@ -168,6 +183,10 @@ def compare(spec: dict, parent_root: Path, seed: int, pairs: int) -> dict:
                                     values["parent"][name],
                                     values["tree"][name], better[name],
                                     bound[name]),
+                                "unresolved": unresolved(
+                                    values["parent"][name],
+                                    values["tree"][name], better[name],
+                                    bound[name]),
                                 "ratio": pair_ratios(values["parent"][name],
                                                      values["tree"][name])}
                          for name in better},
@@ -212,6 +231,7 @@ def main() -> int:
                       f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                       f"{t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
                       f"{v['verdict']}"
+                      f"{', unresolved' if v['unresolved'] else ''}"
                       f"{', past bound' if v['past_bound'] else ''} "
                       f"({v['agree']} of {v['pairs']}), "
                       f"tree/parent {r['median']:.3f} "
