@@ -35,7 +35,7 @@ def test_preconditions():
         with pytest.raises(ValueError,
                            match=re.escape(f"r_max={r_max!r} with n={n} ")):
             make_grid(r_max, n)
-    # the largest such r_max of the CLI's tests keeps its mesh
+    # r_max = 1e100 on 64 cells keeps every weight a normal double
     assert np.all(np.isfinite(make_grid(1e100, 64).vol_primal))
 
 
