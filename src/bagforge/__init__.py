@@ -29,8 +29,8 @@ from .gamma import (GammaResult, GammaSweep, eps_energy, interface_width,
                     recovery_energy, run_sweep)
 from .grid import RadialGrid, integrate, make_grid
 from .potentials import PotentialSpec, surface_constant
-from .soliton import (ModelParams, SolitonConfig, SolitonReport, el_residual,
-                      energy, gradient, initial_guess, minimize)
+from .soliton import (ModelParams, SolitonConfig, SolitonReport, energy,
+                      gradient, initial_guess, minimize)
 
 __all__ = [
     "BagConfig", "BagReport", "DegenerateEigenvalueError", "GammaResult",
@@ -39,7 +39,7 @@ __all__ = [
     "RadialSpinor", "SolitonConfig", "SolitonReport", "SpectralResult",
     "TwoZoneProblem", "TwoZoneState", "assemble_hamiltonian", "bag_energy",
     "cavity_energy", "density", "dirichlet_ball_eigenvalue", "eigen_solve",
-    "eigenvalues", "el_residual", "energy", "eps_energy", "gradient",
+    "eigenvalues", "energy", "eps_energy", "gradient",
     "hellmann_feynman", "initial_guess", "integrate", "interface_width",
     "make_grid", "matching_function", "minimize", "minimize_bag",
     "mit_eigenvalue", "mit_ground", "mit_limit", "recovery_energy",

@@ -228,7 +228,8 @@ def mit_ground(cfg: BagConfig) -> MITReport:
         return (f(R * (1 + step)) - f(R * (1 - step))) / (2 * R * step)
 
     R, _ = _optimize_radius(f, df, lo, hi, iters=80)
-    return MITReport(R=R, lam=mit_eigenvalue(R, m, 1), energy=f(R))
+    lam = mit_eigenvalue(R, m, 1)
+    return MITReport(R=R, lam=lam, energy=_total(N, lam, a, b, R))
 
 
 @dataclass

@@ -532,12 +532,17 @@ def eigen_solve(op: RadialDiracOperator,
     `warm`, the result of the same sector, window and mesh at a nearby field,
     lets the bisection resume from its levels (`_resumed_bisection`); the
     values, vectors and residual are bit-equal to a solve without it, and
-    `start` tells which way they came.  With `warm`, `levels` asks for the
-    lowest `levels` levels only: the result may then hold just those, with
-    the values, vectors and residual of the complete solve's lowest ones,
-    and is not `complete`.  An operator with a non-finite entry raises
-    NonFiniteError.
+    `start` tells which way they came.  With `warm`, `levels`, an integer
+    >= 1 (anything else is refused, ValueError), asks for the lowest
+    `levels` levels only: the result may then hold just those, with the
+    values, vectors and residual of the complete solve's lowest ones, and
+    is not `complete`.  A cold solve always holds the whole window, though
+    `FieldFunctional.ladder` passes `levels` on its first, cold call too.
+    An operator with a non-finite entry raises NonFiniteError.
     """
+    if levels is not None and not (isinstance(levels, (int, np.integer))
+                                   and levels >= 1):
+        raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
     if window is None:      # the truncated continuum starts at the band edges
         _, w = bound_window(op.m)
         window = (-w, w)
@@ -614,11 +619,12 @@ def hellmann_feynman(solve: SpectralResult, k: int,
     return op.g * integrate(op.grid, direction.values * rho, "primal")
 
 
-def supercharge_singular_values(phi: RadialField, g: float, m: float) -> np.ndarray:
-    """Singular values (ascending) of the discrete supercharge block.
+def supercharge_singular_values(op: RadialDiracOperator) -> np.ndarray:
+    """Singular values (ascending) of the supercharge block of `op`, an
+    ansatz-sector operator (the partner sector is refused, ValueError).
 
-    These coincide with |eigenvalues| of the ansatz-sector operator — the
-    operator identity behind the inf-sup characterization of the positive
+    These coincide with |eigenvalues| of the operator — the operator
+    identity behind the inf-sup characterization of the positive
     bound-state ladder.  They are computed without that identity, as square
     roots of the eigenvalues of the Gram matrix R R^T of the supercharge R,
     formed from R's own entries.  R is tridiagonal, so R R^T is symmetric
@@ -634,7 +640,8 @@ def supercharge_singular_values(phi: RadialField, g: float, m: float) -> np.ndar
     (sigma_min ~ 1e-2 m) on an h = 0.05 grid (||R|| ~ 2/h) that is ~2e-11,
     against eps ||R|| ~ 1e-14 for Jordan-Wielandt.
     """
-    op = assemble_hamiltonian(phi, g=g, m=m)
+    if op.sector != -1:
+        raise ValueError("the supercharge is defined for the ansatz sector")
     # weight-conjugated supercharge [[M_v, -A], [A^dag, M_u]]: positive mass
     # diagonal plus an antisymmetric first-order part, i.e. the ansatz matrix
     # with its u-columns negated, tridiagonal like the operator.

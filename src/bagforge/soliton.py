@@ -11,14 +11,14 @@ a field is worth keeping only when it binds quarks below their free mass.
 
 A `SolitonConfig` is one problem: the model, the descent's budget and the
 mesh `cfg.grid`, built once with it (`descent.check_budget` refuses the
-budget, `make_grid` the mesh); `energy`, `gradient` and `el_residual`
+budget, `make_grid` the mesh); `energy`, `gradient` and `el_residual_from`
 refuse a field on a mesh of another n or r_max.  The same problem at n/2 is
 `dataclasses.replace(cfg, n=cfg.n // 2)`.  The solver is damped gradient
 descent in an H^1 metric with Armijo backtracking (monotone energies by
-construction).  A converged minimizer is reported with the residual of the
-coupled stationarity system: the field equation -Delta phi + U'(phi) +
-sum_i g (v_i^2 - u_i^2) = 0 and the eigen-residuals of the window's levels,
-from a cold solve at the final field.
+construction).  A minimizer is reported with its descent's last solve and
+the residual of the coupled stationarity system: the field equation
+-Delta phi + U'(phi) + sum_i g (v_i^2 - u_i^2) = 0 and the eigen-residuals
+of the window's levels, from the certificate's own cold solve.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .descent import (DescentResult, FieldFunctional, check_budget,
                       minimize_field)
-from .dirac import RadialField, RadialSpinor, SpectralResult, density
+from .dirac import RadialField, RadialSpinor, density
 from .grid import (FOUR_PI, RadialGrid, check_mesh, forward_diff, make_grid,
                    scatter_diff, tanh_step)
 from .potentials import PotentialSpec
@@ -96,12 +96,12 @@ class ELResidual:
 class SolitonReport:
     config: SolitonConfig
     phi: RadialField
-    lambdas: np.ndarray
-    spinors: List[Optional[RadialSpinor]]
+    lambdas: np.ndarray    # the occupied levels, read from `descent.ladder`
+    spinors: List[Optional[RadialSpinor]]   # and their states, likewise
     energy: float
     history: List[float]
     converged: bool
-    el: ELResidual
+    el: ELResidual         # the certificate, from its own cold solve
     all_bound: bool        # every occupied level strictly inside (0, m)
     descent: DescentResult  # the descent's record, with its run telemetry
 
@@ -134,37 +134,38 @@ def minimize(cfg: SolitonConfig,
              phi0: Optional[np.ndarray] = None) -> SolitonReport:
     """Minimize the soliton energy from the standard (or given) initial well.
 
-    Non-convergence within the iteration budget returns a flagged partial
-    report; a descent that leaves double range raises RuntimeError.
+    The report's levels and states are those of the descent's last solve,
+    equal to a cold solve's bit for bit; the certificate makes the one cold
+    solve.  Non-convergence within the iteration budget returns a flagged
+    partial report; a descent that leaves double range raises RuntimeError.
     """
     fn = cfg.functional()
     start = initial_guess(cfg) if phi0 is None else np.asarray(phi0, float)
     res = minimize_field(fn, start, tol=cfg.tol, max_iter=cfg.max_iter)
     phi = RadialField(grid=cfg.grid, values=res.phi)
-    # one cold solve of the final field: the report's pairs and residual
-    # cover every window level, which the descent's last solve may not hold
-    solve = fn.ladder(res.phi)
+    # holds every used level, and the final gradient has read its vectors
+    solve = res.ladder
     m = cfg.model.m
     lam = fn.occupied(solve)
     return SolitonReport(config=cfg, phi=phi, lambdas=lam,
                          spinors=solve.ladder_spinors(cfg.model.k_indices),
                          energy=res.energy, history=res.history,
                          converged=res.converged,
-                         el=el_residual_from(cfg, phi, solve),
+                         el=el_residual_from(cfg, phi),
                          all_bound=bool(np.all((lam > 0.0) & (lam < m))),
                          descent=res)
 
 
-def el_residual_from(cfg: SolitonConfig, phi: RadialField,
-                     solve: SpectralResult) -> ELResidual:
-    """Stationarity residuals reassembled from phi and its solve.
+def el_residual_from(cfg: SolitonConfig, phi: RadialField) -> ELResidual:
+    """Stationarity residuals of phi from its own cold solve of the window.
 
     The field equation is evaluated from the discrete Laplacian of phi, the
     potential derivative and the quark densities of the solve's occupied
     ladder states; the eigen-residual is the worst backward error of the
-    solve's pairs.
+    pairs of every window level.
     """
     check_mesh(cfg.grid, phi.grid, "config and field")
+    solve = cfg.functional().ladder(phi.values)
     grid = cfg.grid
     nd = grid.n - 1
     pot = cfg.potential
@@ -178,9 +179,3 @@ def el_residual_from(cfg: SolitonConfig, phi: RadialField,
             resid = resid + cfg.model.g * density(psi).values[:nd]
     norm = math.sqrt(FOUR_PI * float(np.dot(grid.vol_primal[:nd], resid**2)))
     return ELResidual(field=norm, eigen=float(solve.residual))
-
-
-def el_residual(cfg: SolitonConfig, report: SolitonReport) -> ELResidual:
-    """Recompute both stationarity residuals for a finished report."""
-    solve = cfg.functional().ladder(report.phi.values)
-    return el_residual_from(cfg, report.phi, solve)

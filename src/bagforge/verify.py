@@ -92,7 +92,7 @@ def supercharge_svd_error(phi: RadialField, g: float, m: float) -> float:
     of the full ansatz-sector spectrum (tridiagonal root-free QR, sterf)."""
     op = assemble_hamiltonian(phi, g, m)
     lam = eigvalsh_tridiagonal(op.diag, op.offdiag, lapack_driver="sterf")
-    sv = supercharge_singular_values(phi, g, m)
+    sv = supercharge_singular_values(op)
     return float(np.max(np.abs(np.sort(np.abs(lam)) - sv)))
 
 

@@ -124,12 +124,23 @@ def test_excited_bag_costs_more():
 # ---------------------------------------------------------------- hard wall
 
 
-def test_mit_ground_massless_closed_form():
+def test_mit_ground_massless_closed_form(monkeypatch):
     # nearly massless quark, volume-only penalty: stationarity of
-    # x0/R + (4/3) pi b R^3 gives R = (x0/(4 pi b))^(1/4)
+    # x0/R + (4/3) pi b R^3 gives R = (x0/(4 pi b))^(1/4).  After its radius
+    # search the optimum solves its level once, for both lam and the energy
+    from bagforge import bag
     cfg = BagConfig(n_quarks=1, g=0.5e-8, m=1e-8, a=0.0, b=1.0,
                     r_interval=(0.05, 10.0))
+    solves, searched = [], []
+    monkeypatch.setattr(bag, "mit_eigenvalue",
+                        lambda *a: solves.append(a) or mit_eigenvalue(*a))
+    search = bag._optimize_radius
+    monkeypatch.setattr(bag, "_optimize_radius", lambda *a, **kw: (
+        search(*a, **kw), searched.append(len(solves)))[0])
     rep = mit_ground(cfg)
+    assert solves[searched[0]:] == [(rep.R, cfg.m, 1)]
+    assert rep.lam == mit_eigenvalue(rep.R, cfg.m, 1)
+    assert rep.energy == rep.lam + (4.0 / 3.0) * math.pi * rep.R**3
     x0 = mit_eigenvalue(1.0, 1e-8, 1)      # massless cavity frequency
     assert rep.R == pytest.approx((x0 / (4 * math.pi)) ** 0.25, rel=1e-5)
 

@@ -317,7 +317,10 @@ def test_negative_cavity_mass_rejected(tmp_path, capsys):
 
 
 def run_entry_point(args):
-    # the real entry point, so warnings and tracebacks would show on stderr
+    # the real entry point, so warnings and tracebacks would show on stderr;
+    # the other one-line error tests call `main` in this process, where
+    # their "error" warning filter fails them on any warning, as an
+    # exception escaping `main` does
     src = str(Path(bagforge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "bagforge.cli", *args],
@@ -348,10 +351,10 @@ def test_solver_failure_is_one_line(tmp_path):
     (["bag", "--m", "1e150", "--g", "5e149"], ["normalization"]),
     (["mit-limit", "--m", "1e120", "--masses", "4e120,8e120"],
      ["normalization"])])
-def test_unrepresentable_solve_is_one_line(tmp_path, args, names):
-    proc = run_entry_point(args + ["--out", str(tmp_path / "r")])
-    assert proc.returncode == 2
-    err = proc.stderr.splitlines()
+@pytest.mark.filterwarnings("error")
+def test_unrepresentable_solve_is_one_line(tmp_path, capsys, args, names):
+    assert main(args + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert all(name in err[0] for name in names)
     assert not (tmp_path / "r.csv").exists()
@@ -367,31 +370,28 @@ def test_unrepresentable_solve_is_one_line(tmp_path, args, names):
     # no seed is known to fail the battery, so its Hellmann-Feynman check
     # is made to fail, which a patch does only in this process
     (["verify", "--seed", "0"], ["hellmann-feynman"])])
+@pytest.mark.filterwarnings("error")
 def test_flagged_run_is_one_line(tmp_path, capsys, monkeypatch, args, names):
     # the result table is written, then one line says what failed
-    argv = args + ["--out", str(tmp_path / "r")]
     if args[0] == "verify":
         monkeypatch.setattr(verify, "hf_mismatch", lambda *_: 1.0)
-        code, err = main(argv), capsys.readouterr().err
-    else:
-        proc = run_entry_point(argv)
-        code, err = proc.returncode, proc.stderr
-    assert code == 2
-    err = err.splitlines()
+    assert main(args + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert all(name in err[0] for name in names)
     assert (tmp_path / "r.csv").exists()
 
 
-def test_too_large_problem_is_one_line(tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_too_large_problem_is_one_line(tmp_path, capsys):
     # numpy refuses a 10**12-node grid before allocating anything
-    proc = run_entry_point(["soliton", "--n", str(10**12),
-                            "--out", str(tmp_path / "r")])
-    assert proc.returncode == 1
-    err = proc.stderr.splitlines()
+    assert main(["soliton", "--n", str(10**12),
+                 "--out", str(tmp_path / "r")]) == 1
+    stderr = capsys.readouterr().err
+    err = stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: soliton:")
     assert "not enough memory" in err[0]
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in stderr
     assert not (tmp_path / "r.csv").exists()
 
 

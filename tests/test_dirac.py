@@ -40,9 +40,12 @@ def test_field_validation():
             assemble_hamiltonian(zero, g=1.0, m=m)
     with pytest.raises(ValueError, match="sector must be"):
         assemble_hamiltonian(zero, g=1.0, m=1.0, sector=0)
-    partner = eigen_solve(assemble_hamiltonian(zero, 1.0, 1.0, sector=+1))
+    partner_op = assemble_hamiltonian(zero, 1.0, 1.0, sector=+1)
+    partner = eigen_solve(partner_op)
     with pytest.raises(ValueError, match="ansatz sector"):
         partner.spinor(0)
+    with pytest.raises(ValueError, match="ansatz sector"):
+        supercharge_singular_values(partner_op)
 
 
 def test_grid_mismatch_rejected():
@@ -231,12 +234,21 @@ def test_single_sector_spectrum_is_not_mirror_symmetric():
     assert worst > 1e-2
 
 
-def test_supercharge_singular_values_match_moduli():
+def test_supercharge_singular_values_match_moduli(monkeypatch):
+    # the check assembles one operator, whose spectrum and supercharge it
+    # compares
+    from bagforge import verify
     rng = np.random.default_rng(3)
     m, g = 1.0, 0.8
     grid = make_grid(18.0, 300)
     phi = random_bound_field(grid, m, g, rng)
+    built = []
+    for module in (dirac, verify):
+        monkeypatch.setattr(module, "assemble_hamiltonian",
+                            lambda *a: built.append(a)
+                            or assemble_hamiltonian(*a))
     assert supercharge_svd_error(phi, g, m) <= 1e-10
+    assert len(built) == 1
 
 
 def test_supercharge_band_solve_matches_dense_oracle():
@@ -251,7 +263,7 @@ def test_supercharge_band_solve_matches_dense_oracle():
         H = op.dense()
         signs = np.where(np.arange(op.size) % 2 == 0, 1.0, -1.0)
         sv = np.sort(np.linalg.svd(H * signs[None, :], compute_uv=False))
-        band_sv = supercharge_singular_values(phi, g, m)
+        band_sv = supercharge_singular_values(op)
         assert band_sv.shape == sv.shape
         assert np.max(np.abs(band_sv - sv)) <= 1e-12
         lam = eigvalsh_tridiagonal(op.diag, op.offdiag, lapack_driver="sterf")
@@ -269,8 +281,7 @@ def test_supercharge_singular_values_at_battery_size():
         signs = np.where(np.arange(op.size) % 2 == 0, 1.0, -1.0)
         sv = np.sort(np.linalg.svd(op.dense() * signs[None, :],
                                    compute_uv=False))
-        assert np.max(np.abs(supercharge_singular_values(phi, g, m) - sv)
-                      ) <= 1e-11
+        assert np.max(np.abs(supercharge_singular_values(op) - sv)) <= 1e-11
 
 
 @pytest.mark.parametrize("sector", [-1, +1])
@@ -606,6 +617,12 @@ def test_warm_result_must_match():
                         (warm, (0.0, 0.9))):
         with pytest.raises(ValueError, match="warm result"):
             eigen_solve(op, window, warm=bad)
+    # a level count it cannot honour is refused before any work, warm or
+    # cold, naming it
+    for levels in (0, -1, 1.0):
+        for start in (warm, None):
+            with pytest.raises(ValueError, match=f"got {levels!r}"):
+                eigen_solve(op, warm=start, levels=levels)
 
 
 def test_inverse_iteration_runs_once_on_first_read(monkeypatch):

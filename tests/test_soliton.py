@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from types import SimpleNamespace
-
 from bagforge import dirac, gamma, grid as grid_module, soliton
 from bagforge import (GammaSweep, ModelParams, PotentialSpec, RadialField,
-                      SolitonConfig, dirichlet_ball_eigenvalue, el_residual,
-                      energy, eps_energy, gradient, initial_guess, integrate,
+                      SolitonConfig, dirichlet_ball_eigenvalue, energy,
+                      eps_energy, gradient, initial_guess, integrate,
                       make_grid, minimize, run_sweep)
+from bagforge.descent import minimize_field
+from bagforge.soliton import ELResidual, el_residual_from
 from bagforge.verify import gaussian_field
 
 
@@ -149,9 +149,9 @@ def test_descent_inverse_iteration_only_on_accepted_fields(
     # one node per level up to the highest used one, certified by one
     # count-only stebz, or over the whole window when that fails.  Only the
     # fields whose gradient is taken (the start and each accepted step) run
-    # inverse iteration; the final report solves its field once more, cold,
-    # over the whole window, since the last descent solve may hold the used
-    # levels only
+    # inverse iteration; the report's EL certificate solves the final field
+    # once more, cold, over the whole window, since the last descent solve
+    # may hold the used levels only
     window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
     calls = {"full": 0, "count": 0, "node": 0, "dstein": 0}
 
@@ -174,7 +174,7 @@ def test_descent_inverse_iteration_only_on_accepted_fields(
     assert rep.descent.solves == {"full": 1, "resumed": resumed,
                                   "fallback": fallback}
     assert sum(rep.descent.solves.values()) == solves
-    # full-window bisections: the start, the fallbacks and the final solve;
+    # full-window bisections: the start, the fallbacks and the certificate's;
     # a warm solve makes at most one Sturm count, and a resumed one exactly
     # one.  A node per level the warm result holds, up to the highest used
     # one: while the excited ladder holds one level, a solve bisects one
@@ -290,49 +290,79 @@ def test_excited_ladder_costs_more():
 def test_el_residual_increases_under_perturbation():
     cfg = cfg_for(g=10.0, kappa=0.05, b=0.01)
     rep = minimize(cfg)
-    res0 = el_residual(cfg, rep)
+    res0 = el_residual_from(cfg, rep.phi)
     assert res0.field == pytest.approx(rep.el.field, rel=1e-8)
     grid = rep.phi.grid
     bump = gaussian_field(grid, 2.0, 0.7, 0.02).values
     perturbed = minimize(cfg, phi0=rep.phi.values + bump)
     # evaluate the residual at the perturbed (non-stationary) field directly
-    from bagforge.soliton import el_residual_from
-    fn = cfg.functional()
-    solve = fn.ladder(rep.phi.values + bump)
     res1 = el_residual_from(cfg, RadialField(grid=grid,
-                                             values=rep.phi.values + bump),
-                            solve)
+                                             values=rep.phi.values + bump))
     assert res1.field > 10 * res0.field
     assert perturbed.energy <= rep.energy + 1e-8
 
 
-def test_el_residual_from_reads_the_solve():
-    # README soliton: the certificate from the cold solve of the final
-    # field alone, equal to its README CSV's el_residual and eigen_residual
-    from bagforge.soliton import ELResidual, el_residual_from
+def test_el_residual_from_makes_one_cold_solve(monkeypatch):
+    # README soliton: the certificate from its own cold solve of the final
+    # field over the whole window, equal to its README CSV's el_residual
+    # and eigen_residual and to the report's
     cfg = cfg_for(n=800)
     rep = minimize(cfg)
-    solve = cfg.functional().ladder(rep.phi.values)
-    assert el_residual_from(cfg, rep.phi, solve) == ELResidual(
+    solve = dirac.eigen_solve
+    starts = []
+
+    def eigen_solve(op, window=None, warm=None, levels=None):
+        res = solve(op, window, warm, levels)
+        starts.append((res.start, res.complete, res.window))
+        return res
+
+    from bagforge import descent
+    monkeypatch.setattr(descent, "eigen_solve", eigen_solve)
+    assert el_residual_from(cfg, rep.phi) == ELResidual(
         field=7.675360654036206e-07, eigen=6.879453252982006e-15)
-    assert el_residual(cfg, rep) == rep.el
+    assert starts == [("full", True, dirac.bound_window(cfg.model.m))]
+    assert el_residual_from(cfg, rep.phi) == rep.el
 
 
-def test_report_holds_the_descent_record():
-    # README soliton: the report's descent is the record of a direct
-    # descent from the same start, field by field and bit for bit
-    from bagforge.descent import minimize_field
-    cfg = cfg_for(n=800)
-    got = minimize(cfg).descent
-    fn = cfg.functional()
-    want = minimize_field(fn, initial_guess(cfg), tol=cfg.tol,
-                          max_iter=cfg.max_iter)
-    assert got.phi.tobytes() == want.phi.tobytes()
-    for name in ("energy", "grad_norm", "iterations", "converged", "history",
-                 "solves", "backtracks"):
-        assert getattr(got, name) == getattr(want, name), name
-    assert got.terms.sums == want.terms.sums
-    assert got.terms.sums == fn.terms(got.phi).sums
+def test_report_holds_the_descent_record(monkeypatch):
+    # README soliton and its excited ladder: the report's descent is the
+    # record of a direct descent from the same start, field by field and bit
+    # for bit; its levels and states are those of the descent's last solve,
+    # equal byte for byte to a cold solve of the same field; and besides the
+    # descent's solves it makes one, the certificate's cold one
+    from bagforge import descent
+    solve = descent.eigen_solve
+    cold_calls = []
+
+    def eigen_solve(op, window=None, warm=None, levels=None):
+        cold_calls.append(warm is None)
+        return solve(op, window, warm, levels)
+
+    for ks in ((1,), (1, 1, 2)):
+        cfg = cfg_for(N=len(ks), ks=ks, n=800)
+        fn = cfg.functional()
+        cold_calls.clear()
+        monkeypatch.setattr(descent, "eigen_solve", eigen_solve)
+        rep = minimize(cfg)
+        monkeypatch.setattr(descent, "eigen_solve", solve)
+        got = rep.descent
+        assert len(cold_calls) == sum(got.solves.values()) + 1
+        assert cold_calls.count(True) == got.solves["full"] + 1
+        assert cold_calls[-1]
+        want = minimize_field(fn, initial_guess(cfg), tol=cfg.tol,
+                              max_iter=cfg.max_iter)
+        assert got.phi.tobytes() == want.phi.tobytes()
+        for name in ("energy", "grad_norm", "iterations", "converged",
+                     "history", "solves", "backtracks"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.terms.sums == want.terms.sums
+        assert got.terms.sums == fn.terms(got.phi).sums
+        cold = fn.ladder(got.phi)
+        assert rep.lambdas.tobytes() == fn.occupied(cold).tobytes()
+        for psi, ref in zip(rep.spinors, cold.ladder_spinors(ks),
+                            strict=True):
+            assert psi.u.tobytes() == ref.u.tobytes()
+            assert psi.v.tobytes() == ref.v.tobytes()
 
 
 def test_solves_read_the_mesh_their_config_built(monkeypatch):
@@ -360,12 +390,9 @@ _SWEEP = GammaSweep(eps_schedule=[0.4],
 @pytest.mark.parametrize("config, evaluate", [
     (cfg_for(), energy),
     (cfg_for(), gradient),
-    (cfg_for(), lambda cfg, phi: el_residual(cfg, SimpleNamespace(phi=phi))),
-    (cfg_for(), lambda cfg, phi: soliton.el_residual_from(
-        cfg, phi, cfg.functional().ladder(phi.values))),
+    (cfg_for(), el_residual_from),
     (_SWEEP, lambda sweep, phi: eps_energy(sweep, 0.4, phi)),
-], ids=["energy", "gradient", "el_residual", "el_residual_from",
-        "eps_energy"])
+], ids=["energy", "gradient", "el_residual_from", "eps_energy"])
 def test_field_on_another_mesh_is_refused(config, evaluate):
     # same cell count, another radius: refused, not evaluated on the
     # field's own mesh; a field on an equal mesh is evaluated
