@@ -40,8 +40,9 @@ bisection alone.
 A caller that solves a sequence of nearby fields, like the field descent,
 passes the previous result as `warm`: each level's bisection then resumes
 from a subinterval of stebz's own midpoint tree that holds the level alone,
-found from an enclosure of the level that one inverse-iteration step from
-warm's vector gives, and the output is bit-equal to the full bisection's.
+found from an enclosure of the level that Rayleigh-quotient iteration from
+warm's vector gives, most often narrower than twice stebz's stopping width,
+and the output is bit-equal to the full bisection's.
 A single count-only Sturm count certifies the subintervals; where it or
 another check fails, the full bisection runs.  A caller that reads only the
 lowest few levels, like the descent's energy, passes `levels`: the resumed
@@ -98,9 +99,10 @@ class RadialField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n,):
             raise ValueError(f"field needs {self.grid.n} primal samples")
-        if not np.all(np.isfinite(vals)):
+        top = float(np.max(np.abs(vals)))       # NaN and inf propagate
+        if not math.isfinite(top):
             raise NonFiniteError("field has non-finite samples")
-        scale = max(1.0, float(np.max(np.abs(vals))))
+        scale = max(1.0, top)
         if abs(vals[-1]) > 1e-8 * scale:
             raise ValueError(
                 "field must vanish at the truncation boundary r_max "
@@ -141,8 +143,9 @@ class RadialDiracOperator:
     """Symmetrized tridiagonal form of one spin-orbit sector.
 
     `diag`/`offdiag` are the bands of W^(1/2) H W^(-1/2); `weights` is the
-    interleaved quadrature-volume vector used to map eigenvectors back.
-    `offdiag`, `weights`, the Gershgorin radii `radii` of the off-diagonal
+    interleaved quadrature-volume vector W, and `sqrt_weights` its square
+    root, which maps eigenvectors back.  `offdiag`, `weights`,
+    `sqrt_weights`, the Gershgorin radii `radii` of the off-diagonal
     (|e_(i-1)| + |e_i| in row i) and `pivmin`, the pivot floor of stebz
     (the smallest normal number times max(1, max e^2)), depend on the grid
     alone; every operator on one grid shares them, read-only.
@@ -155,6 +158,7 @@ class RadialDiracOperator:
     diag: np.ndarray = field(repr=False)
     offdiag: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    sqrt_weights: np.ndarray = field(repr=False)
     radii: np.ndarray = field(repr=False)
     pivmin: float = field(repr=False)
 
@@ -181,8 +185,8 @@ _GRID_BANDS: "weakref.WeakKeyDictionary[RadialGrid, tuple]" = (
 
 
 def _grid_bands(grid: RadialGrid) -> tuple:
-    """(offdiag, weights, radii, pivmin) of the operators on `grid`, built
-    on the first call for the grid."""
+    """(offdiag, weights, sqrt_weights, radii, pivmin) of the operators on
+    `grid`, built on the first call for the grid."""
     bands = _GRID_BANDS.get(grid)
     if bands is None:
         nd = grid.n - 1
@@ -199,8 +203,9 @@ def _grid_bands(grid: RadialGrid) -> tuple:
         ae = np.abs(off)
         radii = np.append(ae, 0.0)
         radii[1:] += ae
-        read_only(off, weights, radii)
-        bands = (off, weights, radii,
+        sqrt_weights = np.sqrt(weights)
+        read_only(off, weights, sqrt_weights, radii)
+        bands = (off, weights, sqrt_weights, radii,
                  _TINY * max(1.0, float(np.max(off * off))))
         _GRID_BANDS[grid] = bands
     return bands
@@ -226,10 +231,11 @@ def assemble_hamiltonian(phi: RadialField, g: float, m: float,
     # of the mass diagonal and nothing else
     diag[0::2] = -sector * (m + g * vals[:-1])
     diag[1::2] = sector * (m + g * midpoints(vals))
-    off, weights, radii, pivmin = _grid_bands(grid)
+    off, weights, sqrt_weights, radii, pivmin = _grid_bands(grid)
     return RadialDiracOperator(grid=grid, m=m, g=g, sector=sector,
                                diag=diag, offdiag=off, weights=weights,
-                               radii=radii, pivmin=pivmin)
+                               sqrt_weights=sqrt_weights, radii=radii,
+                               pivmin=pivmin)
 
 
 @dataclass
@@ -282,7 +288,7 @@ class SpectralResult:
                 f"eigensolver residual {residual:.3e} exceeds tolerance; "
                 f"window={self.window}")
         # map back: x = W^(-1/2) y, normalized to unit grid norm
-        x = y / np.sqrt(op.weights)[:, None] / math.sqrt(FOUR_PI)
+        x = y / op.sqrt_weights[:, None] / math.sqrt(FOUR_PI)
         return x, residual
 
     @property
@@ -326,7 +332,7 @@ class SpectralResult:
         """Eigenvector columns in the tridiagonal basis, W^(1/2) sqrt(4 pi)
         times `vectors`, for perturbation formulas (`density_partials`) and
         for the enclosures of a solve that starts from this one."""
-        return (self.vectors * np.sqrt(self.operator.weights)[:, None]
+        return (self.vectors * self.operator.sqrt_weights[:, None]
                 * math.sqrt(FOUR_PI))
 
     def _ladder_positions(self, indices: Sequence[int]) -> List[Optional[int]]:
@@ -397,41 +403,47 @@ def _bisection(op: RadialDiracOperator, window: Tuple[float, float]):
     return w[order], (w, iblock, isplit, order)
 
 
-def _enclosures(op: RadialDiracOperator, warm: SpectralResult,
-                j: Optional[int] = None):
-    """(lower, upper) ends of one interval for each of the lowest j levels
-    of `warm` (all of them by default), each meant to hold the same level
-    of `op`.
+def _enclosures(op: RadialDiracOperator, warm: SpectralResult, j: int,
+                floor: float):
+    """The rows (lower, upper): the ends of one interval for each of the
+    lowest j levels of `warm`, each meant to hold the same level of `op`.
 
-    One step of shifted inverse iteration from warm's vector (a `dgtsv`
-    solve at the warm eigenvalue) and the Rayleigh quotient of the
-    result, widened by the Kato-Temple bound r^2/gap (the residual norm r
-    where the gap to the neighbouring levels is not larger than r).  The
-    neighbours of the lowest level and of the top one are the window's
-    bottom end and warm's next held level, or the window's top end.
-    Warm's vectors are read here if no one has read them; the descent's
-    warm result is a field whose gradient it took, so they are at hand.
-    The intervals only steer the resumed bisection; a wrong one costs a
-    fallback, never a bit.
+    Rayleigh-quotient iteration from warm's vector, which converges
+    cubically (Parlett, The Symmetric Eigenvalue Problem, ch. 4): one
+    `dgtsv` solve shifted at the warm eigenvalue, then, while the level's
+    Kato-Temple half-width r^2/gap (the residual norm r where the gap to
+    the neighbouring levels is not larger than r) is above `floor`, up to
+    three more shifted at the current Rayleigh quotient.  The tightest
+    interval is kept; a singular or non-finite solve ends the level, and
+    on the first step leaves warm's vector as the iterate.  The neighbours
+    are warm's levels next to it, or the window's ends.  Warm's vectors are
+    read here if no one has read them; the descent's warm result is a
+    field whose gradient it took, so they are at hand.  The intervals only
+    steer the resumed bisection; a wrong one costs a fallback, never a bit.
     """
-    lam = warm.eigenvalues[:j]
-    ys = warm.basis_vectors[:, :lam.size].T
-    rho = np.empty(lam.size)
-    r = np.empty(lam.size)
-    for i, y in enumerate(ys):
-        _, _, _, z, info = dgtsv(op.offdiag, op.diag - lam[i], op.offdiag, y)
-        if info or not np.all(np.isfinite(z)):
-            z = y
-        z = z / np.linalg.norm(z)
-        tz = op.apply_bands(z)
-        rho[i] = float(np.dot(z, tz))
-        r[i] = float(np.linalg.norm(tz - rho[i] * z))
-    nxt = (warm.eigenvalues[lam.size] if warm.eigenvalues.size > lam.size
-           else warm.window[1])
-    ends = np.concatenate(([warm.window[0]], rho, [nxt]))
-    gap = np.minimum(rho - ends[:-2], ends[2:] - rho)
-    half = np.where(gap > r, r * r / np.maximum(gap, r), r)
-    return rho - half, rho + half
+    d, e = op.diag, op.offdiag
+    ends = [warm.window[0], *warm.eigenvalues[:j + 1].tolist(), warm.window[1]]
+    bounds = []
+    for i, z in enumerate(warm.basis_vectors[:, :j].T):
+        rho, best, lo, hi = ends[i + 1], math.inf, math.nan, math.nan
+        for step in range(4):
+            _, _, _, x, info = dgtsv(e, d - rho, e, z)
+            if info or not np.isfinite(x).all():
+                if step:
+                    break
+                x = z
+            z = x / np.linalg.norm(x)
+            tz = op.apply_bands(z)
+            rho = float(np.dot(z, tz))
+            r = float(np.linalg.norm(tz - rho * z))
+            gap = min(rho - ends[i], ends[i + 2] - rho)
+            half = r * r / gap if gap > r else r
+            if half < best:
+                best, lo, hi = half, rho - half, rho + half
+            if best <= floor:
+                break
+        bounds.append((lo, hi))
+    return np.array(bounds).T
 
 
 def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
@@ -449,20 +461,21 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     and midpoint (Parlett, The Symmetric Eigenvalue Problem, sec. 3.3).
     The lowest j levels, j = min(levels, warm's levels), are resumed.  Each
     level's node is found by replaying the midpoints from the window ends
-    while they miss the level's enclosure, never below a width far above
-    stebz's stopping width; an enclosure holding the window's midpoint
-    leaves the whole window as its node, which falls back.  The nodes must
-    be ordered and disjoint and hold one eigenvalue each, and one
-    count-only stebz over (vl, c] must find j: with Sturm counts monotone
-    in floating point (Demmel, Dhillon & Ren, ETNA 3, 1995) the nodes then
-    hold the lowest j eigenvalues, each alone, which the full bisection
-    reaches, and the next eigenvalue lies above c.  c is vu, so the window
-    holds these j levels only, unless j = levels and a level more may be
-    left out: then c is the last value plus the simplicity gap
-    SIMPLE_GAP_RTOL*m (at most vu), which `check_simple` would refuse if
-    the next level were closer.  A window that stebz would clip to the
-    Gershgorin interval, or a matrix that splits into blocks, is left to
-    the full bisection.
+    while they miss the level's enclosure, widened by the node floor; a
+    node is never narrower than that floor, twice stebz's stopping width,
+    so stebz bisects it at least once, as the full bisection does.  An
+    enclosure holding the window's midpoint leaves the whole window as its
+    node, which falls back.  The nodes must be ordered and disjoint and
+    hold one eigenvalue each, and one count-only stebz over (vl, c] must
+    find j: with Sturm counts monotone in floating point (Demmel, Dhillon &
+    Ren, ETNA 3, 1995) the nodes then hold the lowest j eigenvalues, each
+    alone, which the full bisection reaches, and the next eigenvalue lies
+    above c.  c is vu, so the window holds these j levels only, unless
+    j = levels and a level more may be left out: then c is the last value
+    plus the simplicity gap SIMPLE_GAP_RTOL*m (at most vu), which
+    `check_simple` would refuse if the next level were closer.  A window
+    that stebz would clip to the Gershgorin interval, or a matrix that
+    splits into blocks, is left to the full bisection.
     """
     d, e = op.diag, op.offdiag
     held = warm.eigenvalues.size
@@ -478,10 +491,11 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     margin = 4.0 * (op.size * ulp * scale + pivmin)
     if not (gl + margin < vl and vu < gu - margin):
         return None
-    # nodes stay this wide, and the enclosures are widened by as much to
-    # cover their own rounding and the Sturm counts' backward error
-    floor = 16.0 * (ulp * scale + pivmin)
-    lower, upper = _enclosures(op, warm, j)
+    # nodes stay at least this wide, twice that stopping width, so stebz
+    # bisects each node at least once; the enclosures are widened by as
+    # much to cover their own rounding and the Sturm counts' backward error
+    floor = 4.0 * (ulp * scale + pivmin)
+    lower, upper = _enclosures(op, warm, j, floor)
     nodes = []
     for a, b in zip((lower - floor).tolist(), (upper + floor).tolist()):
         lo, hi = vl, vu

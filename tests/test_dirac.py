@@ -29,6 +29,11 @@ def test_field_validation():
         RadialField(grid=grid, values=np.ones(64))       # no decay at r_max
     with pytest.raises(ValueError):
         RadialField(grid=grid, values=np.full(64, np.nan))
+    for bad in (np.nan, np.inf):                # one non-finite sample
+        vals = np.zeros(64)
+        vals[10] = bad
+        with pytest.raises(dirac.NonFiniteError, match="non-finite"):
+            RadialField(grid=grid, values=vals)
     with pytest.raises(ValueError):
         RadialField(grid=grid, values=np.zeros(63))
     for u, v in ((np.zeros(63), np.zeros(64)), (np.zeros(64), np.zeros(65))):
@@ -480,9 +485,9 @@ def test_next_level_within_the_simplicity_gap_forces_the_full_bisection(
 
 
 def test_enclosure_holding_the_window_midpoint_falls_back(monkeypatch):
-    # the lowest level sits at the window's midpoint, inside its
-    # enclosure: its node is the whole window, so the full bisection runs,
-    # with no Sturm count spent on the way
+    # the lowest level sits at the window's midpoint, inside its enclosure
+    # widened by the node floor: its node is the whole window, so the full
+    # bisection runs, with no Sturm count spent on the way
     m, g = 1.0, 0.5
     grid = make_grid(25.0, 300)
     rng = np.random.default_rng(0)
@@ -494,17 +499,22 @@ def test_enclosure_holding_the_window_midpoint_falls_back(monkeypatch):
     warm = eigen_solve(assemble_hamiltonian(phi, g, m), window)
     warm.vectors
     mid = 0.5 * (window[0] + window[1])
-    lower, upper = dirac._enclosures(op, warm)
-    assert lower[0] < mid < upper[0]
-    counts = []
-    stebz = dirac.dstebz
+    counts, seen = [], []
+    stebz, enclosures = dirac.dstebz, dirac._enclosures
 
     def counted(d, e, rng, vl, vu, il, iu, tol, order):
         counts.append(tol > 0.0)
         return stebz(d, e, rng, vl, vu, il, iu, tol, order)
 
+    def recorded(op, warm, j, floor):
+        seen.append((enclosures(op, warm, j, floor), floor))
+        return seen[-1][0]
+
     monkeypatch.setattr(dirac, "dstebz", counted)
+    monkeypatch.setattr(dirac, "_enclosures", recorded)
     res = eigen_solve(op, window, warm=warm)
+    [((lower, upper), floor)] = seen
+    assert lower[0] - floor < mid < upper[0] + floor
     assert res.start == "fallback" and counts == [False]
     assert _same_bits(res, eigen_solve(op, window))
 
@@ -522,7 +532,7 @@ def test_enclosure_holding_the_window_midpoint_falls_back(monkeypatch):
 def test_wrong_enclosures_fall_back_with_the_same_bits(monkeypatch, wrong):
     enclosures = dirac._enclosures
     monkeypatch.setattr(dirac, "_enclosures",
-                        lambda op, warm, j: wrong(*enclosures(op, warm, j)))
+                        lambda *args: wrong(*enclosures(*args)))
     for read in (False, True):
         warm, op = _warm_pair()
         if read:
@@ -531,6 +541,44 @@ def test_wrong_enclosures_fall_back_with_the_same_bits(monkeypatch, wrong):
         res = eigen_solve(op, warm=warm)
         assert res.start == "fallback"
         assert _same_bits(res, eigen_solve(op))
+
+
+@pytest.mark.parametrize("fail", ["singular", "non-finite"])
+def test_failed_rayleigh_step_keeps_the_first_enclosure(monkeypatch, fail):
+    # a second Rayleigh-quotient step that dgtsv cannot take (a zero pivot,
+    # info > 0, or a non-finite solution) ends the level at the enclosure
+    # of the first step, which an infinite floor stops at; the warm solve
+    # resumes from it and keeps the cold solve's bits
+    window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
+    warm, op = _warm_pair(size=1e-2, seed=1, window=window)
+    first = dirac._enclosures(op, warm, 1, math.inf)
+    gtsv, enclosures = dirac.dgtsv, dirac._enclosures
+    steps, seen = [], []
+
+    def failing(dl, d, du, b):
+        steps.append(1)
+        dl, d, du, x, info = gtsv(dl, d, du, b)
+        if len(steps) == 1:
+            return dl, d, du, x, info
+        if fail == "singular":
+            return dl, d, du, x, len(d)
+        x[len(x) // 2] = np.nan
+        return dl, d, du, x, 0
+
+    def recorded(*args):
+        seen.append(enclosures(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(dirac, "dgtsv", failing)
+    monkeypatch.setattr(dirac, "_enclosures", recorded)
+    res = eigen_solve(op, window, warm=warm, levels=1)
+    [(lower, upper)] = seen
+    assert len(steps) == 2 and upper[0] - lower[0] > 1e-11
+    assert lower.tobytes() == first[0].tobytes()
+    assert upper.tobytes() == first[1].tobytes()
+    assert res.start == "resumed" and res.eigenvalues.size == 1
+    cold, prefix = _cold_prefix(op, window, 1)
+    assert _same_bits(res, prefix)
 
 
 def test_level_across_the_window_edge_falls_back():

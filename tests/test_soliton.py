@@ -139,7 +139,7 @@ def test_budget_cut_reports_gradient_of_returned_field():
         ((1,), 162, 97, 97, 0.7783325765896295, 0.5578949642405069, 2, 161,
          161),
         ((1, 1, 2), 179, 107, 107, 2.1189172320272873, 0.3908284588805935,
-         5, 175, 351),
+         4, 176, 352),
     ])
 def test_descent_inverse_iteration_only_on_accepted_fields(
         monkeypatch, ks, solves, inverse, iterations, E, lam1, full,
@@ -186,6 +186,27 @@ def test_descent_inverse_iteration_only_on_accepted_fields(
     assert len(rep.history) == inverse
     assert repr(rep.energy) == repr(E)
     assert repr(float(rep.lambdas[0])) == repr(lam1)
+
+
+@pytest.mark.parametrize("ks", [(1,), (1, 1, 2)])
+def test_descent_node_bisections_start_at_the_floor(monkeypatch, ks):
+    # Rayleigh-quotient iteration narrows a trial's enclosures below the
+    # node floor, so each node stebz resumes from a narrow node of its
+    # midpoint tree: on the README soliton and its excited ladder the
+    # widest node is 2.9e-11 and 2.3e-10 wide, where enclosures from a
+    # single inverse-iteration step leave nodes 7.8e-3 and 3.1e-2 wide
+    window = (0.0, 1.0 - dirac.WINDOW_SHAVE)
+    widths = []
+
+    def stebz(d, e, rng, vl, vu, il, iu, tol, order):
+        if tol == 0.0 and (vl, vu) != window:
+            widths.append(vu - vl)
+        return dirac_stebz(d, e, rng, vl, vu, il, iu, tol, order)
+
+    dirac_stebz = dirac.dstebz
+    monkeypatch.setattr(dirac, "dstebz", stebz)
+    assert minimize(cfg_for(N=len(ks), ks=ks, n=800)).converged
+    assert widths and max(widths) < 1e-9
 
 
 def test_near_degenerate_level_stops_the_descent_as_a_full_solve_does(
