@@ -577,7 +577,7 @@ def test_failed_rayleigh_step_keeps_the_first_enclosure(monkeypatch, fail):
     assert lower.tobytes() == first[0].tobytes()
     assert upper.tobytes() == first[1].tobytes()
     assert res.start == "resumed" and res.eigenvalues.size == 1
-    cold, prefix = _cold_prefix(op, window, 1)
+    _, prefix = _cold_prefix(op, window, 1)
     assert _same_bits(res, prefix)
 
 
