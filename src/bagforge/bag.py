@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .dispersion import (Ladder, TwoZoneProblem, _bisect, eigenvalues,
-                         mit_eigenvalue, two_zone_state)
+from .dispersion import (TwoZoneProblem, _bisect, eigenvalues, mit_eigenvalue,
+                         two_zone_state)
 
 #: relative radius tolerance of the derivative bisection
 RADIUS_RTOL = 1e-10
@@ -96,9 +96,9 @@ def _level(mu_in: float, mu_out: float, R: float, k: int):
     problem|None); the problem is None when the level is missing, so only
     callers that need the normalized state build it."""
     p = TwoZoneProblem(mu_in=mu_in, mu_out=mu_out, R=R)
-    lad: Ladder = eigenvalues(p, k)
-    if lad.complete:
-        return lad.values[k - 1], p
+    lams = eigenvalues(p, k)
+    if len(lams) == k:
+        return lams[k - 1], p
     return mu_out, None
 
 
@@ -169,10 +169,11 @@ def _optimize_radius(f, df, lo: float, hi: float, iters: int):
 
 
 def _minimize_cavity(cfg: BagConfig, mu_in: float, mu_out: float,
-                     g_for_balance: Optional[float]) -> BagReport:
+                     weight: float) -> BagReport:
     """Optimal radius of N quarks on level k of cfg between the two zone
-    masses; the wall balance weighs the density by g_for_balance, or by the
-    mass jump when it is None."""
+    masses.  The wall-balance residual weighs the boundary density by
+    `weight`, the mass jump mu_out - mu_in as the caller computes it; cfg
+    supplies N, a, b, k and the radius interval, never g or m."""
     n_quarks, a, b, k = cfg.n_quarks, cfg.a, cfg.b, cfg.k
     lo, hi = cfg.r_interval
     f = lambda R: cavity_energy(n_quarks, mu_in, mu_out, a, b, k, R)
@@ -185,15 +186,13 @@ def _minimize_cavity(cfg: BagConfig, mu_in: float, mu_out: float,
     flagged = not refined or min(rel_lo, rel_hi) < BOUNDARY_GUARD
     lam, p = _level(mu_in, mu_out, R, k)
     energy = _total(n_quarks, lam, a, b, R)
-    state = two_zone_state(p, lam) if p is not None else None
-    if state is not None:
-        ratio = state.boundary_ratio()
-        gw = g_for_balance if g_for_balance is not None else (mu_out - mu_in)
-        resid = abs(2.0 * a / R + b
-                    - n_quarks * gw * state.boundary_density())
+    if p is None:
+        ratio, resid = math.nan, abs(2.0 * a / R + b)
     else:
-        ratio = math.nan
-        resid = abs(2.0 * a / R + b)
+        state = two_zone_state(p, lam)
+        ratio = state.boundary_ratio()
+        resid = abs(2.0 * a / R + b
+                    - n_quarks * weight * state.boundary_density())
     return BagReport(config=cfg, R=R, mu_in=mu_in, mu_out=mu_out,
                      lam=lam, energy=energy, boundary_ratio=ratio,
                      curvature_residual=resid, flagged=flagged)
@@ -215,20 +214,22 @@ class MITReport:
 
 
 def mit_ground(cfg: BagConfig) -> MITReport:
-    """Unique optimal radius of the confined-cavity ground state.
+    """Optimal radius of N quarks on level cfg.k of the confined cavity.
 
-    The objective R -> N lam_1(R) + a P + b V is strictly convex and
-    coercive, so the radius search finds its one stationary point.
+    The objective R -> N lam_k(R) + a P + b V is coercive, and for the
+    ground level strictly convex, so the radius search finds its one
+    stationary point.  The search bisects a central difference (step 1e-6)
+    of the polished root, so R carries about 1e-8 relative noise.
     """
-    N, m, a, b = cfg.n_quarks, cfg.m, cfg.a, cfg.b
-    f = lambda R: _total(N, mit_eigenvalue(R, m, 1), a, b, R)
+    N, m, a, b, k = cfg.n_quarks, cfg.m, cfg.a, cfg.b, cfg.k
+    f = lambda R: _total(N, mit_eigenvalue(R, m, k), a, b, R)
     lo, hi = cfg.r_interval
 
     def df(R, step=1e-6):
         return (f(R * (1 + step)) - f(R * (1 - step))) / (2 * R * step)
 
     R, _ = _optimize_radius(f, df, lo, hi, iters=80)
-    lam = mit_eigenvalue(R, m, 1)
+    lam = mit_eigenvalue(R, m, k)
     return MITReport(R=R, lam=lam, energy=_total(N, lam, a, b, R))
 
 
@@ -244,10 +245,12 @@ class MITLimitResult:
 def mit_limit(cfg: BagConfig, masses: Sequence[float]) -> MITLimitResult:
     """Sharp-cavity minima for a growing sequence of exterior masses.
 
-    Each row solves the two-zone cavity with interior mass m and exterior
-    mass M_n; the limit row is the confined cavity itself.  Energies climb
-    toward the confined value and the boundary ratio u(R)/v(R) approaches
-    the confined boundary condition u = v.
+    Each row solves level cfg.k of the two-zone cavity with interior mass
+    m and exterior mass M_n; the limit row is the confined cavity at the
+    same level.  Energies climb toward the confined value and the boundary
+    ratio u(R)/v(R) approaches the confined boundary condition u = v.
+    cfg.g is never read: the rows weigh the wall by the mass jump M_n - m,
+    so any coupling BagConfig accepts will do (the CLI passes g = m/2).
     """
     masses = list(masses)
     if not masses:
@@ -258,5 +261,5 @@ def mit_limit(cfg: BagConfig, masses: Sequence[float]) -> MITLimitResult:
         raise ValueError("exterior masses must exceed the interior mass")
     if any(b <= a for a, b in zip(masses, masses[1:])):
         raise ValueError("exterior masses must be strictly increasing")
-    rows = [_minimize_cavity(cfg, cfg.m, mn, None) for mn in masses]
+    rows = [_minimize_cavity(cfg, cfg.m, mn, mn - cfg.m) for mn in masses]
     return MITLimitResult(rows=rows, limit=mit_ground(cfg))

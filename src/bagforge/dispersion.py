@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -137,10 +137,6 @@ class TwoZoneProblem:
                 f"bound-state window empty: mu_out={self.mu_out} must exceed "
                 f"|mu_in|={abs(self.mu_in)}")
 
-    @property
-    def window(self) -> tuple:
-        return (abs(self.mu_in), self.mu_out)
-
 
 def _x_to_lam(mu_in: float, R: float, x: float) -> float:
     return math.sqrt(mu_in * mu_in + (x / R) ** 2)
@@ -169,11 +165,6 @@ def matching_function(p: TwoZoneProblem, x: float) -> float:
     if not 0.0 < x < x_max:
         raise ValueError(f"x={x} outside the bound-state window (0, {x_max})")
     return _quantization(p.R, p.mu_in, p.mu_out, x)
-
-
-class Ladder(NamedTuple):
-    values: list
-    complete: bool      # False when the window holds fewer roots than asked
 
 
 def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
@@ -214,27 +205,28 @@ def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
     return roots
 
 
-def eigenvalues(p: TwoZoneProblem, count: int) -> Ladder:
+def eigenvalues(p: TwoZoneProblem, count: int) -> list:
     """First `count` eigenvalues in (|mu_in|, mu_out), ascending.
 
     Scans x = kR for roots of the matching function and rejects roots
-    hugging a window endpoint.
+    hugging a window endpoint.  The list is shorter than `count` when the
+    window holds fewer roots, empty when it holds none.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    lo, hi = p.window
+    lo, hi = abs(p.mu_in), p.mu_out
     guard = ENDPOINT_GUARD * max(1.0, hi)
     lam_lo, lam_hi = lo + guard, hi - guard
     if lam_lo >= lam_hi:
-        return Ladder(values=[], complete=False)
+        return []
     x_lo = p.R * math.sqrt(lam_lo**2 - p.mu_in**2)
     x_hi = p.R * math.sqrt(lam_hi**2 - p.mu_in**2)
     # looked up at call time, so a wrapped matching_function sees every call
     xs = _scan_roots(lambda x: matching_function(p, x), count, x_lo, x_hi,
                      ENDPOINT_GUARD)
-    roots = [lam for lam in (_x_to_lam(p.mu_in, p.R, x) for x in xs)
-             if lam - lo > guard and hi - lam > guard]
-    return Ladder(values=roots[:count], complete=len(roots) >= count)
+    # at most `count` roots: the scan stops at the last one
+    return [lam for lam in (_x_to_lam(p.mu_in, p.R, x) for x in xs)
+            if lam - lo > guard and hi - lam > guard]
 
 
 def mit_matching(R: float, m: float, x: float) -> float:
@@ -263,16 +255,6 @@ def mit_eigenvalue(R: float, m: float, k: int = 1) -> float:
     return _x_to_lam(m, R, roots[k - 1])
 
 
-def _wavenumbers(p: TwoZoneProblem, lam: float) -> tuple:
-    """(k, kap, s_in, s_out): interior and exterior wavenumbers and the
-    amplitude ratios u/v of the two zones at eigenvalue lam."""
-    k = math.sqrt(lam**2 - p.mu_in**2)
-    kap = math.sqrt(p.mu_out**2 - lam**2)
-    s_in = math.sqrt((lam - p.mu_in) / (lam + p.mu_in))
-    s_out = math.sqrt((p.mu_out - lam) / (p.mu_out + lam))
-    return k, kap, s_in, s_out
-
-
 @dataclass(frozen=True)
 class TwoZoneState:
     """Normalized bound state of a two-zone problem.
@@ -281,22 +263,24 @@ class TwoZoneState:
     v(R) (exponentials shifted by kappa*R), so arbitrarily stiff exterior
     masses neither overflow nor underflow.  The normalization integral
     4 pi int (u^2+v^2) r^2 dr over [0, inf) is elementary in both zones and
-    taken in closed form (`two_zone_state`).
+    taken in closed form (`two_zone_state`), which also fixes the
+    wavenumbers k, kap and amplitude ratios s_in, s_out that every profile
+    read uses.
     """
 
     problem: TwoZoneProblem
     lam: float
     c_in: float
     v_wall: float        # v(R), continuous across the wall
-
-    @property
-    def _params(self):
-        return _wavenumbers(self.problem, self.lam)
+    k: float
+    kap: float
+    s_in: float
+    s_out: float
 
     def profiles(self, r):
         """(v, u) at radii r (scalar or array)."""
         r = np.asarray(r, dtype=float)
-        k, kap, s_in, s_out = self._params
+        k, kap, s_in, s_out = self.k, self.kap, self.s_in, self.s_out
         R = self.problem.R
         inside = r < R
         rs = np.where(r == 0.0, 1e-300, r)
@@ -315,9 +299,8 @@ class TwoZoneState:
 
     def boundary_values(self) -> tuple:
         """(v(R), u(R)) from the interior side (continuous at eigenvalues)."""
-        k, _, s_in, _ = self._params
-        x = k * self.problem.R
-        return self.c_in * _j0(x), self.c_in * s_in * _j1(x)
+        x = self.k * self.problem.R
+        return self.c_in * _j0(x), self.c_in * self.s_in * _j1(x)
 
     def boundary_ratio(self) -> float:
         """u(R)/v(R); tends to 1 as the exterior mass grows without bound."""
@@ -338,8 +321,7 @@ class TwoZoneState:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0) or np.any(r >= self.problem.R):
             raise ValueError("sample strictly inside (0, R)")
-        p, lam = self.problem, self.lam
-        k, _, s_in, _ = self._params
+        p, lam, k, s_in = self.problem, self.lam, self.k, self.s_in
         x = k * r
         j0x, j1x = spherical_j0(x), spherical_j1(x)
         v = self.c_in * j0x
@@ -381,7 +363,11 @@ def two_zone_state(p: TwoZoneProblem, lam: float) -> TwoZoneState:
     the hard-wall limit diagnostics require.  Raises RuntimeError where the
     normalization, of order R^3, leaves double range (R below ~1e-103).
     """
-    k, kap, s_in, s_out = _wavenumbers(p, lam)
+    # interior and exterior wavenumbers, and the u/v amplitude ratios
+    k = math.sqrt(lam**2 - p.mu_in**2)
+    kap = math.sqrt(p.mu_out**2 - lam**2)
+    s_in = math.sqrt((lam - p.mu_in) / (lam + p.mu_in))
+    s_out = math.sqrt((p.mu_out - lam) / (p.mu_out + lam))
     x, yR = k * p.R, kap * p.R
     v_wall = _j0(x)
     try:
@@ -397,4 +383,5 @@ def two_zone_state(p: TwoZoneProblem, lam: float) -> TwoZoneState:
         raise RuntimeError(f"two-zone state at lam={lam:.6g}, R={p.R:.6g}: "
                            "its normalization leaves double range")
     return TwoZoneState(problem=p, lam=lam, c_in=1.0 / norm,
-                        v_wall=v_wall / norm)
+                        v_wall=v_wall / norm, k=k, kap=kap, s_in=s_in,
+                        s_out=s_out)

@@ -132,9 +132,9 @@ def oracle_gap(problem: TwoZoneProblem, n: int,
     m = mu_out) on an n-cell grid of radius r_max; inf when the matrix
     misses it, None when the closed-form level is missing or above
     0.97 mu_out (near-threshold tails exceed any truncation radius)."""
-    lad = eigenvalues(problem, 1)
+    lams = eigenvalues(problem, 1)
     mu_out = problem.mu_out
-    if not lad.complete or lad.values[0] > 0.97 * mu_out:
+    if not lams or lams[0] > 0.97 * mu_out:
         return None
     phi = square_well(make_grid(r_max, n), mu_out - problem.mu_in, problem.R)
     # the positive part of the default window holds the ladder
@@ -142,7 +142,7 @@ def oracle_gap(problem: TwoZoneProblem, n: int,
     ladder = eigen_solve(op, window=bound_window(mu_out)).eigenvalues
     if ladder.size == 0:
         return math.inf
-    return abs(float(ladder[0]) - lad.values[0])
+    return abs(float(ladder[0]) - lams[0])
 
 
 def cavity_reference_root() -> float:

@@ -95,7 +95,7 @@ def test_wall_balance_is_stationarity():
 def _boundary_density(cfg, R):
     from bagforge import TwoZoneProblem, eigenvalues, two_zone_state
     p = TwoZoneProblem(mu_in=cfg.m - cfg.g, mu_out=cfg.m, R=R)
-    lam = eigenvalues(p, cfg.k).values[cfg.k - 1]
+    lam = eigenvalues(p, cfg.k)[cfg.k - 1]
     return two_zone_state(p, lam).boundary_density()
 
 
@@ -187,6 +187,18 @@ def test_mit_limit_sequence():
     radii = np.array([r.R for r in bound_rows])
     assert np.all(radii > 0.3)
     assert np.max(radii) < 10.0
+
+
+def test_mit_limit_excited_level_closes_on_its_own_limit():
+    # the rows solve level 2 and close on 3.79495; a limit row on level 1
+    # (2.36324) would leave every gap near 1.43
+    cfg = BagConfig(n_quarks=1, g=0.5, m=1.0, a=0.01, b=0.01, k=2)
+    result = mit_limit(cfg, [2.0**j for j in (4, 8, 12, 16)])
+    limit = result.limit
+    assert limit.lam == mit_eigenvalue(limit.R, cfg.m, 2)
+    gaps = result.energy_gaps()
+    assert np.all(np.diff(gaps) < 0)
+    assert gaps[-1] <= 1e-4
 
 
 def test_mit_limit_input_validation():

@@ -3,10 +3,11 @@
 `perfbench/expected_seed0.json` holds the outcome of every recorded op, and
 the benchmark holds later runs to it at 1e-10 relative.  The cavity ops
 amplify any change in a cavity root: `mit-limit` reports the optimal radius
-R_mit, which a finite difference of the cavity eigenvalue places.  These
-tests replay every recorded `mit` and `mit-limit` op through the CLI and
-judge it with the benchmark's own `checks.check`; both files are loaded
-from perfbench/ as they are.
+R_mit, which a finite difference of the cavity eigenvalue places, and
+`bag` the optimal radius that a bisection of the wall balance places.
+These tests replay every recorded `bag`, `mit` and `mit-limit` op through
+the CLI and judge it with the benchmark's own `checks.check`; both files
+are loaded from perfbench/ as they are.
 """
 
 import importlib.util
@@ -25,12 +26,12 @@ _spec.loader.exec_module(checks)
 
 _OUTCOMES = json.loads((_BENCH / "expected_seed0.json").read_text())["outcomes"]
 _CAVITY_OPS = sorted(op for op in _OUTCOMES
-                     if op.split()[0] in ("mit", "mit-limit"))
+                     if op.split()[0] in ("bag", "mit", "mit-limit"))
 
 
 def test_record_holds_cavity_ops():
     kinds = {op.split()[0] for op in _CAVITY_OPS}
-    assert kinds == {"mit", "mit-limit"}
+    assert kinds == {"bag", "mit", "mit-limit"}
 
 
 @pytest.mark.parametrize("op", _CAVITY_OPS)

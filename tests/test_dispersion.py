@@ -80,12 +80,12 @@ def test_large_radius_scan_skips_empty_brackets():
     # from 0, and the 2e6 empty brackets below x_lo at R = 1e12 cost nothing.
     # Both values are the correctly rounded first level above the window's
     # lower guard, as a 60-digit solve of the same condition gives them
-    lad = eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=1e10), 1)
-    assert lad.values == [0.5000000020000138]
+    lams = eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=1e10), 1)
+    assert lams == [0.5000000020000138]
     t0 = time.perf_counter()
-    lad = eigenvalues(TwoZoneProblem(mu_in=0.01, mu_out=2.0, R=1e12), 1)
+    lams = eigenvalues(TwoZoneProblem(mu_in=0.01, mu_out=2.0, R=1e12), 1)
     assert time.perf_counter() - t0 < 1.0
-    assert lad.values == [0.010000002000000825]
+    assert lams == [0.010000002000000825]
 
 
 @pytest.mark.parametrize("R, level", [(1e12, 0.5000000020000003),
@@ -97,9 +97,9 @@ def test_level_near_window_edge_resolved_in_x(R, level):
     # lower guard is found at once.  The levels are those of a 60-digit
     # solve, correctly rounded
     t0 = time.perf_counter()
-    lad = eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=R), 1)
+    lams = eigenvalues(TwoZoneProblem(mu_in=0.5, mu_out=2.0, R=R), 1)
     assert time.perf_counter() - t0 < 1.0
-    assert lad.values == [level]
+    assert lams == [level]
 
 
 def test_scan_stops_where_brackets_coincide():
@@ -126,34 +126,31 @@ def test_matching_window_enforced():
 
 def test_vanishing_well_has_no_root():
     p = TwoZoneProblem(mu_in=0.999999, mu_out=1.0, R=1.0)
-    lad = eigenvalues(p, 1)
-    assert lad.values == []
-    assert not lad.complete
+    assert eigenvalues(p, 1) == []
 
 
 def test_hard_wall_surrogate_matches_limit_equation():
     # mu_out -> inf degenerates the matching to j1(x) = j0(x)
     p = TwoZoneProblem(mu_in=0.0, mu_out=1e6, R=1.0)
-    lad = eigenvalues(p, 1)
-    assert lad.complete
-    assert lad.values[0] * p.R == pytest.approx(X_MASSLESS, abs=1e-3)
+    lams = eigenvalues(p, 1)
+    assert len(lams) == 1
+    assert lams[0] * p.R == pytest.approx(X_MASSLESS, abs=1e-3)
 
 
 def test_narrow_shallow_well_loses_bound_state():
     p = TwoZoneProblem(mu_in=0.5, mu_out=1.0, R=0.05)
-    lad = eigenvalues(p, 1)
-    assert not lad.complete and lad.values == []
+    assert eigenvalues(p, 1) == []
 
 
 def test_ladder_monotone_in_index_and_radius():
     p5 = TwoZoneProblem(mu_in=0.0, mu_out=1.0, R=5.0)
-    lad5 = eigenvalues(p5, 2)
-    assert lad5.complete
-    assert lad5.values[0] < lad5.values[1]
+    lams5 = eigenvalues(p5, 2)
+    assert len(lams5) == 2
+    assert lams5[0] < lams5[1]
     p8 = TwoZoneProblem(mu_in=0.0, mu_out=1.0, R=8.0)
-    lad8 = eigenvalues(p8, 2)
-    assert lad8.values[0] < lad5.values[0]
-    assert lad8.values[1] < lad5.values[1]
+    lams8 = eigenvalues(p8, 2)
+    assert lams8[0] < lams5[0]
+    assert lams8[1] < lams5[1]
 
 
 def test_mit_massless_ground():
@@ -180,9 +177,9 @@ def test_mit_limit_consistency():
     errs = []
     for j in range(1, 9):
         p = TwoZoneProblem(mu_in=m, mu_out=m * 2.0**j, R=R)
-        lad = eigenvalues(p, 1)
-        assert lad.complete
-        errs.append(abs(lad.values[0] - lam_wall))
+        lams = eigenvalues(p, 1)
+        assert len(lams) == 1
+        errs.append(abs(lams[0] - lam_wall))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     ratios = [e2 / e1 for e1, e2 in zip(errs[2:], errs[3:])]
     assert max(ratios) <= 0.6
@@ -190,8 +187,7 @@ def test_mit_limit_consistency():
 
 def test_state_ode_residual_and_normalization():
     p = TwoZoneProblem(mu_in=0.3, mu_out=1.0, R=4.0)
-    lad = eigenvalues(p, 1)
-    state = two_zone_state(p, lad.values[0])
+    state = two_zone_state(p, eigenvalues(p, 1)[0])
     r = np.linspace(0.3, 3.6, 40)
     assert state.ode_residual(r) < 1e-10
     # the interior solution holds strictly inside the cavity only
@@ -270,7 +266,7 @@ def test_state_normalization_matches_quadrature(mu_in, mu_out):
 @pytest.mark.filterwarnings("error")     # no inf/inf at r = inf
 def test_profiles_vanish_at_infinity():
     p = TwoZoneProblem(mu_in=0.3, mu_out=1.0, R=4.0)
-    state = two_zone_state(p, eigenvalues(p, 1).values[0])
+    state = two_zone_state(p, eigenvalues(p, 1)[0])
     v, u = state.profiles([1.0, 6.0, math.inf])
     assert (v[2], u[2]) == (0.0, 0.0)
     assert v[:2].tolist() == [0.07813263690594426, 0.004445654088011179]
@@ -282,8 +278,7 @@ def test_boundary_ratio_tends_to_one():
     ratios = []
     for j in (2, 5, 8, 11):
         p = TwoZoneProblem(mu_in=m, mu_out=m * 2.0**j, R=R)
-        lad = eigenvalues(p, 1)
-        ratios.append(two_zone_state(p, lad.values[0]).boundary_ratio())
+        ratios.append(two_zone_state(p, eigenvalues(p, 1)[0]).boundary_ratio())
     assert all(abs(r - 1) > abs(r2 - 1) for r, r2 in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=2e-3)
 
