@@ -182,7 +182,7 @@ _OPTIONS = {
 
 
 def parse_config_file(path: str) -> dict:
-    out = {}
+    out, first = {}, {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -196,7 +196,10 @@ def parse_config_file(path: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if not key or not val:
             raise UsageError(f"{path}:{lineno}: empty key or value")
-        out[key] = val
+        if key in out:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} is set "
+                             f"twice, on lines {first[key]} and {lineno}")
+        out[key], first[key] = val, lineno
     return out
 
 

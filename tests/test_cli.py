@@ -68,6 +68,20 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "model.mass" in capsys.readouterr().err
 
 
+def test_config_file_key_set_twice(tmp_path, capsys):
+    # a key set twice is refused, as a coupling listed twice is, rather
+    # than the later line winning
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model.g = 10\n# the retuned coupling\nmodel.g = 11\n")
+    out = tmp_path / "s"
+    assert run_cli(["soliton", "--config", str(cfgfile), "--n", "64",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfgfile}:3: config key 'model.g' is set twice, "
+        "on lines 1 and 3"]
+    assert not out.with_suffix(".csv").exists()
+
+
 def test_mit_stdout_line(tmp_path, capsys):
     out = tmp_path / "m"
     assert run_cli(["mit", "--m", "1e-8", "--R", "1", "--out", str(out)]) == 0
@@ -503,6 +517,45 @@ def test_flag_and_config_reject_alike(tmp_path, capsys, sub, key, default):
         assert len(err) == 1 and err[0].startswith("error:")
         assert _allowed(sub, key, default) in err[0] and repr(bad) in err[0]
         assert not (tmp_path / "out").exists()
+
+
+def test_invalid_config_file_exits_1_with_one_line(tmp_path, capsys):
+    # a file of valid lines plus one defect: a repeated key, an unknown key,
+    # a line without `=`, an empty value or a value of the wrong type
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    word = st.text(alphabet="xyz._", min_size=1)    # neither key nor number
+
+    @st.composite
+    def invalid_file(draw):
+        sub = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+        keys = [k for k in accepted(sub) if k != "output.path"]
+        typed = [k for k in keys if cli._OPTIONS[k][1] is not str]
+        picked = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
+        lines = [f"{k} = {_valid_text(k, accepted(sub)[k])}" for k in picked]
+        defect = draw(st.one_of(
+            st.sampled_from(lines) if lines else st.nothing(),
+            word.filter(lambda k: k not in cli._OPTIONS).map("{} = 1".format),
+            word,
+            st.sampled_from(keys).map("{} =".format),
+            st.tuples(st.sampled_from(typed), word).map("{0[0]} = {0[1]}".format),
+        ))
+        lines.insert(draw(st.integers(0, len(lines))), defect)
+        return sub, "\n".join(lines) + "\n"
+
+    @hyp.settings(derandomize=True, max_examples=40, deadline=None)
+    @hyp.given(invalid_file())
+    def check(case):
+        sub, text = case
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main([sub, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out" / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    check()
 
 
 def readme_commands():

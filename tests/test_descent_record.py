@@ -1,31 +1,22 @@
 """Recorded descent ops of the benchmark still reproduce it.
 
-`perfbench/expected_seed0.json` holds the outcome of every recorded op at
-1e-10 relative, and a soliton's λ is first order in the field, which the
-descent fixes only to its gradient tolerance: the record pins the descent
-*path*.  Any change to the values an energy evaluation sees (a trial's
-eigenvalues, the accepted step, the metric) moves it.  These tests replay
-the README `soliton` inputs recorded for the three grid and ladder classes,
-the README `gamma-sweep` and two lattice points away from the README
-coupling through the CLI and judge each with the benchmark's own
-`checks.check`; both files are loaded from perfbench/ as they are.
+A soliton's λ is first order in the field, which the descent fixes only to
+its gradient tolerance, so the record (1e-10 relative) pins the descent
+*path*: any change to the values an energy evaluation sees moves it.  These
+tests replay, through tools/replay_record.py, the README `soliton` inputs
+of the three grid and ladder classes, the README `gamma-sweep` and two
+lattice points away from the README coupling.
 """
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
 
-from bagforge.cli import main
-
-_BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-_spec = importlib.util.spec_from_file_location("perfbench_checks",
-                                               _BENCH / "checks.py")
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
-
-_OUTCOMES = json.loads((_BENCH / "expected_seed0.json").read_text())["outcomes"]
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_record.py"
+_spec = importlib.util.spec_from_file_location("replay_record", _TOOL)
+replay_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(replay_record)
 
 _SOLITON = "soliton --g {g} --kappa 0.05 --b 0.01 --n {n} --r-max 20"
 _EXCITED = " --N 3 --k 1,1,2"
@@ -44,14 +35,10 @@ _DESCENT_OPS = (
 
 
 def test_descent_ops_are_recorded():
-    assert all(op in _OUTCOMES for op in _DESCENT_OPS)
+    assert all(op in replay_record.OUTCOMES for op in _DESCENT_OPS)
 
 
 @pytest.mark.parametrize("op", _DESCENT_OPS)
 def test_recorded_descent_op_reproduces(tmp_path, op):
-    argv = op.split()
-    out = tmp_path / "op"
-    code = main(argv + ["--out", str(out)])
-    ok, reason, _ = checks.check(argv, code, out.with_suffix(".csv"),
-                                 _OUTCOMES[op])
+    ok, reason = replay_record.replay(op, tmp_path / "op")
     assert ok, reason
