@@ -538,7 +538,7 @@ def test_invalid_config_file_exits_1_with_one_line(tmp_path, capsys):
             word.filter(lambda k: k not in cli._OPTIONS).map("{} = 1".format),
             word,
             st.sampled_from(keys).map("{} =".format),
-            st.tuples(st.sampled_from(typed), word).map("{0[0]} = {0[1]}".format),
+            st.tuples(st.sampled_from(typed), word).map(" = ".join),
         ))
         lines.insert(draw(st.integers(0, len(lines))), defect)
         return sub, "\n".join(lines) + "\n"
