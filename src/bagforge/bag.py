@@ -58,6 +58,8 @@ class BagConfig:
             raise ValueError(
                 f"g, m, a and b must be finite (got g={self.g}, m={self.m}, "
                 f"a={self.a}, b={self.b})")
+        if not self.m > 0.0:
+            raise ValueError("mass m must be positive")
         if not (0.0 < self.g < self.m):
             raise ValueError(
                 f"bag model requires 0 < g < m (got g={self.g}, m={self.m}); "
@@ -70,6 +72,10 @@ class BagConfig:
         if self.k < 1:
             raise ValueError("ladder index starts at 1")
         if self.r_interval == (0.0, 0.0):
+            if not math.isfinite(1e2 / self.m):
+                raise ValueError(
+                    f"mass m={self.m!r} is too small: its default radius "
+                    "interval (0.01/m, 100/m) is not finite")
             object.__setattr__(self, "r_interval",
                                (1e-2 / self.m, 1e2 / self.m))
         lo, hi = self.r_interval

@@ -1,0 +1,6 @@
+"""The scripts under tools/ import as modules, each loaded once."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))

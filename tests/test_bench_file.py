@@ -1,62 +1,56 @@
-"""The verdict rule, the bound test, the unresolved test and the
-within-pair ratios of tools/bench_file.py on synthetic paired samples, and
-its smallest count of pairs."""
+"""tools/bench_file.py: its `judge` of synthetic paired samples (verdict,
+bound test, unresolved test and within-pair ratios), its record of the
+tree, and the BENCH file its `main` writes."""
 
-import importlib.util
+import json
 import statistics
 import sys
-from pathlib import Path
 
+import bench_file
 import pytest
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_file.py"
-_spec = importlib.util.spec_from_file_location("bench_file", _TOOL)
-bench_file = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_file)
-verdict = bench_file.verdict
-pair_ratios = bench_file.pair_ratios
-past_bound = bench_file.past_bound
-unresolved = bench_file.unresolved
+judge = bench_file.judge
 
 # a parent's op times: median 0.30, quartile spread 0.02
 PARENT = [0.29, 0.31, 0.30, 0.28, 0.32, 0.30, 0.29, 0.31, 0.30, 0.30]
 
 
+def verdict(parent, tree, better="lower"):
+    out = judge(parent, tree, better, 0.25)
+    return out["verdict"], out["agree"], out["pairs"]
+
+
 def test_clear_gain_reads_faster_and_loss_slower():
     tree = [p - 0.06 for p in PARENT]
-    assert verdict(PARENT, tree, "lower") == {
-        "verdict": "faster", "agree": 10, "pairs": 10}
-    assert verdict(tree, PARENT, "lower")["verdict"] == "slower"
+    assert verdict(PARENT, tree) == ("faster", 10, 10)
+    assert verdict(tree, PARENT)[0] == "slower"
     # a "higher is better" metric reads the other way
-    assert verdict(PARENT, tree, "higher")["verdict"] == "slower"
+    assert verdict(PARENT, tree, "higher")[0] == "slower"
 
 
 def test_same_samples_read_within_spread():
-    assert verdict(PARENT, list(PARENT), "lower") == {
-        "verdict": "within spread", "agree": 0, "pairs": 10}
+    assert verdict(PARENT, list(PARENT)) == ("within spread", 0, 10)
 
 
 def test_shift_inside_the_parent_spread_reads_within_spread():
     tree = [p - 0.01 for p in PARENT]        # every pair, but by < q3 - q1
-    assert verdict(PARENT, tree, "lower") == {
-        "verdict": "within spread", "agree": 10, "pairs": 10}
+    assert verdict(PARENT, tree) == ("within spread", 10, 10)
 
 
 def test_too_few_agreeing_pairs_read_within_spread():
     # a large median shift, but only 8 of 10 pairs go its way
     tree = [p - 0.06 for p in PARENT]
     tree[0] = tree[1] = 0.40
-    out = verdict(PARENT, tree, "lower")
-    assert out == {"verdict": "within spread", "agree": 8, "pairs": 10}
+    assert verdict(PARENT, tree) == ("within spread", 8, 10)
     tree[1] = PARENT[1] - 0.06
-    assert verdict(PARENT, tree, "lower")["verdict"] == "faster"
+    assert verdict(PARENT, tree)[0] == "faster"
 
 
 def test_needs_paired_samples():
     with pytest.raises(ValueError):
-        verdict([0.3], [0.2], "lower")
+        judge([0.3], [0.2], "lower", 0.25)
     with pytest.raises(ValueError):
-        verdict(PARENT, PARENT[:-1], "lower")
+        judge(PARENT, PARENT[:-1], "lower", 0.25)
 
 
 def test_ratios_show_a_gain_the_noisy_parent_hides():
@@ -70,43 +64,49 @@ def test_ratios_show_a_gain_the_noisy_parent_hides():
             0.3015, 0.271]
     q1, med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     assert (q3 - q1) / med == pytest.approx(0.23, abs=5e-3)
-    assert verdict(parent, tree, "lower") == {
-        "verdict": "within spread", "agree": 10, "pairs": 10}
-    r = pair_ratios(parent, tree)
+    assert verdict(parent, tree) == ("within spread", 10, 10)
+    r = judge(parent, tree, "lower", 0.25)["ratio"]
     assert r["q1"] < r["median"] < r["q3"] < 1.0
     assert r["median"] == pytest.approx(0.795, abs=1e-3)
 
 
 def test_ratios_of_same_samples_are_one():
-    assert pair_ratios(PARENT, list(PARENT)) == {
+    assert judge(PARENT, list(PARENT), "lower", 0.25)["ratio"] == {
         "median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def past_bound(tree, better, bound=0.25):
+    return judge(PARENT, tree, better, bound)["past_bound"]
 
 
 def test_slower_is_past_the_bound_only_beyond_it():
     # a lower-is-better metric 10% worse in every pair reads "slower" but
     # stays inside a 0.25 bound; 30% worse crosses it
     worse = [p * 1.1 for p in PARENT]
-    assert verdict(PARENT, worse, "lower")["verdict"] == "slower"
-    assert not past_bound(PARENT, worse, "lower", 0.25)
-    assert past_bound(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25)
+    assert verdict(PARENT, worse)[0] == "slower"
+    assert not past_bound(worse, "lower")
+    assert past_bound([p * 1.3 for p in PARENT], "lower")
     # a gain is never past the bound
-    assert not past_bound(PARENT, [p * 0.5 for p in PARENT], "lower", 0.25)
+    assert not past_bound([p * 0.5 for p in PARENT], "lower")
 
 
 def test_higher_is_better_metric_past_the_bound_when_lower():
-    fewer = [p * 0.7 for p in PARENT]
-    assert past_bound(PARENT, fewer, "higher", 0.25)
-    assert not past_bound(PARENT, [p * 0.9 for p in PARENT], "higher", 0.25)
-    assert not past_bound(PARENT, [p * 1.3 for p in PARENT], "higher", 0.25)
+    assert past_bound([p * 0.7 for p in PARENT], "higher")
+    assert not past_bound([p * 0.9 for p in PARENT], "higher")
+    assert not past_bound([p * 1.3 for p in PARENT], "higher")
+
+
+def unresolved(parent, tree, better, bound=0.05):
+    return judge(parent, tree, better, bound)["unresolved"]
 
 
 def test_spread_wider_than_the_bound_reads_unresolved():
     # the parent's quartile spread, 0.02, is 6.7% of its median: wider than
     # a 0.05 bound, so an unchanged tree cannot be told from one 5% worse
     same = list(PARENT)
-    assert verdict(PARENT, same, "lower")["verdict"] == "within spread"
-    assert unresolved(PARENT, same, "lower", 0.05)
-    assert unresolved(PARENT, same, "higher", 0.05)
+    assert verdict(PARENT, same)[0] == "within spread"
+    assert unresolved(PARENT, same, "lower")
+    assert unresolved(PARENT, same, "higher")
     # within a 0.25 bound the same spread resolves
     assert not unresolved(PARENT, same, "lower", 0.25)
 
@@ -114,23 +114,68 @@ def test_spread_wider_than_the_bound_reads_unresolved():
 def test_tree_better_in_every_run_is_resolved_despite_the_spread():
     # every tree run is below every parent run (0.26 < 0.28)
     lower = [p - 0.06 for p in PARENT]
-    assert not unresolved(PARENT, lower, "lower", 0.05)
-    assert not unresolved(lower, PARENT, "higher", 0.05)
+    assert not unresolved(PARENT, lower, "lower")
+    assert not unresolved(lower, PARENT, "higher")
     # one tree run that overlaps the parent's runs leaves it unresolved
     lower[0] = 0.29
-    assert unresolved(PARENT, lower, "lower", 0.05)
+    assert unresolved(PARENT, lower, "lower")
 
 
-def test_parent_comparison_needs_ten_pairs(monkeypatch, capsys):
-    # three pairs are refused as a usage error before anything is exported
-    # or run
+@pytest.mark.parametrize("status", ["", " M perfbench/run.py"],
+                         ids=["clean", "dirty"])
+def test_dirty_covers_what_the_runs_execute(monkeypatch, status):
+    calls = []
+    monkeypatch.setattr(bench_file, "git", lambda *args: calls.append(args)
+                        or ("abc" if args[0] == "rev-parse" else status))
+    assert bench_file.tree() == {"head": "abc", "dirty": bool(status)}
+    assert calls[-1] == ("status", "--porcelain", "--", "src", "tests",
+                         "perfbench", "BENCHMARK.json")
+
+
+def test_bench_file_needs_a_parent(monkeypatch, capsys):
+    # a usage error, before anything is exported or run
     calls = []
     for name in ("tree", "export", "run_workload", "compare"):
         monkeypatch.setattr(bench_file, name,
                             lambda *a, name=name: calls.append(name))
-    monkeypatch.setattr(sys, "argv", ["bench_file.py", "x", "--parent",
-                                      "HEAD", "--pairs", "3"])
+    monkeypatch.setattr(sys, "argv", ["bench_file.py", "x"])
     with pytest.raises(SystemExit) as stop:
         bench_file.main()
     assert stop.value.code == 2 and not calls
-    assert "--pairs must be at least 10" in capsys.readouterr().err
+    assert "--parent" in capsys.readouterr().err
+
+
+def _keys(node):
+    """The key structure of a JSON document; lists and leaves read None."""
+    return ({k: _keys(v) for k, v in node.items()}
+            if isinstance(node, dict) else None)
+
+
+def test_main_writes_the_keys_of_a_paired_bench_file(monkeypatch, tmp_path):
+    # export and run_workload stubbed to synthetic results: every level of
+    # main's file (top, workload, side, metric, verdict and its ratio) has
+    # the keys of BENCH_29.json
+    reference = json.loads((bench_file.ROOT / "BENCH_29.json").read_text())
+    spec = json.loads((bench_file.ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    parent_root, runs = tmp_path / "parent", []
+
+    def run_workload(root, spec, workload, seed):
+        runs.append(root)
+        return {"result": {"correct": True, "metrics": {
+                    m["name"]: {"value": 1.0 + 0.01 * len(runs)}
+                    for m in spec["end_to_end"]}},
+                "environment": reference["workloads"][workload]["environment"]}
+
+    monkeypatch.setattr(bench_file, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_file, "git", lambda *args: "")
+    monkeypatch.setattr(bench_file, "export",
+                        lambda rev: parent_root.mkdir() or parent_root)
+    monkeypatch.setattr(bench_file, "run_workload", run_workload)
+    monkeypatch.setattr(sys, "argv", ["bench_file.py", "t", "--parent", "p"])
+    assert bench_file.main() == 0
+    written = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert _keys(written) == _keys(reference)
+    assert len(runs) == 2 * 10 * len(spec["workloads"]) == 2 * runs.count(
+        parent_root)
+    assert not parent_root.exists()

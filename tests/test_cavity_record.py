@@ -6,15 +6,8 @@ a bisection of the wall balance places.  These tests replay every recorded
 `bag`, `mit` and `mit-limit` op through tools/replay_record.py.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
-
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_record.py"
-_spec = importlib.util.spec_from_file_location("replay_record", _TOOL)
-replay_record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(replay_record)
+import replay_record
 
 _CAVITY_OPS = sorted(op for op in replay_record.OUTCOMES
                      if op.split()[0] in ("bag", "mit", "mit-limit"))

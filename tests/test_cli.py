@@ -234,6 +234,16 @@ def test_mesh_outside_double_range_rejected(tmp_path, capsys, args):
     assert not (tmp_path / "r.csv").exists()
 
 
+#: masses the bag configuration refuses, each with the message that names
+#: the mass itself rather than the coupling rule (mit-limit takes no
+#: coupling) or the default radius interval (100/m overflows)
+_MASS_MESSAGES = {
+    "mit-limit --m 0": "error: mass m must be positive",
+    "bag --m 1e-310 --g 5e-311": "mass m=1e-310 is too small",
+    "mit-limit --m 1e-320 --doublings 3": "mass m=1e-320 is too small",
+    "gamma-sweep --m 1e-320 --g 5e-321": "mass m=1e-320 is too small"}
+
+
 @pytest.mark.parametrize("args", [["gamma-sweep", "--n", "0"],
                                   ["gamma-sweep", "--tol", "-1"],
                                   ["mit-limit", "--doublings", "0"],
@@ -243,11 +253,13 @@ def test_mesh_outside_double_range_rejected(tmp_path, capsys, args):
                                   ["gamma-sweep", "--max-iter", "0"],
                                   ["mit-limit", "--masses", ","],
                                   # 2^2000 is no double
-                                  ["mit-limit", "--doublings", "2000"]])
+                                  ["mit-limit", "--doublings", "2000"],
+                                  *map(str.split, _MASS_MESSAGES)])
 def test_out_of_range_input_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert _MASS_MESSAGES.get(" ".join(args), "") in err[0]
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -8,15 +8,8 @@ of the three grid and ladder classes, the README `gamma-sweep` and two
 lattice points away from the README coupling.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
-
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_record.py"
-_spec = importlib.util.spec_from_file_location("replay_record", _TOOL)
-replay_record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(replay_record)
+import replay_record
 
 _SOLITON = "soliton --g {g} --kappa 0.05 --b 0.01 --n {n} --r-max 20"
 _EXCITED = " --N 3 --k 1,1,2"
