@@ -20,7 +20,9 @@ it solved when a coupling fails.  Identical configuration and seed give
 byte-identical result files (the manifest's wall time aside).
 
 Exit codes: 0 success, 1 usage error (including a problem too large to
-allocate), 2 flagged non-convergence or solver failure, 3 I/O.
+allocate), 2 flagged non-convergence or solver failure, 3 I/O.  `main`
+alone maps an exception to its code: `ValueError` and `MemoryError` give 1,
+`RuntimeError` and `OverflowError` 2, `OSError` 3.
 """
 
 from __future__ import annotations
@@ -45,13 +47,9 @@ from .soliton import ModelParams, SolitonConfig, minimize
 from .verify import run_battery
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # usage problems exit 1, not argparse's 2
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # --------------------------------------------------------------------------
@@ -93,13 +91,8 @@ def write_profiles(path: Path, series):
 
 
 def read_table(path: Path):
-    """Re-parse an emitted table (CSV or JSON) into header + string rows."""
-    text = path.read_text()
-    if path.suffix == ".json":
-        objs = json.loads(text)
-        header = sorted(objs[0].keys()) if objs else []
-        return header, [[str(o[k]) for k in header] for o in objs]
-    lines = [ln for ln in text.splitlines() if ln]
+    """Re-parse an emitted CSV table into header + string rows."""
+    lines = [ln for ln in path.read_text().splitlines() if ln]
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]
 
@@ -184,20 +177,20 @@ _OPTIONS = {
 def parse_config_file(path: str) -> dict:
     out, first = {}, {}
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected `key = value`")
+            raise ValueError(f"{path}:{lineno}: expected `key = value`")
         key, val = (s.strip() for s in line.split("=", 1))
         if not key or not val:
-            raise UsageError(f"{path}:{lineno}: empty key or value")
+            raise ValueError(f"{path}:{lineno}: empty key or value")
         if key in out:
-            raise UsageError(f"{path}:{lineno}: config key {key!r} is set "
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is set "
                              f"twice, on lines {first[key]} and {lineno}")
         out[key], first[key] = val, lineno
     return out
@@ -208,7 +201,7 @@ def _numbers(text: str, typ, what: str) -> list:
     try:
         return [typ(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        raise UsageError(f"bad {what} list {text!r}: expected comma-separated "
+        raise ValueError(f"bad {what} list {text!r}: expected comma-separated "
                          f"{typ.__name__} values") from None
 
 
@@ -216,7 +209,7 @@ def _one_number(text: str, what: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise UsageError(f"{what}: expected a number, got {text!r}") from None
+        raise ValueError(f"{what}: expected a number, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,17 +239,21 @@ def parse(argv) -> dict:
     if ns.config:
         for key, raw in parse_config_file(ns.config).items():
             if key not in _OPTIONS:
-                raise UsageError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             if key not in params:
-                raise UsageError(
+                raise ValueError(
                     f"config key {key!r} does not apply to `{sub}`")
             try:
                 params[key] = _OPTIONS[key][1](raw)
             except argparse.ArgumentTypeError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
+                raise ValueError(f"config key {key!r}: {exc}") from exc
     for key, val in vars(ns).items():
         if key not in ("subcommand", "config") and val is not None:
             params[key] = val
+    stem = params["output.path"]
+    if "\0" in stem or Path(stem).name in ("", ".."):
+        raise ValueError(f"output.path {stem!r} must end in a file name and "
+                         "hold no NUL character")
     params["subcommand"] = sub
     return params
 
@@ -285,10 +282,10 @@ def _solve_telemetry(reports) -> dict:
 def _run_soliton(p):
     gs = _numbers(p["model.g"], float, "coupling")
     if not gs:
-        raise UsageError("need at least one coupling value")
+        raise ValueError("need at least one coupling value")
     for i, g in enumerate(gs):      # two rows and series of one name
         if g in gs[:i]:
-            raise UsageError(f"coupling g={_fmt(g)} is listed twice")
+            raise ValueError(f"coupling g={_fmt(g)} is listed twice")
     m, N = p["model.m"], p["model.N"]
     ks = _numbers(p["model.k"], int, "ladder") if p["model.k"] else [1] * N
     pot = PotentialSpec(kappa=p["potential.kappa"], b=p["potential.b"])
@@ -452,58 +449,56 @@ _SUBCOMMANDS = {
 }
 
 
-def run(params: dict) -> int:
+def run(params: dict) -> None:
     """Execute a parsed configuration and write its result table, profiles
-    and manifest.  A run whose results were written but did not pass puts
-    one `error:` line on stderr saying what failed and exits 2."""
+    and manifest.  A run whose results were written but did not pass raises
+    `RuntimeError` saying what failed."""
     start = time.perf_counter()
     sub, fmt = params["subcommand"], params["output.format"]
+    # degenerate inputs overflow inside the root scans; the solvers turn the
+    # resulting non-finite values into errors, so numpy's warnings would only
+    # put a second message on stderr
+    with np.errstate(all="ignore"):
+        header, rows, profiles, failure, telemetry = (
+            _SUBCOMMANDS[sub][1](params))
     stem = Path(params["output.path"])
-    try:
-        table = stem.with_name(f"{stem.name}.{fmt}")
-        # degenerate inputs overflow inside the root scans; the solvers turn
-        # the resulting non-finite values into errors, so numpy's warnings
-        # would only put a second message on stderr
-        with np.errstate(all="ignore"):
-            header, rows, profiles, failure, telemetry = (
-                _SUBCOMMANDS[sub][1](params))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    except MemoryError as exc:
-        # numpy refuses an array larger than the machine before allocating
-        raise UsageError(f"{sub}: not enough memory for this problem "
-                         f"({exc})") from exc
-    except OverflowError as exc:
-        # a Python float ** raises where a solve leaves double range
-        raise RuntimeError(f"{sub}: floating-point overflow "
-                           f"({exc.args[-1]})") from exc
     stem.parent.mkdir(parents=True, exist_ok=True)
-    write_table(table, header, rows, fmt)
+    write_table(stem.with_name(f"{stem.name}.{fmt}"), header, rows, fmt)
     if profiles is not None:
         write_profiles(stem.with_name(stem.name + "_profile.csv"), profiles)
     write_manifest(stem.parent, sub,
                    {k: v for k, v in params.items() if k != "subcommand"},
                    time.perf_counter() - start, telemetry)
     if failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return 2
-    return 0
+        raise RuntimeError(failure)
 
 
 def main(argv=None) -> int:
+    """Run one command.  The one map from what it raised to its exit code,
+    and the one place that prints its `error:` or `i/o error:` line."""
+    sub = "bagforge"        # until the subcommand is parsed
     try:
         params = parse(argv if argv is not None else sys.argv[1:])
-        return run(params)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        sub = params["subcommand"]
+        run(params)
+        return 0
+    except ValueError as exc:
+        code, line = 1, f"error: {exc}"
+    except MemoryError as exc:
+        # numpy refuses an array larger than the machine before allocating
+        code, line = 1, (f"error: {sub}: not enough memory for this problem "
+                         f"({exc})")
     except RuntimeError as exc:
-        # a solver gave up: no bracket, a degenerate level, a residual check
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # no bracket, a degenerate level, a residual check or a flagged result
+        code, line = 2, f"error: {exc}"
+    except OverflowError as exc:
+        # a Python float ** raises where a solve leaves double range
+        code, line = 2, (f"error: {sub}: floating-point overflow "
+                         f"({exc.args[-1]})")
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"i/o error: {exc}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,23 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: coupling g=10.0 is listed twice"]
     assert not solved and not (tmp_path / "r.csv").exists()
+    # an output stem with no file name, or holding a NUL character (which
+    # no command line can, but a config file can), is refused by its key
+    # before any solve
+    nul = tmp_path / "nul.cfg"
+    nul.write_text("output.path = a\0b\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for args, stem in [(["--out", ""], "''"), (["--out", "."], "'.'"),
+                       (["--out", "/"], "'/'"), (["--out", ".."], "'..'"),
+                       (["--config", str(nul)], "'a\\x00b'")]:
+        assert run_cli(["mit", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: output.path {stem} must end in "
+                                    "a file name and hold no NUL character"]
+        assert not any(work.iterdir())
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -182,8 +199,14 @@ def test_config_coupling_list(tmp_path):
 
 
 @pytest.mark.parametrize("args", [["bag", "--n", "5"], ["mit", "--r-max", "3"],
-                                  ["verify", "--n", "10"]])
+                                  ["verify", "--n", "10"],
+                                  # the same key as a config-file line
+                                  ["bag", "grid.n = 5"]])
 def test_grid_flags_only_on_field_solvers(tmp_path, capsys, args):
+    if "=" in args[-1]:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(args[-1] + "\n")
+        args = [args[0], "--config", str(cfgfile)]
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "r.csv").exists()
@@ -234,14 +257,16 @@ def test_mesh_outside_double_range_rejected(tmp_path, capsys, args):
     assert not (tmp_path / "r.csv").exists()
 
 
-#: masses the bag configuration refuses, each with the message that names
-#: the mass itself rather than the coupling rule (mit-limit takes no
-#: coupling) or the default radius interval (100/m overflows)
-_MASS_MESSAGES = {
+#: inputs refused with a message of their own: masses the bag
+#: configuration refuses, each naming the mass itself rather than the
+#: coupling rule (mit-limit takes no coupling) or the default radius
+#: interval (100/m overflows), and a coupling list of no values
+_MESSAGES = {
     "mit-limit --m 0": "error: mass m must be positive",
     "bag --m 1e-310 --g 5e-311": "mass m=1e-310 is too small",
     "mit-limit --m 1e-320 --doublings 3": "mass m=1e-320 is too small",
-    "gamma-sweep --m 1e-320 --g 5e-321": "mass m=1e-320 is too small"}
+    "gamma-sweep --m 1e-320 --g 5e-321": "mass m=1e-320 is too small",
+    "soliton --g ,": "error: need at least one coupling value"}
 
 
 @pytest.mark.parametrize("args", [["gamma-sweep", "--n", "0"],
@@ -254,12 +279,12 @@ _MASS_MESSAGES = {
                                   ["mit-limit", "--masses", ","],
                                   # 2^2000 is no double
                                   ["mit-limit", "--doublings", "2000"],
-                                  *map(str.split, _MASS_MESSAGES)])
+                                  *map(str.split, _MESSAGES)])
 def test_out_of_range_input_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert _MASS_MESSAGES.get(" ".join(args), "") in err[0]
+    assert _MESSAGES.get(" ".join(args), "") in err[0]
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -395,7 +420,11 @@ def test_unrepresentable_solve_is_one_line(tmp_path, capsys, args, names):
      ["R=0.01", "[0.01, 100]"]),
     # no seed is known to fail the battery, so its Hellmann-Feynman check
     # is made to fail, which a patch does only in this process
-    (["verify", "--seed", "0"], ["hellmann-feynman"])])
+    (["verify", "--seed", "0"], ["hellmann-feynman"]),
+    # the reference bag hugs the lower end of its radius interval
+    (["gamma-sweep", "--kappa", "100"],
+     ["reference bag radius R=0.00125 is not an interior optimum",
+      "[0.00125, 12.5]"])])
 @pytest.mark.filterwarnings("error")
 def test_flagged_run_is_one_line(tmp_path, capsys, monkeypatch, args, names):
     # the result table is written, then one line says what failed
@@ -533,7 +562,8 @@ def test_flag_and_config_reject_alike(tmp_path, capsys, sub, key, default):
 
 def test_invalid_config_file_exits_1_with_one_line(tmp_path, capsys):
     # a file of valid lines plus one defect: a repeated key, an unknown key,
-    # a line without `=`, an empty value or a value of the wrong type
+    # a line without `=`, an empty value, a value of the wrong type or a
+    # comment holding a byte that is not UTF-8 (surrogate-escaped here)
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     word = st.text(alphabet="xyz._", min_size=1)    # neither key nor number
@@ -551,6 +581,7 @@ def test_invalid_config_file_exits_1_with_one_line(tmp_path, capsys):
             word,
             st.sampled_from(keys).map("{} =".format),
             st.tuples(st.sampled_from(typed), word).map(" = ".join),
+            word.map("# {}\udcff".format),
         ))
         lines.insert(draw(st.integers(0, len(lines))), defect)
         return sub, "\n".join(lines) + "\n"
@@ -560,9 +591,51 @@ def test_invalid_config_file_exits_1_with_one_line(tmp_path, capsys):
     def check(case):
         sub, text = case
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(text)
+        cfgfile.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert main([sub, "--config", str(cfgfile),
                      "--out", str(tmp_path / "out" / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    check()
+
+
+def test_invalid_flags_exit_1_with_one_line(tmp_path, capsys):
+    # valid flags plus one defect: an unknown flag, a flag of another
+    # subcommand, a flag without its value or a mistyped value
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    word = st.text(alphabet="xyz._", min_size=1)    # neither flag nor number
+
+    @st.composite
+    def invalid_argv(draw):
+        sub = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+        keys = [k for k in accepted(sub) if k != "output.path"]
+        typed = [k for k in keys if cli._OPTIONS[k][1] is not str]
+        flags = [cli._OPTIONS[k][0] for k in accepted(sub)] + ["--config",
+                                                                "--help"]
+        # argparse takes a prefix of one of the flags for that flag
+        foreign = sorted({flag for flag, _, _ in cli._OPTIONS.values()
+                          if not any(f.startswith(flag) for f in flags)})
+        picked = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
+        pairs = [[cli._OPTIONS[k][0], _valid_text(k, accepted(sub)[k])]
+                 for k in picked]
+        defect = draw(st.one_of(
+            word.map(lambda w: ["--" + w]),
+            st.tuples(st.sampled_from(foreign), st.sampled_from(["7", "2.5"]))
+            .map(list),
+            st.sampled_from(keys).map(lambda k: [cli._OPTIONS[k][0]]),
+            st.tuples(st.sampled_from(typed).map(lambda k: cli._OPTIONS[k][0]),
+                      word).map(list),
+        ))
+        pairs.insert(draw(st.integers(0, len(pairs))), defect)
+        return [sub, *(s for pair in pairs for s in pair)]
+
+    @hyp.settings(derandomize=True, max_examples=40, deadline=None)
+    @hyp.given(invalid_argv())
+    def check(argv):
+        assert main(argv + ["--out", str(tmp_path / "out" / "r")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (tmp_path / "out").exists()
