@@ -28,6 +28,7 @@ alone maps an exception to its code: `ValueError` and `MemoryError` give 1,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,7 +213,10 @@ def _one_number(text: str, what: str) -> float:
         raise ValueError(f"{what}: expected a number, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand's flags, built once per process: a
+    parse reads the parser and changes nothing in it."""
     p = _Parser(prog="bagforge",
                 description="Relativistic hadron bag solvers: soliton field, "
                             "sharp bag, confined cavity and the "

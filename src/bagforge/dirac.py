@@ -403,6 +403,26 @@ def _bisection(op: RadialDiracOperator, window: Tuple[float, float]):
     return w[order], (w, iblock, isplit, order)
 
 
+def window_count(op: RadialDiracOperator,
+                 window: Tuple[float, float]) -> Optional[tuple]:
+    """(count, iblock, isplit) of one count-only stebz over the window
+    (lo, hi], or None where stebz reports an error.
+
+    Its tolerance hi - lo stops each interval after one split, so the call
+    costs a few Sturm counts and resolves no level; count is the number of
+    eigenvalues in (lo, hi].  Sturm counts are monotone in floating point
+    (Demmel, Dhillon & Ren, ETNA 3, 1995), so counts over nested or
+    adjacent windows agree: the count certifies what bisections of
+    subwindows skipped.  iblock and isplit are stein inputs for the levels
+    found in the window, and isplit[0] is op.size where the matrix does
+    not split into blocks.
+    """
+    lo, hi = window
+    count, _, iblock, isplit, info = dstebz(op.diag, op.offdiag, 1, lo, hi,
+                                            1, 1, hi - lo, "B")
+    return None if info else (count, iblock, isplit)
+
+
 def _enclosures(op: RadialDiracOperator, warm: SpectralResult, j: int,
                 floor: float):
     """The rows (lower, upper): the ends of one interval for each of the
@@ -466,11 +486,11 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
     so stebz bisects it at least once, as the full bisection does.  An
     enclosure holding the window's midpoint leaves the whole window as its
     node, which falls back.  The nodes must be ordered and disjoint and
-    hold one eigenvalue each, and one count-only stebz over (vl, c] must
-    find j: with Sturm counts monotone in floating point (Demmel, Dhillon &
-    Ren, ETNA 3, 1995) the nodes then hold the lowest j eigenvalues, each
-    alone, which the full bisection reaches, and the next eigenvalue lies
-    above c.  c is vu, so the window holds these j levels only, unless
+    hold one eigenvalue each, and one count-only stebz over (vl, c]
+    (`window_count`) must find j: with Sturm counts monotone in floating
+    point the nodes then hold the lowest j eigenvalues, each alone, which
+    the full bisection reaches, and the next eigenvalue lies above c.  c
+    is vu, so the window holds these j levels only, unless
     j = levels and a level more may be left out: then c is the last value
     plus the simplicity gap SIMPLE_GAP_RTOL*m (at most vu), which
     `check_simple` would refuse if the next level were closer.  A window
@@ -518,8 +538,11 @@ def _resumed_bisection(op: RadialDiracOperator, window: Tuple[float, float],
             return None
         w[i] = wi[0]
     c = vu if j != levels else min(vu, w[-1] + SIMPLE_GAP_RTOL * op.m + floor)
-    count, _, iblock, isplit, info = dstebz(d, e, 1, vl, c, 1, 1, c - vl, "B")
-    if info or count != j or isplit[0] != op.size:
+    counted = window_count(op, (vl, c))
+    if counted is None:
+        return None
+    count, iblock, isplit = counted
+    if count != j or isplit[0] != op.size:
         return None
     order = np.argsort(w)
     return w[order], (w, iblock, isplit, order), bool(c == vu)

@@ -18,11 +18,28 @@ One pole-free condition in x = kR serves both cavities, s_in j1(x) - rho
 j0(x): the u/v mismatch times j0(x), with rho the exterior u/v at R.  The
 confined cavity is its mu_out -> inf limit rho = 1, the condition u = v.
 
-One scanner finds the roots of both: it samples the brackets between
-consecutive zeros of j0(x), on each of which the condition has the sign of
-the mismatch up to a fixed factor, and bisects every sign change in x, so a
-root is resolved however close lam sits to mu_in.  The same bisection
-refines the cavity radii in `bag`.
+One scanner finds the roots of both.  It works branch by branch, a branch
+being the interval (j pi, (j+1) pi) between consecutive zeros of j0(x), on
+which the condition has the sign of the mismatch up to a fixed factor, and
+bisects each sign change in x, so a root is resolved however close lam
+sits to mu_in.  The same bisection refines the cavity radii in `bag`.
+
+For mu_in >= 0, which every caller passes (the bag's m - g > 0, mit-limit's
+m, verify's [0, 0.9) and the confined cavity), a branch holds at most one
+root, and it is a sign change (J. Weidmann, Spectral Theory of Ordinary
+Differential Operators, LNM 1258, 1987).  Proof: the condition is
+j0 (s_in j1/j0 - rho).  On the branch j1/j0 = 1/x - cot x strictly
+increases, s_in = sqrt((lam - mu_in)/(lam + mu_in)) does not decrease in x
+and rho = s_out (1 + 1/(kap R)) = (kap + 1/R)/(mu_out + lam) strictly
+decreases (rho = 1 for the hard wall).  So s_in j1/j0 - rho is below -rho
+< 0 where j1/j0 <= 0 and strictly increases where j1/j0 > 0, the one place
+it can vanish, while j0 keeps one sign.  The scanner therefore samples a
+branch's two ends: ends of one sign hold no root, and between ends of
+opposite signs a bisection of the sample grid finds the one sign change,
+which is then bisected in x exactly as sampling the branch in order would
+(`_scan_roots`).  For the confined cavity the condition is -1 at x = 0+
+and s_in j1(j pi), which alternates in sign, at each j pi, so level k is
+the root on branch k - 1 (`mit_eigenvalue`).
 
 Scalar Bessel values come from the `math` kernels `_j0`/`_j1`; arrays use
 their vectorized forms `spherical_j0`/`spherical_j1`.
@@ -32,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -167,19 +184,62 @@ def matching_function(p: TwoZoneProblem, x: float) -> float:
     return _quantization(p.R, p.mu_in, p.mu_out, x)
 
 
+def _branch_root(f: Callable[[float], float], xs: list) -> Optional[list]:
+    """The roots ([] or [x]) of f over the samples xs of one branch, from
+    its two end samples and a bisection of the sample index grid; None
+    where this search cannot decide.
+
+    Where the samples change sign at most once, the root is the one the
+    in-order sampling takes: an exact-zero probe, or `_bisect` on the one
+    pair of neighbouring samples whose product is negative.  An end that is
+    zero or non-finite, a probe that is non-finite, or a product that
+    underflows leaves the branch undecided.
+    """
+    lo, hi = 0, len(xs) - 1
+    f_lo, f_hi = f(xs[lo]), f(xs[hi])
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        return None
+    if f_lo * f_hi > 0.0:
+        return []
+    while hi - lo > 1 and f_lo * f_hi < 0.0:
+        mid = (lo + hi) // 2
+        f_mid = f(xs[mid])
+        if not math.isfinite(f_mid):
+            return None
+        if f_mid == 0.0:
+            return [xs[mid]]
+        if f_mid * f_lo < 0.0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    if not f_lo * f_hi < 0.0:
+        return None
+    return [_bisect(f, xs[lo], xs[hi])]
+
+
 def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
-                x_hi: float, guard: float) -> list:
+                x_hi: float, guard: float,
+                one_per_branch: bool = False) -> list:
     """First `count` roots of f in [x_lo, x_hi], ascending.
 
-    Samples each bracket (j pi + guard, (j+1) pi - guard) at up to
+    Samples each branch (j pi + guard, (j+1) pi - guard) at up to
     BRACKET_SAMPLES points, in order, skips non-finite samples, takes an
     exact-zero sample as a root and bisects every sign change to ROOT_RTOL.
     Sampling stops at the sign change that completes `count` roots, so the
-    rest of that bracket is never evaluated.  Raises RuntimeError where
-    consecutive brackets no longer differ in floating point (x beyond ~1e16).
+    rest of that branch is never evaluated.  Raises RuntimeError where
+    consecutive branches no longer differ in floating point (x beyond
+    ~1e16).
+
+    `one_per_branch` states that f changes sign at most once on a branch,
+    and then has the sign of its ends there: the two-zone condition with
+    mu_in >= 0 (see the module docstring).  Each branch's samples are then
+    searched by `_branch_root`, which samples the two ends and bisects the
+    sample index grid to the sign change.  It finds the root the in-order
+    sampling finds, bit for bit, from about 9 samples rather than up to
+    128; a branch it cannot decide is sampled in order.
     """
     roots = []
-    # brackets below x_lo are empty (b <= a); one spare absorbs rounding
+    # branches below x_lo are empty (b <= a); one spare absorbs rounding
     branch = max(0, math.floor(x_lo / math.pi) - 1)
     while branch * math.pi < x_hi and len(roots) < count:
         left, right = branch * math.pi + guard, (branch + 1) * math.pi - guard
@@ -191,6 +251,10 @@ def _scan_roots(f: Callable[[float], float], count: int, x_lo: float,
         if b <= a:
             continue
         xs = np.linspace(a, b, BRACKET_SAMPLES).tolist()
+        found = _branch_root(f, xs) if one_per_branch else None
+        if found is not None:
+            roots += found
+            continue
         x0, f0 = xs[0], f(xs[0])
         for x1 in xs[1:]:
             f1 = f(x1)
@@ -223,7 +287,7 @@ def eigenvalues(p: TwoZoneProblem, count: int) -> list:
     x_hi = p.R * math.sqrt(lam_hi**2 - p.mu_in**2)
     # looked up at call time, so a wrapped matching_function sees every call
     xs = _scan_roots(lambda x: matching_function(p, x), count, x_lo, x_hi,
-                     ENDPOINT_GUARD)
+                     ENDPOINT_GUARD, one_per_branch=p.mu_in >= 0.0)
     # at most `count` roots: the scan stops at the last one
     return [lam for lam in (_x_to_lam(p.mu_in, p.R, x) for x in xs)
             if lam - lo > guard and hi - lam > guard]
@@ -239,7 +303,9 @@ def mit_eigenvalue(R: float, m: float, k: int = 1) -> float:
     """k-th eigenvalue (> m) of the confined spherical cavity of radius R.
 
     The exact mu_out -> inf limit of the two-zone matching; m = 0 is the
-    massless cavity.
+    massless cavity.  Level k is solved on its own branch, so the cost does
+    not grow with k; where that branch shows no root in floating point
+    (s_in rounds to 0 at m R beyond ~3e8), the scan runs from x = 0.
     """
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"R must be finite and positive, got {R}")
@@ -247,12 +313,19 @@ def mit_eigenvalue(R: float, m: float, k: int = 1) -> float:
         raise ValueError(f"m must be finite and nonnegative, got {m}")
     if k < 1:
         raise ValueError("eigenvalue index starts at 1")
-    # a budget of k + 65 brackets in x = kR
-    roots = _scan_roots(lambda x: mit_matching(R, m, x), k, 0.0,
-                        (k + 65) * math.pi, 1e-12)
-    if len(roots) < k:
+    f = lambda x: mit_matching(R, m, x)
+    # the condition is -1 at x = 0+ and s j1(x), which alternates in sign,
+    # at each j pi: level k is the one root on branch k - 1, whose samples
+    # are those of a scan from 0
+    roots = _scan_roots(f, 1, (k - 1) * math.pi, k * math.pi, 1e-12,
+                        one_per_branch=True)
+    if not roots:
+        # a budget of k + 65 branches in x = kR
+        roots = _scan_roots(f, k, 0.0, (k + 65) * math.pi, 1e-12,
+                            one_per_branch=True)[k - 1:]
+    if not roots:
         raise RuntimeError("cavity root search failed to bracket")
-    return _x_to_lam(m, R, roots[k - 1])
+    return _x_to_lam(m, R, roots[0])
 
 
 @dataclass(frozen=True)

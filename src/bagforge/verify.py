@@ -16,6 +16,24 @@ finite-difference legs of `hf_mismatch` and the matrix level of
 `oracle_gap`.  Only the ground state of `hf_mismatch`, which
 `hellmann_feynman` reads, and of `normalization_errors` reads its
 eigenvector; `supercharge_svd_error` reads full spectra.
+
+The measurements bisect only where their answers are:
+
+* `mirror_pairing` bisects the ansatz sector over its whole window and
+  the partner only in a window of half-width PARTNER_RTOL m around each
+  mirror image -lambda.  One count over the partner's whole window
+  (`dirac.window_count`) certifies what that skips: it must find as many
+  levels as the ansatz sector holds, each small window exactly one.
+  Otherwise the partner's whole window is bisected, as is done without
+  the certificate.
+* `oracle_gap` bisects (0, lam + ORACLE_RTOL mu_out] of the closed-form
+  level lam, which holds the ground level whenever the check can pass; it
+  needs no count, since the window reaches down to 0.  Where it holds no
+  level, the whole bound window is bisected.
+* `hf_mismatch` bisects windows just wide enough to hold the shifted
+  level (Weyl's bound), and `normalization_errors` the default window.
+* the cavity checks solve each level on its own branch of x = kR
+  (`dispersion`).
 """
 
 from __future__ import annotations
@@ -26,12 +44,19 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .dirac import (RadialField, assemble_hamiltonian, bound_window, density,
-                    eigen_solve, hellmann_feynman, supercharge_singular_values)
+from .dirac import (RadialField, RadialDiracOperator, assemble_hamiltonian,
+                    bound_window, density, eigen_solve, hellmann_feynman,
+                    supercharge_singular_values, window_count)
 from .dispersion import TwoZoneProblem, eigenvalues, mit_eigenvalue
 from .grid import make_grid
 
 Check = Tuple[str, bool, str]
+
+#: the oracle check's tolerance on |matrix - matching|, relative to mu_out
+ORACLE_RTOL = 2e-3
+#: half-width, relative to m, of the window around -lambda in which
+#: `mirror_pairing` bisects each partner level
+PARTNER_RTOL = 1e-12
 
 
 def random_bound_field(grid, m: float, g: float, rng: np.random.Generator,
@@ -72,15 +97,50 @@ def square_well(grid, depth: float, R: float) -> RadialField:
     return RadialField(grid=grid, values=vals)
 
 
+def _mirror_levels(op: RadialDiracOperator, lam: np.ndarray,
+                   window: Tuple[float, float]) -> Optional[np.ndarray]:
+    """The levels of `op` in `window` (lo, hi], ascending, each bisected in
+    its own window of half-width PARTNER_RTOL*m around one -lam; None where
+    that is not certified.
+
+    The small windows must be disjoint, lie in (lo, hi] and hold one level
+    each, and one count over (lo, hi] (`window_count`) must find as many
+    levels as lam holds: then they are all of op's levels there."""
+    half = PARTNER_RTOL * op.m
+    lo, hi = window
+    centres = np.sort(-lam)
+    if centres.size and not (lo <= centres[0] - half
+                             and centres[-1] + half <= hi
+                             and np.all(np.diff(centres) > 2.0 * half)):
+        return None
+    counted = window_count(op, window)
+    if counted is None or counted[0] != lam.size:
+        return None
+    levels = []
+    for c in centres.tolist():
+        near = eigen_solve(op, window=(c - half, c + half)).eigenvalues
+        if near.size != 1:
+            return None
+        levels.append(near[0])
+    return np.array(levels)
+
+
 def mirror_pairing(phi: RadialField, g: float,
                    m: float) -> Tuple[float, float, int]:
     """(max pair error, min |lambda|, count) over the eigenvalues of both
-    sectors in the window +-0.99 m; min |lambda| is inf when there are none."""
+    sectors in the window +-0.99 m; min |lambda| is inf when there are none.
+
+    The ansatz sector is bisected over the whole window, the partner only
+    near the mirror images of its levels (`_mirror_levels`), or over the
+    whole window where that is not certified."""
     w = 0.99 * m
-    both = np.concatenate([
-        eigen_solve(assemble_hamiltonian(phi, g, m, sector=s),
-                    window=(-w, w)).eigenvalues
-        for s in (-1, +1)])
+    lam = eigen_solve(assemble_hamiltonian(phi, g, m, sector=-1),
+                      window=(-w, w)).eigenvalues
+    partner = assemble_hamiltonian(phi, g, m, sector=+1)
+    mirror = _mirror_levels(partner, lam, (-w, w))
+    if mirror is None:
+        mirror = eigen_solve(partner, window=(-w, w)).eigenvalues
+    both = np.concatenate([lam, mirror])
     pair = max((float(np.min(np.abs(both + lam))) for lam in both),
                default=0.0)
     gap = float(np.min(np.abs(both))) if both.size else math.inf
@@ -131,7 +191,12 @@ def oracle_gap(problem: TwoZoneProblem, n: int,
     """|matrix - matching| ground level of the square well (g = 1,
     m = mu_out) on an n-cell grid of radius r_max; inf when the matrix
     misses it, None when the closed-form level is missing or above
-    0.97 mu_out (near-threshold tails exceed any truncation radius)."""
+    0.97 mu_out (near-threshold tails exceed any truncation radius).
+
+    The matrix is bisected over (0, lam + ORACLE_RTOL mu_out] of the
+    closed-form lam, the only levels the check can pass on: the lowest
+    there is the ground level.  Where that window holds none, the whole
+    bound window is bisected, so the gap is the same."""
     lams = eigenvalues(problem, 1)
     mu_out = problem.mu_out
     if not lams or lams[0] > 0.97 * mu_out:
@@ -139,7 +204,11 @@ def oracle_gap(problem: TwoZoneProblem, n: int,
     phi = square_well(make_grid(r_max, n), mu_out - problem.mu_in, problem.R)
     # the positive part of the default window holds the ladder
     op = assemble_hamiltonian(phi, g=1.0, m=mu_out)
-    ladder = eigen_solve(op, window=bound_window(mu_out)).eigenvalues
+    lo, hi = bound_window(mu_out)
+    near = min(hi, lams[0] + ORACLE_RTOL * mu_out)
+    ladder = eigen_solve(op, window=(lo, near)).eigenvalues
+    if ladder.size == 0:
+        ladder = eigen_solve(op, window=(lo, hi)).eigenvalues
     if ladder.size == 0:
         return math.inf
     return abs(float(ladder[0]) - lams[0])
@@ -240,7 +309,7 @@ def check_oracle_agreement(seed: int = 3) -> Check:
             return ("oracle-agreement", False, "matrix missed a bound state")
         worst = max(worst, gap)
         done += 1
-    ok = worst <= 2e-3 * mu_out
+    ok = worst <= ORACLE_RTOL * mu_out
     return ("oracle-agreement", ok, f"max |matrix - matching| = {worst:.2e}")
 
 

@@ -220,9 +220,10 @@ def test_mit_ground_radius_scales_with_quark_count():
 
 
 def test_readme_bag_scan_stops_at_last_root(monkeypatch):
-    # the root scan samples a bracket only up to the sign change that
-    # completes the ladder; the bisection endpoints, and so every value,
-    # are those of sampling whole brackets
+    # the root scan samples each branch's ends, bisects its sample grid to
+    # the one sign change and stops at the root that completes the ladder;
+    # the bisection endpoints, and so every value, are those of sampling
+    # whole branches in order
     import bagforge.dispersion as dispersion
     calls = 0
     inner = dispersion.matching_function
@@ -234,6 +235,6 @@ def test_readme_bag_scan_stops_at_last_root(monkeypatch):
 
     monkeypatch.setattr(dispersion, "matching_function", counted)
     rep = minimize_bag(BagConfig(n_quarks=1, g=0.8, m=1.0, a=1e-3, b=1e-3))
-    assert calls <= 12222
+    assert calls <= 4400
     assert (repr(rep.R), repr(rep.lam), repr(rep.energy)) == (
         "2.75185397850765", "0.7066969195998102", "0.8891483329285179")

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,19 @@ def test_mit_stdout_line(tmp_path, capsys):
     out = tmp_path / "m"
     assert run_cli(["mit", "--m", "1e-8", "--R", "1", "--out", str(out)]) == 0
     assert "lambda = 2.0427" in capsys.readouterr().out
+
+
+def test_mit_high_level_solves_one_branch(tmp_path, capsys):
+    # level k is the root on branch k - 1 of x = kR, found there alone, so
+    # the time does not grow with k (a scan from 0 took 18 s at k = 1e5)
+    out = tmp_path / "m"
+    t0 = time.perf_counter()
+    assert run_cli(["mit", "--k", "1000000", "--out", str(out)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert "k=1000000" in capsys.readouterr().out
+    row = read_table(out.with_suffix(".csv"))[1][0]
+    R, m, lam = (float(row[i]) for i in (0, 1, 3))
+    assert 999999 < R * math.sqrt(lam * lam - m * m) / math.pi < 1000000
 
 
 def test_soliton_run_and_profiles(tmp_path):

@@ -13,10 +13,12 @@ from bagforge import (DegenerateEigenvalueError, GammaSweep, ModelParams,
                       dirichlet_ball_eigenvalue, eigen_solve,
                       hellmann_feynman, integrate, make_grid, minimize,
                       run_sweep, supercharge_singular_values)
-from bagforge.verify import (check_hellmann_feynman, gaussian_field,
-                             hf_mismatch, mirror_pairing,
-                             normalization_errors, oracle_gap,
-                             random_bound_field, square_well,
+from bagforge.dirac import bound_window
+from bagforge.dispersion import eigenvalues
+from bagforge.verify import (ORACLE_RTOL, check_hellmann_feynman,
+                             check_susy_pairing, gaussian_field, hf_mismatch,
+                             mirror_pairing, normalization_errors,
+                             oracle_gap, random_bound_field, square_well,
                              supercharge_svd_error)
 
 
@@ -223,6 +225,105 @@ def test_mirror_spectrum_across_sectors():
         assert pair <= 1e-8
         # no zero modes while the effective mass stays nonnegative
         assert gap >= 1e-2 * m
+
+
+def _full_window_pairing(phi, g, m):
+    """mirror_pairing as both sectors bisected over the whole window give
+    it, from the operators `verify` assembles."""
+    import bagforge.verify as verify
+    w = 0.99 * m
+    both = np.concatenate([
+        eigen_solve(verify.assemble_hamiltonian(phi, g, m, sector=s),
+                    window=(-w, w)).eigenvalues for s in (-1, +1)])
+    pair = max(float(np.min(np.abs(both + lam))) for lam in both)
+    return pair, float(np.min(np.abs(both))), both.size
+
+
+def _shifted_partner(monkeypatch, rows, by):
+    """Make verify assemble partner sectors with `by` added to the
+    diagonal `rows`; returns the list of the partner's solved windows."""
+    import bagforge.verify as verify
+    assemble, solve, windows = (verify.assemble_hamiltonian,
+                                verify.eigen_solve, [])
+
+    def shifted(phi, g, m, sector=-1):
+        op = assemble(phi, g, m, sector)
+        if sector == +1:
+            op.diag[rows] += by
+        return op
+
+    def spied(op, window=None, **kw):
+        if op.sector == +1:
+            windows.append(window)
+        return solve(op, window, **kw)
+
+    monkeypatch.setattr(verify, "assemble_hamiltonian", shifted)
+    monkeypatch.setattr(verify, "eigen_solve", spied)
+    return windows
+
+
+def test_mirror_pairing_bisects_partner_levels_near_the_mirror_images():
+    m, g = 1.0, 0.5
+    phi = random_bound_field(make_grid(25.0, 1200), m, g,
+                             np.random.default_rng(7))
+    pair, gap, count = mirror_pairing(phi, g, m)
+    ref_pair, ref_gap, ref_count = _full_window_pairing(phi, g, m)
+    assert count == ref_count > 0
+    # both sectors bisected over mirrored windows pair to the last bit; the
+    # partner's own windows move its levels by a few ulps at most
+    assert ref_pair == 0.0 and pair <= 1e-13
+    assert abs(gap - ref_gap) <= 1e-13
+
+
+def test_broken_mirror_certificate_falls_back(monkeypatch):
+    # one partner diagonal entry moved by 1e-6 at the row where a partner
+    # level peaks moves that level off -lambda by more than the half-width
+    # PARTNER_RTOL m of its window: the partner is bisected over the whole
+    # window, and the pair error is the full-window computation's
+    m, g, w = 1.0, 0.5, 0.99
+    phi = random_bound_field(make_grid(25.0, 1200), m, g,
+                             np.random.default_rng(7))
+    y = eigen_solve(assemble_hamiltonian(phi, g, m, sector=+1),
+                    window=(-w, w)).basis_vectors
+    peak = int(np.argmax(np.max(y * y, axis=1)))
+    windows = _shifted_partner(monkeypatch, [peak], 1e-6)
+    ref = _full_window_pairing(phi, g, m)
+    del windows[:]
+    assert mirror_pairing(phi, g, m) == ref
+    assert windows[-1] == (-w, w)
+    assert 1e-12 < ref[0] < 1e-8
+
+
+def test_broken_mirror_check_fails(monkeypatch):
+    # a partner level of the check's wells moves by at most 1e-6 times its
+    # largest squared component, below 1e-2: one entry moved by 1e-6 stays
+    # under the 1e-8 tolerance, so the whole partner diagonal is moved,
+    # which moves every partner level by 1e-6
+    windows = _shifted_partner(monkeypatch, slice(None), 1e-6)
+    name, ok, detail = check_susy_pairing(seed=0)
+    assert (name, ok) == ("susy-pairing", False)
+    assert detail.startswith("max pair error 1.00e-06")
+    assert windows.count((-0.99, 0.99)) == 5
+
+
+def test_oracle_window_above_the_level_falls_back(monkeypatch):
+    # on a coarse grid the matrix ground level lies above lam + ORACLE_RTOL
+    # mu_out, so (0, lam + ORACLE_RTOL mu_out] holds no level: the whole
+    # bound window gives the gap, as it always did
+    import bagforge.verify as verify
+    windows = []
+    solve = verify.eigen_solve
+    monkeypatch.setattr(verify, "eigen_solve",
+                        lambda op, window: windows.append(window)
+                        or solve(op, window))
+    p = TwoZoneProblem(mu_in=0.0, mu_out=1.0, R=2.0)
+    gap = oracle_gap(p, 200, 20.0)
+    lam = eigenvalues(p, 1)[0]
+    op = assemble_hamiltonian(square_well(make_grid(20.0, 200), 1.0, 2.0),
+                              g=1.0, m=1.0)
+    ladder = solve(op, window=bound_window(1.0)).eigenvalues
+    assert gap == abs(float(ladder[0]) - lam) > ORACLE_RTOL
+    assert windows == [(0.0, lam + ORACLE_RTOL), bound_window(1.0)]
 
 
 def test_single_sector_spectrum_is_not_mirror_symmetric():

@@ -7,9 +7,9 @@ from scipy.integrate import quad
 
 from bagforge import (TwoZoneProblem, dirichlet_ball_eigenvalue, eigenvalues,
                       matching_function, mit_eigenvalue, two_zone_state)
-from bagforge.dispersion import (BALL_SERIES_X, _bisect, _j0, _j1,
-                                 _scan_roots, j1_zero, mit_matching,
-                                 spherical_j0, spherical_j1)
+from bagforge.dispersion import (BALL_SERIES_X, ENDPOINT_GUARD, _bisect, _j0,
+                                 _j1, _scan_roots, _x_to_lam, j1_zero,
+                                 mit_matching, spherical_j0, spherical_j1)
 from bagforge.verify import cavity_reference_root
 
 # independent oracle for the massless confined cavity: tan x = x/(1-x)
@@ -302,6 +302,83 @@ def test_scan_roots_takes_exact_zero_sample():
     roots = _scan_roots(lambda x: 0.0 if x == root else 1.0, 1, 0.5, 3.0,
                         1e-12)
     assert roots == [root]
+
+
+def _in_order_scan(f, count, x_lo, x_hi, guard):
+    """The reference scan: every sample of every branch, in order."""
+    roots = []
+    branch = max(0, math.floor(x_lo / math.pi) - 1)
+    while branch * math.pi < x_hi and len(roots) < count:
+        a = max(branch * math.pi + guard, x_lo)
+        b = min((branch + 1) * math.pi - guard, x_hi)
+        branch += 1
+        if b <= a:
+            continue
+        xs = np.linspace(a, b, 128).tolist()
+        x0, f0 = xs[0], f(xs[0])
+        for x1 in xs[1:]:
+            f1 = f(x1)
+            if math.isfinite(f0) and math.isfinite(f1):
+                if f0 == 0.0:
+                    roots.append(x0)
+                elif f0 * f1 < 0.0:
+                    roots.append(_bisect(f, x0, x1))
+                if len(roots) == count:
+                    break
+            x0, f0 = x1, f1
+    return roots
+
+
+def _window_in_x(p):
+    guard = ENDPOINT_GUARD * max(1.0, p.mu_out)
+    lam_lo, lam_hi = abs(p.mu_in) + guard, p.mu_out - guard
+    return (p.R * math.sqrt(lam_lo**2 - p.mu_in**2),
+            p.R * math.sqrt(lam_hi**2 - p.mu_in**2))
+
+
+def test_branch_search_finds_the_in_order_roots():
+    # with mu_in >= 0 each branch holds at most one root, a sign change, so
+    # sampling the branch ends and bisecting the sample grid finds the
+    # roots of sampling every branch in order, bit for bit
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        mu_out = 10.0 ** rng.uniform(-1.0, 3.0)
+        p = TwoZoneProblem(mu_in=rng.uniform(0.0, 0.99 * mu_out),
+                           mu_out=mu_out, R=10.0 ** rng.uniform(-2.0, 1.5))
+        count = int(rng.integers(1, 4))
+        f = lambda x: matching_function(p, x)
+        ref = _in_order_scan(f, count, *_window_in_x(p), ENDPOINT_GUARD)
+        assert _scan_roots(f, count, *_window_in_x(p), ENDPOINT_GUARD,
+                           one_per_branch=True) == ref
+        assert eigenvalues(p, count) == [_x_to_lam(p.mu_in, p.R, x)
+                                         for x in ref]
+
+
+def test_negative_interior_mass_is_scanned_in_order(monkeypatch):
+    # for mu_in < 0 the one-root-per-branch proof does not hold
+    import bagforge.dispersion as dispersion
+    searched = []
+    inner = dispersion._branch_root
+    monkeypatch.setattr(dispersion, "_branch_root",
+                        lambda f, xs: searched.append(xs) or inner(f, xs))
+    p = TwoZoneProblem(mu_in=-0.6, mu_out=1.0, R=15.0)
+    ref = _in_order_scan(lambda x: matching_function(p, x), 3,
+                         *_window_in_x(p), ENDPOINT_GUARD)
+    lams = eigenvalues(p, 3)
+    assert len(lams) == 3 and not searched
+    assert lams == [_x_to_lam(p.mu_in, p.R, x) for x in ref]
+
+
+def test_mit_level_is_the_root_on_its_branch():
+    # level k is the one root on branch k - 1, the k-th root of a scan from 0
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        R = 10.0 ** rng.uniform(-2.0, 1.5)
+        m = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
+        k = int(rng.integers(1, 41))
+        ref = _in_order_scan(lambda x: mit_matching(R, m, x), k, 0.0,
+                             (k + 65) * math.pi, 1e-12)
+        assert mit_eigenvalue(R, m, k) == _x_to_lam(m, R, ref[k - 1])
 
 
 def test_mit_eigenvalue_validation():
