@@ -239,12 +239,26 @@ def _full_window_pairing(phi, g, m):
     return pair, float(np.min(np.abs(both))), both.size
 
 
-def _shifted_partner(monkeypatch, rows, by):
-    """Make verify assemble partner sectors with `by` added to the
-    diagonal `rows`; returns the list of the partner's solved windows."""
+def _partner_windows(monkeypatch):
+    """The list of the windows `verify` solves partner sectors on, from
+    the call on."""
     import bagforge.verify as verify
-    assemble, solve, windows = (verify.assemble_hamiltonian,
-                                verify.eigen_solve, [])
+    solve, windows = verify.eigen_solve, []
+
+    def spied(op, window=None, **kw):
+        if op.sector == +1:
+            windows.append(window)
+        return solve(op, window, **kw)
+
+    monkeypatch.setattr(verify, "eigen_solve", spied)
+    return windows
+
+
+def _shift_partner(monkeypatch, rows, by):
+    """Make `verify` assemble partner sectors with `by` added to the
+    diagonal `rows`."""
+    import bagforge.verify as verify
+    assemble = verify.assemble_hamiltonian
 
     def shifted(phi, g, m, sector=-1):
         op = assemble(phi, g, m, sector)
@@ -252,14 +266,7 @@ def _shifted_partner(monkeypatch, rows, by):
             op.diag[rows] += by
         return op
 
-    def spied(op, window=None, **kw):
-        if op.sector == +1:
-            windows.append(window)
-        return solve(op, window, **kw)
-
     monkeypatch.setattr(verify, "assemble_hamiltonian", shifted)
-    monkeypatch.setattr(verify, "eigen_solve", spied)
-    return windows
 
 
 def test_mirror_pairing_bisects_partner_levels_near_the_mirror_images():
@@ -286,12 +293,28 @@ def test_broken_mirror_certificate_falls_back(monkeypatch):
     y = eigen_solve(assemble_hamiltonian(phi, g, m, sector=+1),
                     window=(-w, w)).basis_vectors
     peak = int(np.argmax(np.max(y * y, axis=1)))
-    windows = _shifted_partner(monkeypatch, [peak], 1e-6)
+    _shift_partner(monkeypatch, [peak], 1e-6)
     ref = _full_window_pairing(phi, g, m)
-    del windows[:]
+    windows = _partner_windows(monkeypatch)
     assert mirror_pairing(phi, g, m) == ref
     assert windows[-1] == (-w, w)
     assert 1e-12 < ref[0] < 1e-8
+
+
+def test_mirror_count_mismatch_falls_back(monkeypatch):
+    # a count over the partner's window that finds a level more than the
+    # ansatz sector holds leaves that level unpaired: the small windows do
+    # not certify the partner, whose whole window is bisected
+    import bagforge.verify as verify
+    m, g, w = 1.0, 0.5, 0.99
+    phi = random_bound_field(make_grid(25.0, 1200), m, g,
+                             np.random.default_rng(7))
+    count = verify.window_count
+    monkeypatch.setattr(verify, "window_count", lambda op, window: (
+        count(op, window)[0] + 1, *count(op, window)[1:]))
+    windows = _partner_windows(monkeypatch)
+    assert mirror_pairing(phi, g, m) == _full_window_pairing(phi, g, m)
+    assert windows == [(-w, w)]
 
 
 def test_broken_mirror_check_fails(monkeypatch):
@@ -299,7 +322,8 @@ def test_broken_mirror_check_fails(monkeypatch):
     # largest squared component, below 1e-2: one entry moved by 1e-6 stays
     # under the 1e-8 tolerance, so the whole partner diagonal is moved,
     # which moves every partner level by 1e-6
-    windows = _shifted_partner(monkeypatch, slice(None), 1e-6)
+    _shift_partner(monkeypatch, slice(None), 1e-6)
+    windows = _partner_windows(monkeypatch)
     name, ok, detail = check_susy_pairing(seed=0)
     assert (name, ok) == ("susy-pairing", False)
     assert detail.startswith("max pair error 1.00e-06")
